@@ -8,9 +8,9 @@
 // The implementation lives under internal/ (see DESIGN.md for the system
 // inventory); the runnable entry points are:
 //
-//   - cmd/merced    — the BIST compiler (paper Table 2)
+//   - cmd/merced    — the BIST compiler (paper Table 2); -cover runs the
+//     stuck-at fault-coverage campaign
 //   - cmd/tables    — regenerates every table and figure of the evaluation
-//   - cmd/ppetsim   — PPET self-test and fault-coverage simulation
 //   - cmd/benchgen  — writes the synthetic ISCAS89-statistics suite
 //   - examples/     — quickstart, s27 walkthrough, area sweep, fault coverage
 //

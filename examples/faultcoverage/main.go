@@ -43,13 +43,12 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Println("golden signatures:")
-	for i, s := range sigs {
+	for _, s := range sigs {
 		fmt.Printf("  segment %2d: %04X after %d cycles\n", s.Cluster, s.Value, s.Cycles)
-		_ = i
 	}
 
 	// A fault changes its segment's signature.
-	someSignal := r.Graph.Nets[r.Partition.Clusters[0].Nodes[0]].Name
+	someSignal := r.Graph.Nodes[r.Partition.Clusters[0].Nodes[0]].Name
 	faulty, err := ppet.SelfTest(c, r.Partition, ppet.SelfTestOptions{
 		Seed:  1,
 		Fault: &sim.Fault{Signal: someSignal, Stuck1: true},

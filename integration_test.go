@@ -68,10 +68,9 @@ func TestCLIsEndToEnd(t *testing.T) {
 		t.Fatalf("benchgen output:\n%s", out)
 	}
 
-	ppetsim := buildCmd(t, dir, "ppetsim")
-	out = run(t, ppetsim, "-circuit", "s27", "-lk", "3", "-faults", "all")
-	if !strings.Contains(out, "overall fault coverage") {
-		t.Fatalf("ppetsim output:\n%s", out)
+	out = run(t, merced, "-cover", "-circuit", "s27", "-lk", "3")
+	if !strings.Contains(out, "Fault coverage") || !strings.Contains(out, "faults detected") {
+		t.Fatalf("merced -cover output:\n%s", out)
 	}
 
 	tables := buildCmd(t, dir, "tables")

@@ -16,6 +16,7 @@ package obs
 import (
 	"fmt"
 	"io"
+	"math"
 	"math/bits"
 	"sort"
 	"time"
@@ -86,15 +87,18 @@ func (h *Histogram) Merge(other *Histogram) {
 }
 
 // Quantile returns the q-quantile (0 < q <= 1) as the inclusive upper
-// bound of the bucket containing the q*count-th observation. Returning a
-// bucket edge rather than an interpolated value keeps the estimator a
+// bound of the bucket containing the ⌈q·count⌉-th observation. Returning
+// a bucket edge rather than an interpolated value keeps the estimator a
 // pure function of the bucket counts: two runs that fill the same
 // buckets report the same quantiles. Returns 0 on an empty histogram.
 func (h *Histogram) Quantile(q float64) int64 {
 	if h.count == 0 {
 		return 0
 	}
-	rank := uint64(q * float64(h.count))
+	// The epsilon absorbs float error in q*count (0.07*100 evaluates to
+	// 7.000000000000001, whose ceiling would be 8); it is far below any
+	// genuine fractional rank at realistic counts.
+	rank := uint64(math.Ceil(q*float64(h.count) - 1e-9))
 	if rank < 1 {
 		rank = 1
 	}

@@ -66,6 +66,46 @@ func TestHistogramQuantiles(t *testing.T) {
 	}
 }
 
+// Quantile must pick the ⌈q·count⌉-th observation. With the first `low`
+// observations in a low bucket and the rest in a high one, rank r is the
+// first high observation when low = r-1 and the last low one when low = r,
+// which pins the rank exactly.
+func TestHistogramQuantileRankIsCeiling(t *testing.T) {
+	split := func(count, low int) *Histogram {
+		var h Histogram
+		for i := 0; i < count; i++ {
+			if i < low {
+				h.Observe(1)
+			} else {
+				h.Observe(1 << 20)
+			}
+		}
+		return &h
+	}
+	lo, hi := BucketUpper(1), BucketUpper(21)
+	cases := []struct {
+		count int
+		q     float64
+		rank  int
+	}{
+		{1, 0.5, 1}, {1, 0.99, 1},
+		{2, 0.5, 1}, {2, 0.51, 2},
+		{3, 0.5, 2}, {3, 0.9, 3}, {3, 0.99, 3}, {3, 1, 3},
+		{4, 0.25, 1}, {4, 0.5, 2}, {4, 0.75, 3}, {4, 0.76, 4},
+		{10, 0.9, 9}, {10, 0.91, 10},
+		{100, 0.07, 7}, // 0.07*100 == 7.000000000000001 in float64
+		{100, 0.29, 29}, {100, 0.57, 57},
+	}
+	for _, c := range cases {
+		if got := split(c.count, c.rank-1).Quantile(c.q); got != hi {
+			t.Errorf("count=%d q=%v: rank below %d (got bucket edge %d)", c.count, c.q, c.rank, got)
+		}
+		if got := split(c.count, c.rank).Quantile(c.q); got != lo {
+			t.Errorf("count=%d q=%v: rank above %d (got bucket edge %d)", c.count, c.q, c.rank, got)
+		}
+	}
+}
+
 func TestHistogramMergeOrderIndependent(t *testing.T) {
 	fillA := func(h *Histogram) {
 		h.Observe(100)

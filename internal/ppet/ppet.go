@@ -162,10 +162,14 @@ func runSegment(sg *sim.Segment, sp SegmentPlan, opt SelfTestOptions) (uint64, u
 		return 0, 0, err
 	}
 
-	sg.ClearFaults()
-	observeLane := uint(0)
+	eng, err := sg.GetLaneEngine(1)
+	if err != nil {
+		return 0, 0, err
+	}
+	defer sg.PutLaneEngine(eng)
+	observeLane := 0
 	if opt.Fault != nil {
-		if err := sg.InjectFault(*opt.Fault, 1); err == nil {
+		if err := eng.Inject(*opt.Fault, 1); err == nil {
 			observeLane = 1 // faulty machine runs in lane 1
 		}
 		// Unknown signal in this segment: run fault-free (lane 0).
@@ -180,15 +184,12 @@ func runSegment(sg *sim.Segment, sp SegmentPlan, opt SelfTestOptions) (uint64, u
 		max = full
 	}
 	outs := make([]uint64, sg.NumOutputs())
-	st := sg.GetState()
-	defer sg.PutState(st)
 	var cycles uint64
 	for ; cycles < max; cycles++ {
 		pat := tpg.StepTPG()
-		sg.CycleOutputsInto(st, pat, outs)
+		eng.StepSample(pat, observeLane, outs)
 		var word uint64
-		for j, w := range outs {
-			bit := (w >> observeLane) & 1
+		for j, bit := range outs {
 			word ^= bit << uint(j%sp.PSAWidth)
 		}
 		psa.StepPSA(word)

@@ -4,6 +4,7 @@ import (
 	"context"
 	"testing"
 
+	"repro/internal/bench89"
 	"repro/internal/core"
 	"repro/internal/netlist"
 	"repro/internal/sim"
@@ -149,6 +150,104 @@ func TestPipeTime(t *testing.T) {
 	}
 	if PipeTime(nil) != 1 {
 		t.Fatalf("empty pipe time = %v", PipeTime(nil))
+	}
+}
+
+// dffBoundaryOutputs counts boundary output nets sourced by a flip-flop
+// inside their own segment. Those are the outputs whose value changes at
+// the latch, so they pin the self-test's sample-before-latch order.
+func dffBoundaryOutputs(r *core.Result) int {
+	g := r.Graph
+	n := 0
+	for _, cl := range r.Partition.Clusters {
+		in := make(map[int]bool, len(cl.Nodes))
+		for _, v := range cl.Nodes {
+			in[v] = true
+		}
+		for _, v := range cl.Nodes {
+			if g.Nodes[v].Gate != netlist.DFF {
+				continue
+			}
+			for _, e := range g.Out[v] {
+				for _, s := range g.Nets[e].Sinks {
+					if !in[s] {
+						n++
+						break
+					}
+				}
+			}
+		}
+	}
+	return n
+}
+
+// The self-test signatures of two Table 9 circuits at seed 1, fault-free
+// and with one stuck-at-1 flip-flop output, as literals. Any change to how
+// a segment is driven, sampled or latched moves them. The faulty run must
+// differ from the golden one in exactly one segment.
+func TestSelfTestGoldenSignatures(t *testing.T) {
+	cases := []struct {
+		circuit  string
+		lk       int
+		fault    string
+		golden   []uint64
+		faultSeg int
+		faultSig uint64
+	}{
+		{
+			circuit: "s510", lk: 8, fault: "FF0",
+			golden: []uint64{
+				0x15a, 0x2, 0x3f5f278b, 0xe8, 0x4, 0x955b8, 0xa0c7, 0x68, 0xb9, 0x15, 0x11b,
+				0x18d, 0x1401, 0x6, 0x7e, 0x3, 0x259, 0x0, 0x1d, 0x2, 0x3,
+			},
+			faultSeg: 3, faultSig: 0x151,
+		},
+		{
+			circuit: "s1423", lk: 16, fault: "FF15",
+			golden: []uint64{
+				0x43c2bc, 0x1af53a46, 0x952305d9, 0xd3693, 0x4b95, 0x2981b15, 0xc38f9dae,
+				0xfb0821a7, 0xb44512, 0x99680c45, 0x4ff9fe1d, 0x2d0c1, 0x99dab4f0, 0x8ef1e,
+				0x931fd01, 0x6f0, 0x838, 0x112, 0xe, 0x1447, 0x4,
+			},
+			faultSeg: 0, faultSig: 0x11b8370,
+		},
+	}
+	for _, tc := range cases {
+		c, err := bench89.Load(tc.circuit)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, err := core.Compile(context.Background(), c, core.DefaultOptions(tc.lk, 1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if dffBoundaryOutputs(r) == 0 {
+			t.Fatalf("%s @ l_k=%d: no DFF-sourced boundary output", tc.circuit, tc.lk)
+		}
+		faulty := append([]uint64(nil), tc.golden...)
+		faulty[tc.faultSeg] = tc.faultSig
+		runs := []struct {
+			opt  SelfTestOptions
+			want []uint64
+		}{
+			{SelfTestOptions{Seed: 1}, tc.golden},
+			{SelfTestOptions{Seed: 1, Fault: &sim.Fault{Signal: tc.fault, Stuck1: true}}, faulty},
+		}
+		for _, run := range runs {
+			sigs, err := SelfTest(c, r.Partition, run.opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(sigs) != len(run.want) {
+				t.Fatalf("%s: %d signatures, want %d", tc.circuit, len(sigs), len(run.want))
+			}
+			for i, s := range sigs {
+				if s.Value != run.want[i] {
+					t.Errorf("%s fault=%v: segment %d signature %#x, want %#x",
+						tc.circuit, run.opt.Fault, i, s.Value, run.want[i])
+				}
+			}
+		}
 	}
 }
 

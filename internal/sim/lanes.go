@@ -7,11 +7,12 @@ import (
 
 // LaneEngine is a wide-lane fault-simulation machine bound to one Segment:
 // injected force masks, sequential state, and the detection accumulator,
-// all at a fixed vector width chosen at construction. It replaces the
-// (Injector, SegState, output buffer) triple of the scalar path for batch
-// fault simulation: one Step drives the segment's inputs, settles the
+// all at a fixed vector width chosen at construction. It is the only
+// fault-simulation path: one Step drives the segment's inputs, settles the
 // program, folds boundary-output divergence into the detected mask, and
-// latches the flip-flops — for 64*Words() lanes at once.
+// latches the flip-flops — for 64*Words() lanes at once. The PPET
+// self-test runs on a one-word engine and reads one lane's boundary
+// outputs each clock through StepSample.
 //
 // Determinism contract: lanes are independent. Lane L's verdict after a
 // given pattern sequence depends only on the fault injected in lane L and
@@ -46,6 +47,11 @@ type LaneEngine interface {
 	// pre-load sequential state but must not count divergence observed
 	// before patterns have pipelined through.
 	StepWarm(pattern uint64)
+	// StepSample is StepWarm that also writes lane's boundary-output bits
+	// (0 or 1, in OutputNames order) into out, sampled before the
+	// flip-flops latch. lane is 0..Lanes(); out must have NumOutputs
+	// entries.
+	StepSample(pattern uint64, lane int, out []uint64)
 	// Detected reports whether lane has diverged since the last Arm.
 	Detected(lane int) bool
 	// AllDetected reports whether every armed lane has diverged.
@@ -106,12 +112,15 @@ func laneWordsIndex(words int) int { return bits.TrailingZeros(uint(words)) }
 // laneEngine is the generic engine behind LaneEngine: the per-signal value
 // and force-mask planes are []W so every signal's lanes live in one vector
 // word, and the detection accumulator and armed-lane mask are single
-// vector words compared by value.
+// vector words compared by value. tap, non-nil only during a StepSample,
+// receives lane tapLane's boundary outputs.
 type laneEngine[W lanevec] struct {
 	sgmt           *Segment
 	force0, force1 []W
 	v              []W
 	det, want      W
+	tap            []uint64
+	tapLane        int
 }
 
 func newLaneEngine[W lanevec](sg *Segment) *laneEngine[W] {
@@ -180,11 +189,27 @@ func (e *laneEngine[W]) Step(pattern uint64) bool {
 
 func (e *laneEngine[W]) StepWarm(pattern uint64) { e.cycle(pattern, false) }
 
-// cycle is one clock of the wide machine. Like the eval kernel it
-// dispatches to hand-unrolled width specializations (wide_unroll.go): the
-// drive/detect/latch loops run every clock and their generic bodies carry
-// the same non-unrolled-loop and stack-spill cost as the generic kernel —
-// profiling showed them costing more than the settle itself. The pointer
+func (e *laneEngine[W]) StepSample(pattern uint64, lane int, out []uint64) {
+	e.tap, e.tapLane = out, lane
+	e.cycle(pattern, false)
+	e.tap = nil
+}
+
+// sample copies lane tapLane of every boundary output into tap. The cycle
+// bodies call it between the settle and the latch, because a boundary net
+// sourced by a flip-flop in the segment changes value at the latch.
+func (e *laneEngine[W]) sample() {
+	word, bit := e.tapLane>>6, uint(e.tapLane&63)
+	for i, sig := range e.sgmt.outputs {
+		e.tap[i] = e.v[sig][word] >> bit & 1
+	}
+}
+
+// cycle is one clock of the wide machine: drive inputs (branchless
+// broadcast, forced), settle the program with fault injection, sample
+// boundary outputs into the detection accumulator (pre-latch), then clock
+// the flip-flops through their force masks. It dispatches to the
+// hand-unrolled width specializations (wide_unroll.go); the pointer
 // receiver makes the any() conversion allocation-free.
 func (e *laneEngine[W]) cycle(pattern uint64, detect bool) {
 	switch ee := any(e).(type) {
@@ -196,52 +221,6 @@ func (e *laneEngine[W]) cycle(pattern uint64, detect bool) {
 		cycle4(ee, pattern, detect)
 	case *laneEngine[[8]uint64]:
 		cycle8(ee, pattern, detect)
-	default:
-		e.cycleGeneric(pattern, detect)
-	}
-}
-
-// cycleGeneric is the readable reference body for one clock, in the same
-// order as the scalar CycleInto: drive inputs (branchless broadcast,
-// forced), settle the program with fault injection, sample boundary
-// outputs into the detection accumulator (pre-latch), then clock the
-// flip-flops through their force masks. The width specializations mirror
-// it statement for statement.
-func (e *laneEngine[W]) cycleGeneric(pattern uint64, detect bool) {
-	sg := e.sgmt
-	v, f0, f1 := e.v, e.force0, e.force1
-	for i, sig := range sg.inputs {
-		w := vSplat[W](-(pattern >> uint(i) & 1))
-		a0, a1 := f0[sig], f1[sig]
-		for j := 0; j < len(w); j++ {
-			w[j] = (w[j] &^ a0[j]) | a1[j]
-		}
-		v[sig] = w
-	}
-	evalFaultyVec(sg.prog, v, f0, f1)
-	if detect {
-		det := e.det
-		for _, sig := range sg.outputs {
-			o := v[sig]
-			ref := -(o[0] & 1) // fault-free lane broadcast
-			for j := 0; j < len(o); j++ {
-				det[j] |= o[j] ^ ref
-			}
-		}
-		want := e.want
-		for j := 0; j < len(det); j++ {
-			det[j] &= want[j]
-		}
-		e.det = det
-	}
-	for i := range sg.dffs {
-		d := &sg.dffs[i]
-		nv := v[d.in]
-		a0, a1 := f0[d.out], f1[d.out]
-		for j := 0; j < len(nv); j++ {
-			nv[j] = (nv[j] &^ a0[j]) | a1[j]
-		}
-		v[d.out] = nv
 	}
 }
 

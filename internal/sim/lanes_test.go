@@ -37,13 +37,14 @@ func randomProgram(rng *rand.Rand, gates int) ([]gateOp, int) {
 	return order, next
 }
 
-// vecTrial runs the wide kernels at one width against the scalar kernels
-// plane by plane: element j of every vector word must equal an independent
-// scalar evaluation of plane j, for both the fault-free and the
-// force-masked path. This is the differential property that pins every
-// lanevec instantiation to the single scalar reference already pinned to
-// refEval.
-func vecTrial[W lanevec](t *testing.T, rng *rand.Rand, prog *program, nsig int, trials int) {
+// vecTrial runs the unrolled kernel kern at one width against the scalar
+// kernels plane by plane: element j of every vector word must equal an
+// independent scalar evaluation of plane j. Even trials run with zero force
+// masks against the fault-free program.eval, odd trials with sparse random
+// masks against the evalFaulty oracle. This is the differential property
+// that pins every width to the scalar reference already pinned to refEval.
+func vecTrial[W lanevec](t *testing.T, rng *rand.Rand, prog *program, nsig int, trials int,
+	kern func(p *program, v, force0, force1 []W)) {
 	t.Helper()
 	var zero W
 	words := len(zero)
@@ -56,10 +57,14 @@ func vecTrial[W lanevec](t *testing.T, rng *rand.Rand, prog *program, nsig int, 
 				v[i][j] = rng.Uint64()
 			}
 		}
+		faulty := trial%2 == 1
 		// Sparse random force masks. Overlapping f0/f1 bits are fine for
 		// the differential: both kernels resolve the overlap the same way
 		// (the stuck-at-1 mask is applied last).
 		for i := range f0 {
+			if !faulty {
+				break
+			}
 			if rng.Intn(4) == 0 {
 				f0[i][rng.Intn(words)] = rng.Uint64()
 			}
@@ -68,7 +73,7 @@ func vecTrial[W lanevec](t *testing.T, rng *rand.Rand, prog *program, nsig int, 
 			}
 		}
 
-		// Scalar reference planes, captured before the wide kernels run.
+		// Scalar reference planes, captured before the wide kernel runs.
 		type plane struct{ v, f0, f1 []uint64 }
 		planes := make([]plane, words)
 		for j := 0; j < words; j++ {
@@ -79,26 +84,12 @@ func vecTrial[W lanevec](t *testing.T, rng *rand.Rand, prog *program, nsig int, 
 			planes[j] = p
 		}
 
-		if trial%2 == 0 {
-			evalVec(prog, v)
-			for j := 0; j < words; j++ {
-				prog.eval(planes[j].v)
-			}
-		} else {
-			// The faulty path runs twice: the dispatching entry point (which
-			// hits the unrolled specialization for this width) and the
-			// generic reference body, which must agree exactly.
-			vg := append([]W(nil), v...)
-			evalFaultyVec(prog, v, f0, f1)
-			evalFaultyVecGeneric(prog, vg, f0, f1)
-			for i := 0; i < nsig; i++ {
-				if v[i] != vg[i] {
-					t.Fatalf("W=%d trial %d: signal %d unrolled %x, generic %x",
-						words, trial, i, v[i], vg[i])
-				}
-			}
-			for j := 0; j < words; j++ {
+		kern(prog, v, f0, f1)
+		for j := 0; j < words; j++ {
+			if faulty {
 				prog.evalFaulty(planes[j].v, planes[j].f0, planes[j].f1)
+			} else {
+				prog.eval(planes[j].v)
 			}
 		}
 		for i := 0; i < nsig; i++ {
@@ -116,10 +107,10 @@ func TestVecKernelsMatchScalar(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	order, nsig := randomProgram(rng, 200)
 	prog := compileProgram(order)
-	vecTrial[[1]uint64](t, rng, prog, nsig, 20)
-	vecTrial[[2]uint64](t, rng, prog, nsig, 20)
-	vecTrial[[4]uint64](t, rng, prog, nsig, 20)
-	vecTrial[[8]uint64](t, rng, prog, nsig, 20)
+	vecTrial(t, rng, prog, nsig, 20, evalFaulty1)
+	vecTrial(t, rng, prog, nsig, 20, evalFaulty2)
+	vecTrial(t, rng, prog, nsig, 20, evalFaulty4)
+	vecTrial(t, rng, prog, nsig, 20, evalFaulty8)
 }
 
 // All single stuck-at faults of a segment, in deterministic signal order.
@@ -177,40 +168,96 @@ func TestLaneEngineWidthInvariant(t *testing.T) {
 	}
 }
 
-// The one-word engine must agree with the scalar Segment path it replaces:
-// same fault, same lane, same patterns, same divergence observations.
+// refClock is the scalar reference for one engine clock over 64 lanes:
+// drive the inputs, settle through the evalFaulty oracle, sample the
+// boundary outputs, then latch the flip-flops.
+type refClock struct {
+	sg        *Segment
+	v, f0, f1 []uint64
+}
+
+func newRefClock(sg *Segment) *refClock {
+	n := len(sg.names)
+	return &refClock{sg, make([]uint64, n), make([]uint64, n), make([]uint64, n)}
+}
+
+func (r *refClock) step(pattern uint64, out []uint64) {
+	sg, v := r.sg, r.v
+	for i, sig := range sg.inputs {
+		w := -(pattern >> uint(i) & 1)
+		v[sig] = (w &^ r.f0[sig]) | r.f1[sig]
+	}
+	sg.prog.evalFaulty(v, r.f0, r.f1)
+	for i, sig := range sg.outputs {
+		out[i] = v[sig]
+	}
+	for _, d := range sg.dffs {
+		v[d.out] = (v[d.in] &^ r.f0[d.out]) | r.f1[d.out]
+	}
+}
+
+// StepSample at every width must agree cycle by cycle with the scalar
+// reference clock, for every fault, on the fault-free lane and on the
+// faulty one (the last lane of the engine, lane 1 of the reference). The
+// s27 sub-cluster {G10, G5} exports G5 = DFF(G10) to G11, so its only
+// boundary output changes at the latch and pins sampling before it.
 func TestLaneEngineMatchesScalarSegment(t *testing.T) {
-	_, _, sg := segmentFixture(t, s27)
-	for _, f := range segmentFaults(sg) {
-		e, err := sg.NewLaneEngine(1)
-		if err != nil {
-			t.Fatal(err)
+	c, g, whole := segmentFixture(t, s27)
+	var nodes, inputs []int
+	for _, name := range []string{"G10", "G5"} {
+		id, _ := g.NodeByName(name)
+		nodes = append(nodes, id)
+	}
+	for e := range g.Nets {
+		if name := g.Nets[e].Name; name == "G14" || name == "G11" {
+			inputs = append(inputs, e)
 		}
-		if err := e.Inject(f, 1); err != nil {
-			t.Fatal(err)
-		}
-		e.Arm(1)
+	}
+	sub, err := BuildSegment(c, g, nodes, inputs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(sub.OutputNames) != 1 || sub.OutputNames[0] != "G5" {
+		t.Fatalf("sub-cluster outputs = %v, want [G5]", sub.OutputNames)
+	}
 
-		if err := sg.InjectFault(f, 1); err != nil {
-			t.Fatal(err)
-		}
-		st := sg.NewState()
-		scalarDet := false
-
-		for cycle := 0; cycle < 48; cycle++ {
-			p := uint64(cycle * 5 % 16)
-			outs := sg.Cycle(st, p)
-			for _, w := range outs {
-				if (w^-(w&1))&2 != 0 { // lane 1 vs broadcast lane 0
-					scalarDet = true
+	for _, sg := range []*Segment{whole, sub} {
+		want := make([]uint64, sg.NumOutputs())
+		got := make([]uint64, sg.NumOutputs())
+		for _, f := range segmentFaults(sg) {
+			for _, words := range LaneWordSizes {
+				ref := newRefClock(sg)
+				i := sg.index[f.Signal]
+				if f.Stuck1 {
+					ref.f1[i] = 2
+				} else {
+					ref.f0[i] = 2
+				}
+				e, err := sg.NewLaneEngine(words)
+				if err != nil {
+					t.Fatal(err)
+				}
+				lane := e.Lanes()
+				if err := e.Inject(f, lane); err != nil {
+					t.Fatal(err)
+				}
+				for cycle := 0; cycle < 48; cycle++ {
+					p := uint64(cycle * 5 % 16)
+					ref.step(p, want)
+					engLane, refLane := 0, 0
+					if cycle%2 == 1 {
+						engLane, refLane = lane, 1
+					}
+					e.StepSample(p, engLane, got)
+					for o := range got {
+						if w := want[o] >> uint(refLane) & 1; got[o] != w {
+							t.Fatalf("%v W=%d cycle %d lane %d: %s = %d, reference %d",
+								f, words, cycle, engLane, sg.OutputNames[o], got[o], w)
+						}
+					}
 				}
 			}
-			e.Step(p)
-			if e.Detected(1) != scalarDet {
-				t.Fatalf("%v: cycle %d engine detected=%v scalar=%v", f, cycle, e.Detected(1), scalarDet)
-			}
 		}
-		sg.ClearFaults()
 	}
 }
 

@@ -1,8 +1,10 @@
 package sim
 
-// This file is the flattened evaluation kernel shared by Evaluator and
-// Segment. The levelized gate list is compiled once into a
-// structure-of-arrays opcode stream: parallel kind/out/a/b arrays plus a
+// This file is the flattened opcode program shared by Evaluator and
+// Segment, and the fault-free scalar evaluator Evaluator runs; segments
+// run the wide kernels in wide_unroll.go. The levelized gate list is
+// compiled once into a structure-of-arrays opcode stream: parallel
+// kind/out/a/b arrays plus a
 // contiguous fanin-index arena for gates with more than two inputs. The
 // interpreter loop then touches only dense int32 arrays — no per-gate
 // fanin slice headers, no netlist.GateType re-dispatch through nested
@@ -158,57 +160,6 @@ func (p *program) eval(v []uint64) {
 			r = p.wide(k, i, v)
 		}
 		v[out[i]] = r
-	}
-}
-
-// evalFaulty runs the program with per-signal stuck-at lane masks applied
-// to every computed value, the Segment fault-simulation hot loop. The
-// common N-ary reductions are inlined alongside the 1-/2-input kernels:
-// ISCAS89 circuits carry plenty of 3+-input AND/NAND/OR/NOR cells, and a
-// non-inlinable helper call per such gate shows up in campaign profiles.
-func (p *program) evalFaulty(v, force0, force1 []uint64) {
-	kind, out, a, b := p.kind, p.out, p.a, p.b
-	arena := p.arena
-	for i, k := range kind {
-		var r uint64
-		switch k {
-		case opBuf:
-			r = v[a[i]]
-		case opNot:
-			r = ^v[a[i]]
-		case opAnd2:
-			r = v[a[i]] & v[b[i]]
-		case opNand2:
-			r = ^(v[a[i]] & v[b[i]])
-		case opOr2:
-			r = v[a[i]] | v[b[i]]
-		case opNor2:
-			r = ^(v[a[i]] | v[b[i]])
-		case opXor2:
-			r = v[a[i]] ^ v[b[i]]
-		case opXnor2:
-			r = ^(v[a[i]] ^ v[b[i]])
-		case opAndN, opNandN:
-			r = ^uint64(0)
-			for _, f := range arena[a[i]:b[i]] {
-				r &= v[f]
-			}
-			if k == opNandN {
-				r = ^r
-			}
-		case opOrN, opNorN:
-			r = 0
-			for _, f := range arena[a[i]:b[i]] {
-				r |= v[f]
-			}
-			if k == opNorN {
-				r = ^r
-			}
-		default:
-			r = p.wide(k, i, v)
-		}
-		o := out[i]
-		v[o] = (r &^ force0[o]) | force1[o]
 	}
 }
 

@@ -3,7 +3,9 @@ package sim
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/netlist"
@@ -50,6 +52,56 @@ func refEval(t netlist.GateType, fanin []int, v []uint64) uint64 {
 		return (v[fanin[1]] &^ sel) | (v[fanin[2]] & sel)
 	}
 	return 0
+}
+
+// evalFaulty is the scalar fault-simulation oracle: the program with
+// per-signal stuck-at lane masks applied to every computed value. It is
+// pinned to refEval below, and the wide kernels in wide_unroll.go are
+// pinned to it plane by plane (lanes_test.go).
+func (p *program) evalFaulty(v, force0, force1 []uint64) {
+	kind, out, a, b := p.kind, p.out, p.a, p.b
+	arena := p.arena
+	for i, k := range kind {
+		var r uint64
+		switch k {
+		case opBuf:
+			r = v[a[i]]
+		case opNot:
+			r = ^v[a[i]]
+		case opAnd2:
+			r = v[a[i]] & v[b[i]]
+		case opNand2:
+			r = ^(v[a[i]] & v[b[i]])
+		case opOr2:
+			r = v[a[i]] | v[b[i]]
+		case opNor2:
+			r = ^(v[a[i]] | v[b[i]])
+		case opXor2:
+			r = v[a[i]] ^ v[b[i]]
+		case opXnor2:
+			r = ^(v[a[i]] ^ v[b[i]])
+		case opAndN, opNandN:
+			r = ^uint64(0)
+			for _, f := range arena[a[i]:b[i]] {
+				r &= v[f]
+			}
+			if k == opNandN {
+				r = ^r
+			}
+		case opOrN, opNorN:
+			r = 0
+			for _, f := range arena[a[i]:b[i]] {
+				r |= v[f]
+			}
+			if k == opNorN {
+				r = ^r
+			}
+		default:
+			r = p.wide(k, i, v)
+		}
+		o := out[i]
+		v[o] = (r &^ force0[o]) | force1[o]
+	}
 }
 
 func TestProgramMatchesReference(t *testing.T) {
@@ -117,9 +169,9 @@ func TestProgramMatchesReference(t *testing.T) {
 }
 
 func TestInjectorIsolation(t *testing.T) {
-	// Two injectors on one shared segment must not see each other's
-	// faults, and concurrent cycles with separate (state, injector) pairs
-	// must match serial runs. Run with -race to check the sharing claim.
+	// Two pooled engines on one shared segment must not see each other's
+	// faults, and concurrent runs on separate engines must match serial
+	// runs. Run with -race to check the sharing claim.
 	_, _, sg := segmentFixture(t, `
 INPUT(a)
 INPUT(b)
@@ -129,43 +181,45 @@ n2 = XOR(n1, a)
 y = OR(n2, b)
 `)
 
-	clean := sg.NewInjector()
-	faulty := sg.NewInjector()
-	if err := sg.Inject(faulty, Fault{Signal: "n1", Stuck1: false}, 1); err != nil {
-		t.Fatal(err)
-	}
-
-	run := func(inj *Injector) []uint64 {
-		st := sg.GetState()
-		defer sg.PutState(st)
+	// run observes lane 1 with fault f injected there (none if nil).
+	run := func(f *Fault) []uint64 {
+		e, err := sg.GetLaneEngine(1)
+		if err != nil {
+			t.Error(err)
+			return nil
+		}
+		defer sg.PutLaneEngine(e)
+		if f != nil {
+			if err := e.Inject(*f, 1); err != nil {
+				t.Error(err)
+				return nil
+			}
+		}
 		out := make([]uint64, sg.NumOutputs())
 		res := make([]uint64, 0, 4)
 		for pat := uint64(0); pat < 4; pat++ {
-			sg.CycleInto(st, inj, pat, out)
+			e.StepSample(pat, 1, out)
 			res = append(res, out...)
 		}
 		return res
 	}
+	fault := &Fault{Signal: "n1", Stuck1: false}
 
-	wantClean := run(clean)
-	wantFaulty := run(faulty)
-
-	done := make(chan []uint64, 2)
-	go func() { done <- run(clean) }()
-	go func() { done <- run(faulty) }()
-	a, b := <-done, <-done
-	match := func(got, want []uint64) bool {
-		for i := range got {
-			if got[i] != want[i] {
-				return false
-			}
-		}
-		return true
+	wantClean := run(nil)
+	wantFaulty := run(fault)
+	if slices.Equal(wantClean, wantFaulty) {
+		t.Fatal("n1/SA0 invisible at y — fixture assumption broken")
 	}
-	okClean := match(a, wantClean) || match(b, wantClean)
-	okFaulty := match(a, wantFaulty) || match(b, wantFaulty)
-	if !okClean || !okFaulty {
-		t.Fatalf("concurrent runs diverged from serial: clean=%v faulty=%v", okClean, okFaulty)
+
+	var a, b []uint64
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() { defer wg.Done(); a = run(nil) }()
+	go func() { defer wg.Done(); b = run(fault) }()
+	wg.Wait()
+	if !slices.Equal(a, wantClean) || !slices.Equal(b, wantFaulty) {
+		t.Fatalf("concurrent runs diverged from serial: clean %v want %v, faulty %v want %v",
+			a, wantClean, b, wantFaulty)
 	}
 }
 

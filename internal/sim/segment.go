@@ -15,8 +15,9 @@ import (
 // its internal flip-flops clock normally while patterns pipeline through
 // (paper Figure 1(a)). Evaluation is bit-parallel; the lanes are used for
 // parallel-fault simulation (lane 0 fault-free, the rest each carrying one
-// injected fault) — 64-way through the scalar Injector/SegState path here,
-// up to 64*MaxLaneWords-way through LaneEngine (lanes.go).
+// injected fault), up to 64*MaxLaneWords-way through LaneEngine (lanes.go),
+// which holds all mutable fault and state planes. A Segment is immutable
+// after BuildSegment and safe to share between concurrent engines.
 type Segment struct {
 	// InputNames are the external input net names in deterministic order.
 	InputNames []string
@@ -31,62 +32,9 @@ type Segment struct {
 	prog    *program
 	dffs    []dffInfo
 
-	// def is the segment's built-in injector, used by the legacy
-	// single-threaded InjectFault/Cycle methods. Concurrent campaigns use
-	// one NewInjector per worker instead; the rest of the Segment is
-	// immutable after BuildSegment and safe to share.
-	def *Injector
-
-	// statePool recycles SegState buffers across batches and workers.
-	statePool sync.Pool
-
 	// lanePools recycle LaneEngines across batches and workers, one pool
 	// per supported vector width (index laneWordsIndex(words)).
 	lanePools [4]sync.Pool
-}
-
-// Injector holds per-signal stuck-at lane masks for one batch of up to
-// LanesPerWord faults.
-// A Segment is immutable after BuildSegment; all mutable fault state lives
-// here, so concurrent workers simulate the same Segment by giving each
-// batch its own Injector (and SegState).
-type Injector struct {
-	// force0/force1 are per-signal fault-injection masks (lane bits).
-	force0, force1 []uint64
-}
-
-// NewInjector returns an empty injector sized for the segment.
-func (sg *Segment) NewInjector() *Injector {
-	return &Injector{
-		force0: make([]uint64, len(sg.names)),
-		force1: make([]uint64, len(sg.names)),
-	}
-}
-
-// Reset removes all injected faults.
-func (inj *Injector) Reset() {
-	for i := range inj.force0 {
-		inj.force0[i] = 0
-		inj.force1[i] = 0
-	}
-}
-
-// Inject adds fault f on lane (1..LanesPerWord); lane 0 is reserved for
-// the fault-free machine. Unknown signals are rejected.
-func (sg *Segment) Inject(inj *Injector, f Fault, lane int) error {
-	if lane < 1 || lane > LanesPerWord {
-		return fmt.Errorf("sim: lane %d out of range 1..%d", lane, LanesPerWord)
-	}
-	i, ok := sg.index[f.Signal]
-	if !ok {
-		return fmt.Errorf("sim: unknown fault signal %q", f.Signal)
-	}
-	if f.Stuck1 {
-		inj.force1[i] |= 1 << uint(lane)
-	} else {
-		inj.force0[i] |= 1 << uint(lane)
-	}
-	return nil
 }
 
 // BuildSegment compiles the cluster given by nodes (cell node IDs of g,
@@ -225,7 +173,6 @@ func BuildSegment(c *netlist.Circuit, g *graph.G, nodes []int, inputNets []int) 
 	sort.Ints(sg.outputs)
 
 	sg.prog = compileProgram(ops)
-	sg.def = sg.NewInjector()
 	return sg, nil
 }
 
@@ -255,80 +202,4 @@ func (f Fault) String() string {
 		v = 1
 	}
 	return fmt.Sprintf("%s/SA%d", f.Signal, v)
-}
-
-// ClearFaults removes all faults from the segment's built-in injector.
-func (sg *Segment) ClearFaults() { sg.def.Reset() }
-
-// InjectFault injects fault f into lane (1..LanesPerWord) of the segment's
-// built-in
-// injector; lane 0 is reserved for the fault-free machine. Unknown signals
-// are rejected. Not safe for concurrent use — parallel campaigns give each
-// batch its own Injector via NewInjector/Inject.
-func (sg *Segment) InjectFault(f Fault, lane int) error { return sg.Inject(sg.def, f, lane) }
-
-// SegState is the sequential state of a segment (a word per signal).
-type SegState struct{ V []uint64 }
-
-// Reset zeroes the state.
-func (st *SegState) Reset() {
-	for i := range st.V {
-		st.V[i] = 0
-	}
-}
-
-// NewState returns an all-zero state.
-func (sg *Segment) NewState() *SegState { return &SegState{V: make([]uint64, len(sg.names))} }
-
-// GetState returns an all-zero state, recycling a previously Put one when
-// available. Safe for concurrent use.
-func (sg *Segment) GetState() *SegState {
-	if v := sg.statePool.Get(); v != nil {
-		st := v.(*SegState)
-		st.Reset()
-		return st
-	}
-	return sg.NewState()
-}
-
-// PutState returns a state obtained from GetState (or NewState) to the
-// segment's pool for reuse.
-func (sg *Segment) PutState(st *SegState) { sg.statePool.Put(st) }
-
-// Cycle applies one clock: drive the inputs (pattern bit i broadcast to all
-// 64 lanes), settle combinational logic with fault injection, sample the
-// boundary outputs, then clock internal flip-flops. pattern bit i drives
-// input i (LSB = InputNames[0]).
-func (sg *Segment) Cycle(st *SegState, pattern uint64) (outputs []uint64) {
-	outputs = make([]uint64, len(sg.outputs))
-	sg.CycleInto(st, sg.def, pattern, outputs)
-	return outputs
-}
-
-// CycleOutputsInto is Cycle without allocating, using the segment's
-// built-in injector; out must have NumOutputs entries.
-func (sg *Segment) CycleOutputsInto(st *SegState, pattern uint64, out []uint64) {
-	sg.CycleInto(st, sg.def, pattern, out)
-}
-
-// CycleInto runs one clock with the batch-local injector inj: drive inputs,
-// settle combinational logic through the flattened program, sample boundary
-// outputs into out (which must have NumOutputs entries), latch flip-flops.
-// Concurrent calls are safe as long as (st, inj) pairs are not shared.
-func (sg *Segment) CycleInto(st *SegState, inj *Injector, pattern uint64, out []uint64) {
-	v := st.V
-	f0, f1 := inj.force0, inj.force1
-	for i, sig := range sg.inputs {
-		w := -(pattern >> uint(i) & 1) // branchless 0 / all-ones broadcast
-		v[sig] = (w &^ f0[sig]) | f1[sig]
-	}
-	sg.prog.evalFaulty(v, f0, f1)
-	for i, sig := range sg.outputs {
-		out[i] = v[sig]
-	}
-	for i := range sg.dffs {
-		d := &sg.dffs[i]
-		nv := v[d.in]
-		v[d.out] = (nv &^ f0[d.out]) | f1[d.out]
-	}
 }

@@ -1,7 +1,7 @@
 package sim
 
-// Kernel microbenchmarks: the scalar evalFaulty against the unrolled wide
-// specializations on one 400-gate random program. The number to watch is
+// Kernel microbenchmarks: the unrolled width specializations on one
+// 400-gate random program. The number to watch is
 // ns/op divided by the width's lane count (63/127/255/511): per-lane
 // throughput is what the campaign's batch packing converts into wall
 // clock, and the unrolled W=4 kernel is the per-lane sweet spot.
@@ -17,29 +17,18 @@ func benchProgram(b *testing.B) (*program, int) {
 	return compileProgram(order), nsig
 }
 
-func BenchmarkEvalFaultyScalar(b *testing.B) {
-	p, n := benchProgram(b)
-	v := make([]uint64, n)
-	f0 := make([]uint64, n)
-	f1 := make([]uint64, n)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		p.evalFaulty(v, f0, f1)
-	}
-}
-
-func benchVec[W lanevec](b *testing.B) {
+func benchVec[W lanevec](b *testing.B, kern func(p *program, v, force0, force1 []W)) {
 	p, n := benchProgram(b)
 	v := make([]W, n)
 	f0 := make([]W, n)
 	f1 := make([]W, n)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		evalFaultyVec(p, v, f0, f1)
+		kern(p, v, f0, f1)
 	}
 }
 
-func BenchmarkEvalFaultyVec1(b *testing.B) { benchVec[[1]uint64](b) }
-func BenchmarkEvalFaultyVec2(b *testing.B) { benchVec[[2]uint64](b) }
-func BenchmarkEvalFaultyVec4(b *testing.B) { benchVec[[4]uint64](b) }
-func BenchmarkEvalFaultyVec8(b *testing.B) { benchVec[[8]uint64](b) }
+func BenchmarkEvalFaultyVec1(b *testing.B) { benchVec(b, evalFaulty1) }
+func BenchmarkEvalFaultyVec2(b *testing.B) { benchVec(b, evalFaulty2) }
+func BenchmarkEvalFaultyVec4(b *testing.B) { benchVec(b, evalFaulty4) }
+func BenchmarkEvalFaultyVec8(b *testing.B) { benchVec(b, evalFaulty8) }

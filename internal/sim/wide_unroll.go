@@ -1,21 +1,22 @@
 package sim
 
-// Hand-unrolled width specializations of the wide fault-simulation kernel.
+// Hand-unrolled width specializations of the fault-simulation kernel, the
+// only one that ships.
 //
-// The generic evalFaultyVec body in wide.go is the readable reference, but
-// gc does not unroll even constant-trip loops, and a local [W]uint64 that
-// is indexed by a loop variable is forced onto the stack. Per gate that
-// costs W loop iterations of load/op/store/branch plus vector spills —
-// measured ~3.5x over straight-line code at W=4, which erases the whole
-// point of wide lanes. These specializations keep every element in a named
-// scalar (r0..rW-1), so the compiler holds the vector in registers and the
-// per-gate interpreter overhead (opcode dispatch, operand index loads) is
-// genuinely amortized over W words.
+// A generic [W]uint64 body is shorter, but gc does not unroll even
+// constant-trip loops, and a local [W]uint64 that is indexed by a loop
+// variable is forced onto the stack. Per gate that costs W loop iterations
+// of load/op/store/branch plus vector spills — measured ~3.5x over
+// straight-line code at W=4, which erases the whole point of wide lanes.
+// These specializations keep every element in a named scalar (r0..rW-1),
+// so the compiler holds the vector in registers and the per-gate
+// interpreter overhead (opcode dispatch, operand index loads) is genuinely
+// amortized over W words.
 //
-// Each function mirrors program.evalFaulty exactly: same opcode set, same
-// inlined N-ary reductions, same force-mask fold on every destination.
-// The differential tests (lanes_test.go) pin all four against the scalar
-// kernel plane by plane; any edit here must keep them passing.
+// Each function evaluates the same opcode set with the same force-mask
+// fold on every destination. The differential tests (lanes_test.go) pin
+// all four, plane by plane, against the scalar evalFaulty oracle in
+// program_test.go; any edit here must keep them passing.
 
 func evalFaulty1(p *program, v, force0, force1 [][1]uint64) {
 	kind, out, a, b := p.kind, p.out, p.a, p.b
@@ -338,10 +339,10 @@ func evalFaulty8(p *program, v, force0, force1 [][8]uint64) {
 	}
 }
 
-// The cycle specializations below mirror laneEngine.cycleGeneric statement
-// for statement, with the same constant-index treatment as the eval
-// kernels: the drive/detect/latch loops run once per clock and otherwise
-// dominate the settle they wrap.
+// The cycle specializations below are one clock each, in the order
+// laneEngine.cycle documents, with the same constant-index treatment as
+// the eval kernels: the drive/detect/latch loops run once per clock and,
+// written generically, cost more than the settle they wrap.
 
 func cycle1(e *laneEngine[[1]uint64], pattern uint64, detect bool) {
 	sg := e.sgmt
@@ -352,6 +353,9 @@ func cycle1(e *laneEngine[[1]uint64], pattern uint64, detect bool) {
 		v[sig] = [1]uint64{(w &^ g0[0]) | g1[0]}
 	}
 	evalFaulty1(sg.prog, v, f0, f1)
+	if e.tap != nil {
+		e.sample()
+	}
 	if detect {
 		d0 := e.det[0]
 		for _, sig := range sg.outputs {
@@ -381,6 +385,9 @@ func cycle2(e *laneEngine[[2]uint64], pattern uint64, detect bool) {
 		}
 	}
 	evalFaulty2(sg.prog, v, f0, f1)
+	if e.tap != nil {
+		e.sample()
+	}
 	if detect {
 		d0, d1 := e.det[0], e.det[1]
 		for _, sig := range sg.outputs {
@@ -416,6 +423,9 @@ func cycle4(e *laneEngine[[4]uint64], pattern uint64, detect bool) {
 		}
 	}
 	evalFaulty4(sg.prog, v, f0, f1)
+	if e.tap != nil {
+		e.sample()
+	}
 	if detect {
 		d0, d1, d2, d3 := e.det[0], e.det[1], e.det[2], e.det[3]
 		for _, sig := range sg.outputs {
@@ -459,6 +469,9 @@ func cycle8(e *laneEngine[[8]uint64], pattern uint64, detect bool) {
 		}
 	}
 	evalFaulty8(sg.prog, v, f0, f1)
+	if e.tap != nil {
+		e.sample()
+	}
 	if detect {
 		d0, d1, d2, d3 := e.det[0], e.det[1], e.det[2], e.det[3]
 		d4, d5, d6, d7 := e.det[4], e.det[5], e.det[6], e.det[7]
