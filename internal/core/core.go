@@ -95,14 +95,84 @@ type AreaReport struct {
 // Saving returns the Table 12 percentage-point saving of retiming.
 func (a AreaReport) Saving() float64 { return a.RatioNonRetimed - a.RatioRetimed }
 
-// Phases breaks the compilation time down per pipeline stage.
+// PhaseNames is the compiler's one phase vocabulary: the Table 2 pipeline
+// phases in execution order — parse (load and normalize the circuit),
+// graph and scc (STEPs 1-2), saturate (Saturate_Network), group
+// (Make_Group), assign (Assign_CBIT and refinement), retime (the
+// Leiserson-Saxe solver). Result.Phases, the "stage" trace spans and every
+// timing report built from them (sweep totals and latency.phase.*
+// histograms, ledger phases_ns) use these names and this order.
+var PhaseNames = [...]string{"parse", "graph", "scc", "saturate", "group", "assign", "retime"}
+
+// Indices into PhaseNames, one per Phases field.
+const (
+	phaseParse = iota
+	phaseGraph
+	phaseSCC
+	phaseSaturate
+	phaseGroup
+	phaseAssign
+	phaseRetime
+)
+
+// Phases breaks a compilation's wall time down per pipeline phase, one
+// field per PhaseNames entry. A zero phase did no work for this result: a
+// skipped stage, or a shared stage another job computed.
 type Phases struct {
+	Parse    time.Duration
 	Graph    time.Duration
 	SCC      time.Duration
 	Saturate time.Duration
 	Group    time.Duration
 	Assign   time.Duration
 	Retime   time.Duration
+}
+
+// fields returns the phase durations in PhaseNames order.
+func (p *Phases) fields() [len(PhaseNames)]*time.Duration {
+	return [...]*time.Duration{&p.Parse, &p.Graph, &p.SCC, &p.Saturate, &p.Group, &p.Assign, &p.Retime}
+}
+
+// Each calls fn with every phase's name and duration, in PhaseNames order.
+func (p Phases) Each(fn func(name string, d time.Duration)) {
+	for i, d := range p.fields() {
+		fn(PhaseNames[i], *d)
+	}
+}
+
+// Add accumulates q into p phase by phase.
+func (p *Phases) Add(q Phases) {
+	qs := q.fields()
+	for i, d := range p.fields() {
+		*d += *qs[i]
+	}
+}
+
+// Format renders every phase in order as "parse 1ms, graph 2ms, ...", each
+// duration rounded to a multiple of round (round <= 0 keeps it exact).
+func (p Phases) Format(round time.Duration) string {
+	s := ""
+	p.Each(func(name string, d time.Duration) { s += fmt.Sprintf(", %s %v", name, d.Round(round)) })
+	return s[len(", "):]
+}
+
+// Phases returns a prefix artifact's own build cost as phase times: what a
+// job that computed the artifact (rather than reusing it) adds to its
+// Result.Phases.
+func (p *Parsed) Phases() Phases    { return Phases{Parse: p.ParseTime} }
+func (a *Analyzed) Phases() Phases  { return Phases{Graph: a.GraphTime, SCC: a.SCCTime} }
+func (s *Saturated) Phases() Phases { return Phases{Saturate: s.SaturateTime} }
+
+// startPhase opens the phase's "stage" trace span, named "<phase>
+// <circuit>", and starts its clock. The returned stop closes the span and
+// reports the phase's wall time, so spans and Phases measure one interval.
+func startPhase(ctx context.Context, phase int, circuit string) (stop func() time.Duration) {
+	sp := obs.Start(ctx, "stage", PhaseNames[phase]+" "+circuit)
+	start := time.Now()
+	return func() time.Duration {
+		sp.End()
+		return time.Since(start)
+	}
 }
 
 // KernelCounters are the hot-kernel work counters of one compilation — the
@@ -264,11 +334,9 @@ func Compile(ctx context.Context, c *netlist.Circuit, opt Options) (*Result, err
 	}
 
 	// Parse (normalization happens here, once) and STEPs 1-2.
-	psp := obs.Start(ctx, "stage", "parse "+c.Name)
-	p, err := NewParsed(c)
-	psp.End()
+	p, err := Parse(ctx, c.Name, func(string) (*netlist.Circuit, error) { return c, nil })
 	if err != nil {
-		return nil, fmt.Errorf("core: building graph: %w", err)
+		return nil, fmt.Errorf("core: parse: %w", err)
 	}
 	a, err := Analyze(ctx, p)
 	if err != nil {
@@ -284,19 +352,13 @@ func Compile(ctx context.Context, c *netlist.Circuit, opt Options) (*Result, err
 	// STEPs 3b-3c and pricing, plus the artifact-layer lint gate.
 	res, err := finish(ctx, s, opt, lintDiags)
 	if res != nil {
-		res.Phases.Graph = a.GraphTime
-		res.Phases.SCC = a.SCCTime
-		res.Phases.Saturate = s.SaturateTime
+		ph := &res.Phases
+		ph.Parse, ph.Graph, ph.SCC, ph.Saturate = p.ParseTime, a.GraphTime, a.SCCTime, s.SaturateTime
 		if err == nil {
 			res.Elapsed = time.Since(start)
 		}
 	}
 	return res, err
-}
-
-func lap(since time.Time) (time.Duration, time.Time) {
-	now := time.Now()
-	return now.Sub(since), now
 }
 
 func priceAreas(c *netlist.Circuit, g *graph.G, scc *graph.SCCInfo, p *partition.Result, sol *retime.Solution) AreaReport {

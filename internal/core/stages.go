@@ -31,7 +31,6 @@ import (
 	"repro/internal/graph"
 	"repro/internal/lint"
 	"repro/internal/netlist"
-	"repro/internal/obs"
 	"repro/internal/partition"
 	"repro/internal/retime"
 )
@@ -42,6 +41,10 @@ import (
 // safe to share read-only across any number of concurrent compilations.
 type Parsed struct {
 	c *netlist.Circuit
+
+	// ParseTime records what loading and normalizing the circuit cost
+	// when Parse built this artifact (zero from NewParsed or a decode).
+	ParseTime time.Duration
 
 	keyOnce sync.Once
 	key     string
@@ -60,6 +63,23 @@ func NewParsed(c *netlist.Circuit) (*Parsed, error) {
 		return nil, err
 	}
 	return &Parsed{c: c}, nil
+}
+
+// Parse loads the named circuit through load and wraps it as the root
+// artifact, timing both steps as the parse phase (ParseTime). Errors are
+// returned unwrapped: they name the circuit source, not a pipeline step.
+func Parse(ctx context.Context, name string, load func(string) (*netlist.Circuit, error)) (*Parsed, error) {
+	stop := startPhase(ctx, phaseParse, name)
+	c, err := load(name)
+	if err != nil {
+		stop()
+		return nil, err
+	}
+	p, err := NewParsed(c)
+	if d := stop(); p != nil {
+		p.ParseTime = d
+	}
+	return p, err
 }
 
 // Circuit returns the normalized circuit. Treat it as read-only.
@@ -125,19 +145,18 @@ func Analyze(ctx context.Context, p *Parsed) (*Analyzed, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("core: building graph: %w", err)
 	}
-	sp := obs.Start(ctx, "stage", "analyze "+p.c.Name)
-	defer sp.End()
-	mark := time.Now()
+	stop := startPhase(ctx, phaseGraph, p.c.Name)
 	g, err := graph.FromCircuit(p.c)
+	graphTime := stop()
 	if err != nil {
 		return nil, fmt.Errorf("core: building graph: %w", err)
 	}
-	graphTime, mark := lap(mark)
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("core: SCC: %w", err)
 	}
+	stop = startPhase(ctx, phaseSCC, p.c.Name)
 	scc := g.SCC()
-	sccTime, _ := lap(mark)
+	sccTime := stop()
 	return &Analyzed{
 		parsed: p, g: g, scc: scc, key: p.AnalyzeKey(),
 		GraphTime: graphTime, SCCTime: sccTime,
@@ -184,14 +203,12 @@ func SaturateNetwork(ctx context.Context, a *Analyzed, cfg flow.Config) (*Satura
 	if a == nil {
 		return nil, errors.New("core: nil analyzed artifact")
 	}
-	sp := obs.Start(ctx, "stage", "saturate "+a.parsed.c.Name)
-	defer sp.End()
-	mark := time.Now()
+	stop := startPhase(ctx, phaseSaturate, a.parsed.c.Name)
 	fres, err := flow.Saturate(ctx, a.g, cfg)
+	saturateTime := stop()
 	if err != nil {
 		return nil, fmt.Errorf("core: saturate network: %w", err)
 	}
-	saturateTime, _ := lap(mark)
 	return &Saturated{
 		analyzed: a, cfg: cfg, res: fres, key: a.SaturateKey(cfg),
 		SaturateTime: saturateTime,
@@ -267,7 +284,8 @@ type Partitioned struct {
 	merges    []partition.MergeTrace
 	key       string
 
-	// GroupTime and AssignTime record the phase costs at build time.
+	// GroupTime and AssignTime record the phase costs at build time
+	// (AssignTime is zero under SkipAssign).
 	GroupTime  time.Duration
 	AssignTime time.Duration
 }
@@ -288,31 +306,32 @@ func MakePartition(ctx context.Context, s *Saturated, opt Options) (*Partitioned
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("core: make group: %w", err)
 	}
-	sp := obs.Start(ctx, "stage", "partition "+s.analyzed.parsed.c.Name)
-	defer sp.End()
-	mark := time.Now()
+	name := s.analyzed.parsed.c.Name
+	stop := startPhase(ctx, phaseGroup, name)
 	d := append([]float64(nil), s.res.D...)
 	pres, err := partition.MakeGroup(s.analyzed.g, s.analyzed.scc, d,
 		partition.Options{LK: opt.LK, Beta: opt.Beta, Locked: opt.Locked})
+	groupTime := stop()
 	if err != nil {
 		return nil, fmt.Errorf("core: make group: %w", err)
 	}
-	groupTime, mark := lap(mark)
 
 	var merges []partition.MergeTrace
+	var assignTime time.Duration
 	if !opt.SkipAssign {
 		if err := ctx.Err(); err != nil {
 			return nil, fmt.Errorf("core: assign CBIT: %w", err)
 		}
+		stop = startPhase(ctx, phaseAssign, name)
 		merges, err = partition.AssignCBIT(pres, opt.LK)
+		if err == nil && opt.RefinePasses > 0 {
+			partition.Refine(pres, opt.LK, opt.RefinePasses)
+		}
+		assignTime = stop()
 		if err != nil {
 			return nil, fmt.Errorf("core: assign CBIT: %w", err)
 		}
-		if opt.RefinePasses > 0 {
-			partition.Refine(pres, opt.LK, opt.RefinePasses)
-		}
 	}
-	assignTime, _ := lap(mark)
 	return &Partitioned{
 		saturated: s, part: pres, merges: merges, key: s.PartitionKey(opt),
 		GroupTime: groupTime, AssignTime: assignTime,
@@ -369,8 +388,6 @@ func Price(ctx context.Context, pt *Partitioned, opt Options) (*Priced, error) {
 		return nil, errors.New("core: nil partitioned artifact")
 	}
 	s := pt.saturated
-	sp := obs.Start(ctx, "stage", "price "+s.analyzed.parsed.c.Name)
-	defer sp.End()
 	pr := &Priced{partitioned: pt, key: pt.PriceKey(opt)}
 	if opt.SolveRetiming {
 		limit := opt.MaxSolveNodes
@@ -378,14 +395,14 @@ func Price(ctx context.Context, pt *Partitioned, opt Options) (*Priced, error) {
 			limit = defaultMaxSolveNodes
 		}
 		if s.analyzed.g.NumNodes() <= limit {
-			mark := time.Now()
+			stop := startPhase(ctx, phaseRetime, s.analyzed.parsed.c.Name)
 			sol, cg, err := solveRetiming(ctx, s.analyzed.g, pt.part, s.res)
+			pr.RetimeTime = stop()
 			if err != nil {
 				return nil, fmt.Errorf("core: retiming solver: %w", err)
 			}
 			pr.retiming = sol
 			pr.combGraph = cg
-			pr.RetimeTime, _ = lap(mark)
 		}
 	}
 	pr.areas = priceAreas(s.Circuit(), s.analyzed.g, s.analyzed.scc, pt.part, pr.retiming)
@@ -463,9 +480,7 @@ func finish(ctx context.Context, s *Saturated, opt Options, lintDiags []lint.Dia
 		CombGraph: pr.combGraph,
 		Areas:     pr.areas,
 	}
-	res.Phases.Group = pt.GroupTime
-	res.Phases.Assign = pt.AssignTime
-	res.Phases.Retime = pr.RetimeTime
+	res.Phases = Phases{Group: pt.GroupTime, Assign: pt.AssignTime, Retime: pr.RetimeTime}
 	res.Counters = collectCounters(s, pt, pr)
 
 	// The artifact-layer lint gate: a violated partition invariant or an

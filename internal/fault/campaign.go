@@ -63,8 +63,6 @@ type CampaignOptions struct {
 	MaxPatterns uint64
 	// Seed drives every LFSR seed of the campaign.
 	Seed int64
-	// WarmUp cycles run before detection comparisons start in each session.
-	WarmUp int
 	// Workers bounds the batch worker pool; <= 0 means GOMAXPROCS.
 	Workers int
 	// Collapse applies structural fault-equivalence collapsing before
@@ -472,7 +470,7 @@ func runBatchPool(ctx context.Context, segs []*campaignSegment, jobs []batchJob,
 				sm := splitmix64(mixSeed(opt.Seed, j.seedSeq))
 				//seedlint:wallclock per-batch latency telemetry, timing-gated at render time like Elapsed
 				bt := time.Now()
-				err = env.runBatch(ctx, batch, j.budget, opt.WarmUp, j.sessions, sm.next, j.sole)
+				err = env.runBatch(ctx, batch, j.budget, j.sessions, sm.next, j.sole)
 				if durs != nil {
 					//seedlint:wallclock per-batch latency telemetry, timing-gated at render time like Elapsed
 					durs[i] = time.Since(bt)

@@ -271,23 +271,6 @@ dangling = NOT(a)
 	}
 }
 
-func TestMaxPatternsSmallerThanWarmUp(t *testing.T) {
-	// The warm-up pre-load always runs in full; a pattern budget smaller
-	// than the warm-up still applies at least one observed pattern and
-	// terminates.
-	sg := wholeSegment(t, s27)
-	cov, err := Simulate(sg, List(sg), Options{Seed: 1, MaxPatterns: 2, WarmUp: 64})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cov.Patterns != 2 {
-		t.Fatalf("patterns = %d, want 2", cov.Patterns)
-	}
-	if cov.Total != len(List(sg)) {
-		t.Fatalf("total = %d", cov.Total)
-	}
-}
-
 // errAfterCtx reports context.Canceled from Err after n polls, without any
 // timing dependence — deterministic mid-batch cancellation.
 type errAfterCtx struct {
@@ -312,7 +295,7 @@ func TestCancellationMidBatch(t *testing.T) {
 	if _, err := env.engine(1); err != nil {
 		t.Fatal(err)
 	}
-	err := env.runBatch(ctx, []sim.Fault{{Signal: "y", Stuck1: true}}, 1<<20, 0, 0,
+	err := env.runBatch(ctx, []sim.Fault{{Signal: "y", Stuck1: true}}, 1<<20, 0,
 		func() uint64 { return seed }, false)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)

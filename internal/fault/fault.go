@@ -77,10 +77,6 @@ type Options struct {
 	MaxPatterns uint64
 	// Seed drives the LFSR initial state choice.
 	Seed int64
-	// WarmUp cycles run before detection comparisons start, letting
-	// patterns pipeline through internal flip-flops; detection still uses
-	// every cycle's outputs, warm-up only pre-loads state.
-	WarmUp int
 	// LaneWords is the batch vector width in 64-bit words (1, 2, 4, or 8;
 	// 0 means DefaultLaneWords). A width-w batch simulates 64*w-1 faults
 	// per pattern. Detected/Undetected results are identical at every
@@ -152,7 +148,7 @@ func Simulate(sg *sim.Segment, faults []sim.Fault, opt Options) (Coverage, error
 		}
 		cov.Batches++
 		next := sessionSeeds(seeds)
-		if err := env.runBatch(context.Background(), batch, patterns, opt.WarmUp, 0, next, sole); err != nil {
+		if err := env.runBatch(context.Background(), batch, patterns, 0, next, sole); err != nil {
 			return cov, err
 		}
 		for i, f := range batch {
@@ -238,7 +234,7 @@ const ctxCheckMask = 8192 - 1
 // no-progress session end the batch early: the cutoff is a batch-level
 // decision, and taking it on multi-batch sets would make verdicts depend
 // on how faults were packed — i.e. on the width.
-func (e *batchEnv) runBatch(ctx context.Context, batch []sim.Fault, budget uint64, warmUp, maxSessions int, nextSeed func() uint64, soleBatch bool) error {
+func (e *batchEnv) runBatch(ctx context.Context, batch []sim.Fault, budget uint64, maxSessions int, nextSeed func() uint64, soleBatch bool) error {
 	sg := e.sg
 	eng := e.eng
 	eng.ClearFaults()
@@ -283,10 +279,6 @@ func (e *batchEnv) runBatch(ctx context.Context, batch []sim.Fault, budget uint6
 			return err
 		}
 		eng.ResetState()
-		// Warm-up (state pre-load) cycles.
-		for w := 0; w < warmUp; w++ {
-			eng.StepWarm(tpg.StepTPG())
-		}
 		for p := uint64(0); p < perSession; p++ {
 			if p&ctxCheckMask == ctxCheckMask {
 				if err := ctx.Err(); err != nil {

@@ -147,7 +147,7 @@ func runSweep(ctx context.Context, s *Spec, w io.Writer, rt Runtime, cache *swee
 		st := rep.Stats
 		rt.OnSummary(&RunSummary{
 			Kind: KindSweep, Wall: st.Wall, Jobs: st.Jobs, Failed: st.Failed,
-			Phases:  phaseMap(st.Phases.Graph, st.Phases.SCC, st.Phases.Saturate, st.Phases.Group, st.Phases.Assign, st.Phases.Retime),
+			Phases:  st.Phases,
 			Metrics: rep.Metrics(), Latency: rep.Histograms(), Cache: &cs,
 		})
 	}
@@ -217,7 +217,7 @@ func runCover(ctx context.Context, s *Spec, w io.Writer, rt Runtime, cache *swee
 		rep.AddMetrics(m)
 		rt.OnSummary(&RunSummary{
 			Kind: KindCover, Wall: rep.Elapsed, Jobs: 1,
-			Phases:  phaseMap(r.Phases.Graph, r.Phases.SCC, r.Phases.Saturate, r.Phases.Group, r.Phases.Assign, r.Phases.Retime),
+			Phases:  r.Phases,
 			Metrics: m, Latency: rep.Latency,
 		})
 	}
@@ -243,7 +243,7 @@ func runCompile(ctx context.Context, s *Spec, w io.Writer, rt Runtime, cache *sw
 		r.Counters.AddTo(m)
 		rt.OnSummary(&RunSummary{
 			Kind: KindCompile, Wall: r.Elapsed, Jobs: 1,
-			Phases:  phaseMap(r.Phases.Graph, r.Phases.SCC, r.Phases.Saturate, r.Phases.Group, r.Phases.Assign, r.Phases.Retime),
+			Phases:  r.Phases,
 			Metrics: m,
 		})
 	}
@@ -309,8 +309,7 @@ func writeCompileReport(w io.Writer, r *core.Result, lk int, verbose bool) {
 		fmt.Fprintf(w, "testing time: 2^%d = %.0f clock cycles across %d test pipes (widest CBIT dominates); serial PET would need %.0f (%.1fx)\n",
 			plan.MaxWidth, plan.TotalTime, len(pipes), ppet.PETTime(plan), plan.SpeedUp())
 	}
-	fmt.Fprintf(w, "compile time: %v (saturate %v, group %v, assign %v, retime %v)\n",
-		r.Elapsed, r.Phases.Saturate, r.Phases.Group, r.Phases.Assign, r.Phases.Retime)
+	fmt.Fprintf(w, "compile time: %v (%s)\n", r.Elapsed, r.Phases.Format(0))
 
 	if !verbose {
 		return

@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/sweep"
 )
@@ -83,7 +84,8 @@ func (s *Spec) Summary() string {
 // Metrics and Latency follow the same aggregation discipline as the
 // rendered tables (job-order, post-hoc), so two runs of the same spec
 // produce identical Metrics and differ only in the timing-derived fields
-// (Wall, Phases, Latency).
+// (Wall, Phases, Latency). Phases uses the compiler's own phase struct,
+// so its names are core.PhaseNames.
 type RunSummary struct {
 	// Kind echoes the spec kind.
 	Kind Kind
@@ -93,9 +95,10 @@ type RunSummary struct {
 	// Jobs and Failed count the run's work units (1/0 for single-job
 	// kinds unless the job failed).
 	Jobs, Failed int
-	// Phases sums the per-phase wall time across the run, keyed by core
-	// phase name (graph, scc, saturate, group, assign, retime).
-	Phases map[string]time.Duration
+	// Phases sums the per-phase wall time across the run (the sweep's
+	// phase totals, or the one compilation's phases). A zero phase did no
+	// work in this run: skipped, or served from the artifact cache.
+	Phases core.Phases
 	// Metrics is the deterministic counter/gauge table of the run.
 	Metrics *obs.Metrics
 	// Latency holds the run's latency histograms (nil histogram set when
@@ -103,22 +106,4 @@ type RunSummary struct {
 	Latency *obs.HistogramSet
 	// Cache reports the run's artifact-cache traffic (sweep kinds only).
 	Cache *sweep.CacheStats
-}
-
-// phaseMap flattens a core phase struct into the summary's named map,
-// dropping zero phases so cached-away stages don't read as instant work.
-func phaseMap(graph, scc, saturate, group, assign, retimeD time.Duration) map[string]time.Duration {
-	m := make(map[string]time.Duration, 6)
-	for _, p := range []struct {
-		name string
-		d    time.Duration
-	}{
-		{"graph", graph}, {"scc", scc}, {"saturate", saturate},
-		{"group", group}, {"assign", assign}, {"retime", retimeD},
-	} {
-		if p.d > 0 {
-			m[p.name] = p.d
-		}
-	}
-	return m
 }

@@ -15,12 +15,14 @@ import (
 // Metric resolves a dotted metric name against the record:
 //
 //	wall                     WallNS
-//	phase.<name>             PhasesNS entry (graph, scc, saturate, ...)
+//	phase.<name>             PhasesNS entry (<name> from core.PhaseNames)
 //	latency.<hist>.p50|p90|p99|count
-//	                         Latency summary fields
+//	                         Latency summary fields (latency.phase.<name>,
+//	                         latency.sweep.job, latency.campaign.batch.*)
 //	counter.<name>           Counters entry
 //	gauge.<name>             Gauges entry
 //
+// phase.<name> and latency.phase.<name> share the one phase vocabulary.
 // The second result is false when the record does not carry the metric.
 func (r *Record) Metric(name string) (float64, bool) {
 	switch {

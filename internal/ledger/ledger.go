@@ -98,10 +98,11 @@ type Record struct {
 	WallNS int64 `json:"wall_ns"`
 	Jobs   int   `json:"jobs"`
 	Failed int   `json:"failed"`
-	// PhasesNS sums per-phase wall time, keyed by core phase name.
+	// PhasesNS sums per-phase wall time, keyed by core.PhaseNames entry;
+	// phases that did no work in the run are absent.
 	PhasesNS map[string]int64 `json:"phases_ns,omitempty"`
 	// Latency holds the run's histogram summaries, keyed by histogram
-	// name (latency.sweep.job, latency.phase.saturate, ...).
+	// name (latency.sweep.job, latency.phase.<core phase>, ...).
 	Latency map[string]obs.HistogramSummary `json:"latency,omitempty"`
 	// Counters and Gauges are the deterministic metrics table.
 	Counters map[string]int64   `json:"counters,omitempty"`
@@ -145,12 +146,14 @@ func NewRecord(spec *jobspec.Spec, sum *jobspec.RunSummary) *Record {
 		Failed:      sum.Failed,
 		Cache:       sum.Cache,
 	}
-	if len(sum.Phases) > 0 {
-		rec.PhasesNS = make(map[string]int64, len(sum.Phases))
-		for name, d := range sum.Phases {
+	sum.Phases.Each(func(name string, d time.Duration) {
+		if d > 0 { // a zero phase did no work; it would read as instant work
+			if rec.PhasesNS == nil {
+				rec.PhasesNS = make(map[string]int64)
+			}
 			rec.PhasesNS[name] = int64(d)
 		}
-	}
+	})
 	rec.Latency = sum.Latency.Summaries()
 	if m := sum.Metrics; m != nil {
 		if len(m.Counters) > 0 {

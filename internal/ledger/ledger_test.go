@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/cas"
+	"repro/internal/core"
 	"repro/internal/jobspec"
 	"repro/internal/obs"
 )
@@ -31,7 +32,7 @@ func testSummary(wall time.Duration) *jobspec.RunSummary {
 	hs.Observe("latency.campaign.batch.triage", wall/5)
 	return &jobspec.RunSummary{
 		Kind: jobspec.KindCover, Wall: wall, Jobs: 1,
-		Phases:  map[string]time.Duration{"saturate": wall / 3, "retime": wall / 7},
+		Phases:  core.Phases{Saturate: wall / 3, Retime: wall / 7},
 		Metrics: m, Latency: hs,
 	}
 }

@@ -168,8 +168,8 @@ func TestHistogramSetTableDeterministic(t *testing.T) {
 		}
 		return buf.String()
 	}
-	a := render([]string{"latency.phase.parse", "latency.sweep.job", "latency.phase.price"})
-	b := render([]string{"latency.sweep.job", "latency.phase.price", "latency.phase.parse"})
+	a := render([]string{"latency.phase.parse", "latency.sweep.job", "latency.phase.retime"})
+	b := render([]string{"latency.sweep.job", "latency.phase.retime", "latency.phase.parse"})
 	if a != b {
 		t.Fatalf("table depends on fill order:\n%s\n---\n%s", a, b)
 	}

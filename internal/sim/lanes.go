@@ -43,14 +43,10 @@ type LaneEngine interface {
 	// accumulate detection from the boundary outputs, latch flip-flops —
 	// and reports whether every armed lane has now diverged.
 	Step(pattern uint64) bool
-	// StepWarm is Step without the detection compare: warm-up cycles
-	// pre-load sequential state but must not count divergence observed
-	// before patterns have pipelined through.
-	StepWarm(pattern uint64)
-	// StepSample is StepWarm that also writes lane's boundary-output bits
-	// (0 or 1, in OutputNames order) into out, sampled before the
-	// flip-flops latch. lane is 0..Lanes(); out must have NumOutputs
-	// entries.
+	// StepSample applies one clock like Step, without the detection
+	// compare, and writes lane's boundary-output bits (0 or 1, in
+	// OutputNames order) into out, sampled before the flip-flops latch.
+	// lane is 0..Lanes(); out must have NumOutputs entries.
 	StepSample(pattern uint64, lane int, out []uint64)
 	// Detected reports whether lane has diverged since the last Arm.
 	Detected(lane int) bool
@@ -186,8 +182,6 @@ func (e *laneEngine[W]) Step(pattern uint64) bool {
 	e.cycle(pattern, true)
 	return e.det == e.want
 }
-
-func (e *laneEngine[W]) StepWarm(pattern uint64) { e.cycle(pattern, false) }
 
 func (e *laneEngine[W]) StepSample(pattern uint64, lane int, out []uint64) {
 	e.tap, e.tapLane = out, lane

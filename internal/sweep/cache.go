@@ -42,7 +42,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/netlist"
-	"repro/internal/obs"
 )
 
 // cacheStage identifies which pipeline stage an entry (and its statistics)
@@ -193,32 +192,17 @@ func NewCacheWithStore(capacity int, store ArtifactStore) *Cache {
 // artifacts are only guaranteed durable after Flush returns.
 func (c *Cache) Flush() { c.writes.Wait() }
 
-// newArtifactCache is the historical constructor name, kept for the
-// package's own call sites and tests.
-func newArtifactCache(capacity int) *Cache { return NewCache(capacity) }
-
-// getOrCompute returns the cached value for key, computing it with fn on a
-// miss. computed reports whether this call ran fn — callers use it to
-// attribute the stage's cost to exactly one job. On error the entry is
-// dropped so a later request recomputes.
-func (c *Cache) getOrCompute(st cacheStage, key string, fn func() (any, error)) (val any, computed bool, err error) {
-	return c.getOrComputeTracked(st, key, nil, fn)
-}
-
-// getOrComputeTracked is getOrCompute with per-run attribution: when per is
-// non-nil, the outcome is counted there as well as in the cumulative stats.
-// per is written only under the cache mutex, so one tracker may be shared
-// by every worker of a run.
-func (c *Cache) getOrComputeTracked(st cacheStage, key string, per *[3]StageStats, fn func() (any, error)) (val any, computed bool, err error) {
-	return c.getOrComputeStored(st, key, per, nil, fn)
-}
-
-// getOrComputeStored is the full two-tier lookup: memory, then (when both a
+// getOrCompute returns the cached value for key: memory, then (when both a
 // store and a codec are present) the persistent tier, then fn. The entry is
 // inserted before either slow path runs, so the singleflight guarantee
 // spans disk reads and computes alike. computed reports whether fn ran —
-// a disk hit is not a compute, so phase timings are never attributed to it.
-func (c *Cache) getOrComputeStored(st cacheStage, key string, per *[3]StageStats, codec *stageCodec, fn func() (any, error)) (val any, computed bool, err error) {
+// callers use it to attribute the stage's cost to exactly one job; a disk
+// hit is not a compute, so phase timings are never attributed to it. On
+// error the entry is dropped so a later request recomputes. When per is
+// non-nil, the outcome is counted there as well as in the cumulative
+// stats; per is written only under the cache mutex, so one tracker may be
+// shared by every worker of a run.
+func (c *Cache) getOrCompute(st cacheStage, key string, per *[3]StageStats, codec *stageCodec, fn func() (any, error)) (val any, computed bool, err error) {
 	c.mu.Lock()
 	c.gen++
 	if e, ok := c.entries[key]; ok {
@@ -379,20 +363,18 @@ func (c *Cache) Compile(ctx context.Context, name string, load func(string) (*ne
 		return nil, err
 	}
 	start := time.Now()
-	pv, _, err := cacheStagedArtifact(ctx, c, stageParsed, "parsed:"+name, nil, parsedCodec, func() (any, error) {
-		sp := obs.Start(ctx, "stage", "parse "+name)
-		defer sp.End()
-		cir, err := load(name)
-		if err != nil {
-			return nil, err
-		}
-		return core.NewParsed(cir)
+	pv, computed, err := cacheStagedArtifact(ctx, c, stageParsed, "parsed:"+name, nil, parsedCodec, func() (any, error) {
+		return core.Parse(ctx, name, load)
 	})
 	if err != nil {
 		return nil, err
 	}
-	r, err := compileStaged(ctx, pv.(*core.Parsed), c, nil, opt)
+	p := pv.(*core.Parsed)
+	r, err := compileStaged(ctx, p, c, nil, opt)
 	if r != nil && err == nil {
+		if computed {
+			r.Phases.Add(p.Phases())
+		}
 		r.Elapsed = time.Since(start)
 	}
 	return r, err

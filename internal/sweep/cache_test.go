@@ -18,7 +18,7 @@ import (
 // miss to the computing caller and a hit to everyone else.
 func TestCacheSingleflight(t *testing.T) {
 	const goroutines = 16
-	cache := newArtifactCache(0)
+	cache := NewCache(0)
 	var calls atomic.Int64
 	var wg sync.WaitGroup
 	values := make([]any, goroutines)
@@ -27,7 +27,7 @@ func TestCacheSingleflight(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			v, computed, err := cache.getOrCompute(stageSaturated, "k", func() (any, error) {
+			v, computed, err := cache.getOrCompute(stageSaturated, "k", nil, nil, func() (any, error) {
 				calls.Add(1)
 				time.Sleep(10 * time.Millisecond) // widen the race window
 				return "artifact", nil
@@ -65,7 +65,7 @@ func TestCacheSingleflight(t *testing.T) {
 // Failed computations must never be cached: the next request for the key
 // recomputes, so one job's cancellation cannot poison its siblings.
 func TestCacheErrorsNotCached(t *testing.T) {
-	cache := newArtifactCache(0)
+	cache := NewCache(0)
 	boom := errors.New("transient")
 	var calls int
 	fn := func() (any, error) {
@@ -75,10 +75,10 @@ func TestCacheErrorsNotCached(t *testing.T) {
 		}
 		return "ok", nil
 	}
-	if _, _, err := cache.getOrCompute(stageAnalyzed, "k", fn); !errors.Is(err, boom) {
+	if _, _, err := cache.getOrCompute(stageAnalyzed, "k", nil, nil, fn); !errors.Is(err, boom) {
 		t.Fatalf("first call: err = %v, want %v", err, boom)
 	}
-	v, computed, err := cache.getOrCompute(stageAnalyzed, "k", fn)
+	v, computed, err := cache.getOrCompute(stageAnalyzed, "k", nil, nil, fn)
 	if err != nil || v != "ok" {
 		t.Fatalf("second call: v=%v err=%v, want ok/nil", v, err)
 	}
@@ -94,9 +94,9 @@ func TestCacheErrorsNotCached(t *testing.T) {
 // The LRU bound: with capacity 2, inserting a third key evicts the least
 // recently used entry — and touching an entry refreshes its recency.
 func TestCacheEvictionLRU(t *testing.T) {
-	cache := newArtifactCache(2)
+	cache := NewCache(2)
 	get := func(key string) (any, bool) {
-		v, computed, err := cache.getOrCompute(stageParsed, key, func() (any, error) { return key, nil })
+		v, computed, err := cache.getOrCompute(stageParsed, key, nil, nil, func() (any, error) { return key, nil })
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -126,7 +126,7 @@ func TestCacheEvictionLRU(t *testing.T) {
 // the bound once the dust settles. Run under -race this is the cache's
 // main data-race probe.
 func TestCacheConcurrentChurn(t *testing.T) {
-	cache := newArtifactCache(4)
+	cache := NewCache(4)
 	keys := []string{"k0", "k1", "k2", "k3", "k4", "k5", "k6", "k7"}
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
@@ -135,7 +135,7 @@ func TestCacheConcurrentChurn(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
 				key := keys[(g+i)%len(keys)]
-				v, _, err := cache.getOrCompute(cacheStage(i%3), key, func() (any, error) {
+				v, _, err := cache.getOrCompute(cacheStage(i%3), key, nil, nil, func() (any, error) {
 					return "v:" + key, nil
 				})
 				if err != nil {
@@ -164,11 +164,11 @@ func TestCacheConcurrentChurn(t *testing.T) {
 // Zero and negative capacities fall back to the default bound.
 func TestCacheDefaultCapacity(t *testing.T) {
 	for _, capacity := range []int{0, -5} {
-		if got := newArtifactCache(capacity).Stats().Capacity; got != DefaultCacheEntries {
-			t.Errorf("newArtifactCache(%d).Capacity = %d, want %d", capacity, got, DefaultCacheEntries)
+		if got := NewCache(capacity).Stats().Capacity; got != DefaultCacheEntries {
+			t.Errorf("NewCache(%d).Capacity = %d, want %d", capacity, got, DefaultCacheEntries)
 		}
 	}
-	if got := newArtifactCache(7).Stats().Capacity; got != 7 {
+	if got := NewCache(7).Stats().Capacity; got != 7 {
 		t.Errorf("explicit capacity not honoured: got %d, want 7", got)
 	}
 }

@@ -63,24 +63,16 @@ type coverageJSON struct {
 	Coverage  float64 `json:"coverage"`
 }
 
-type phasesJSON struct {
-	Graph    float64 `json:"graph"`
-	SCC      float64 `json:"scc"`
-	Saturate float64 `json:"saturate"`
-	Group    float64 `json:"group"`
-	Assign   float64 `json:"assign"`
-	Retime   float64 `json:"retime"`
-}
-
 type statsJSON struct {
-	Jobs       int         `json:"jobs"`
-	Failed     int         `json:"failed"`
-	Workers    int         `json:"workers,omitempty"`
-	WallMS     float64     `json:"wall_ms,omitempty"`
-	ComputeMS  float64     `json:"compute_ms,omitempty"`
-	JobsPerSec float64     `json:"jobs_per_sec,omitempty"`
-	Speedup    float64     `json:"speedup,omitempty"`
-	PhasesMS   *phasesJSON `json:"phases_ms,omitempty"`
+	Jobs       int     `json:"jobs"`
+	Failed     int     `json:"failed"`
+	Workers    int     `json:"workers,omitempty"`
+	WallMS     float64 `json:"wall_ms,omitempty"`
+	ComputeMS  float64 `json:"compute_ms,omitempty"`
+	JobsPerSec float64 `json:"jobs_per_sec,omitempty"`
+	Speedup    float64 `json:"speedup,omitempty"`
+	// PhasesMS holds one entry per core.PhaseNames phase.
+	PhasesMS map[string]float64 `json:"phases_ms,omitempty"`
 }
 
 func ms(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
@@ -142,11 +134,8 @@ func (r *Report) WriteJSON(w io.Writer, opts RenderOptions) error {
 		out.Stats.ComputeMS = ms(st.Compute)
 		out.Stats.JobsPerSec = st.JobsPerSec
 		out.Stats.Speedup = st.Speedup()
-		out.Stats.PhasesMS = &phasesJSON{
-			Graph: ms(st.Phases.Graph), SCC: ms(st.Phases.SCC),
-			Saturate: ms(st.Phases.Saturate), Group: ms(st.Phases.Group),
-			Assign: ms(st.Phases.Assign), Retime: ms(st.Phases.Retime),
-		}
+		out.Stats.PhasesMS = make(map[string]float64, len(core.PhaseNames))
+		st.Phases.Each(func(name string, d time.Duration) { out.Stats.PhasesMS[name] = ms(d) })
 	}
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
@@ -246,11 +235,8 @@ func (r *Report) WriteText(w io.Writer, opts RenderOptions) error {
 	if !opts.Timing {
 		return nil
 	}
-	_, err := fmt.Fprintf(w, "workers %d: wall %v, compute %v (%.1fx speedup, %.1f jobs/s)\nphase totals: graph %v, scc %v, saturate %v, group %v, assign %v, retime %v\n",
+	_, err := fmt.Fprintf(w, "workers %d: wall %v, compute %v (%.1fx speedup, %.1f jobs/s)\nphase totals: %s\n",
 		st.Workers, st.Wall.Round(time.Millisecond), st.Compute.Round(time.Millisecond),
-		st.Speedup(), st.JobsPerSec,
-		st.Phases.Graph.Round(time.Millisecond), st.Phases.SCC.Round(time.Millisecond),
-		st.Phases.Saturate.Round(time.Millisecond), st.Phases.Group.Round(time.Millisecond),
-		st.Phases.Assign.Round(time.Millisecond), st.Phases.Retime.Round(time.Millisecond))
+		st.Speedup(), st.JobsPerSec, st.Phases.Format(time.Millisecond))
 	return err
 }

@@ -183,8 +183,9 @@ type Stats struct {
 	Jobs    int
 	Failed  int
 	Workers int
-	// Wall is the sweep's wall-clock time; Compute is the sum of per-job
-	// elapsed times, so Compute/Wall estimates the realised parallelism.
+	// Wall is the sweep's wall-clock time, circuit preload included;
+	// Compute is the sum of per-job elapsed times, so Compute/Wall
+	// estimates the realised parallelism.
 	Wall    time.Duration
 	Compute time.Duration
 	// Phases sums the per-phase timings across all successful jobs.
@@ -213,31 +214,20 @@ type Report struct {
 	// always reflect the circuit preload, which deduplicates through the
 	// cache.
 	Cache CacheStats
-	// parseTimes holds the wall time of each parse the circuit preload
-	// actually computed (cache hits contribute nothing), in preload order.
-	// It feeds the latency.phase.parse histogram; like every timing it is
-	// excluded from deterministic encodings.
-	parseTimes []time.Duration
 }
 
 // Histograms builds the sweep's latency histograms after the fact, in job
 // order, from the per-job result structs — the same aggregation
-// discipline as Metrics, applied to timing data. Phase fills follow the
-// pipeline: parse (preload computes only), analyze (graph + SCC),
-// saturate, partition (group + assign), price (retime); whole jobs fill
-// latency.sweep.job. Zero phase durations are skipped — they mark stages
+// discipline as Metrics, applied to timing data. Each job fills
+// latency.sweep.job and one latency.phase.<name> histogram per
+// core.PhaseNames entry. Zero durations are skipped — they mark stages
 // attributed to another job through the shared-prefix cache. Embedded
 // coverage campaigns contribute their per-batch histograms by merging.
 // The result is timing data: render it only where a timing trailer would
 // render.
 func (r *Report) Histograms() *obs.HistogramSet {
 	hs := obs.NewHistogramSet()
-	for _, d := range r.parseTimes {
-		if d > 0 {
-			hs.Observe("latency.phase.parse", d)
-		}
-	}
-	observePhase := func(name string, d time.Duration) {
+	observe := func(name string, d time.Duration) {
 		if d > 0 {
 			hs.Observe(name, d)
 		}
@@ -247,11 +237,8 @@ func (r *Report) Histograms() *obs.HistogramSet {
 		if jr.Err != nil {
 			continue
 		}
-		observePhase("latency.sweep.job", jr.Elapsed)
-		observePhase("latency.phase.analyze", jr.Phases.Graph+jr.Phases.SCC)
-		observePhase("latency.phase.saturate", jr.Phases.Saturate)
-		observePhase("latency.phase.partition", jr.Phases.Group+jr.Phases.Assign)
-		observePhase("latency.phase.price", jr.Phases.Retime)
+		observe("latency.sweep.job", jr.Elapsed)
+		jr.Phases.Each(func(name string, d time.Duration) { observe("latency.phase."+name, d) })
 		if jr.Coverage != nil {
 			hs.Merge(jr.Coverage.Latency)
 		}
@@ -311,38 +298,31 @@ func Run(ctx context.Context, jobs []Job, cfg Config) (*Report, error) {
 	// name. The core.Parsed artifact is normalized at construction and
 	// immutable afterwards, so workers share it directly — no per-job
 	// clone. Loading goes through the cache purely so the parsed-stage
-	// hit/miss counters reflect the matrix shape.
+	// hit/miss counters reflect the matrix shape. A computed parse is
+	// attributed to the first job of its circuit in input order, as a
+	// computed analyze or saturate stage is attributed to the job that
+	// computed it; Wall starts here to cover those parses.
+	start := time.Now()
 	cache := cfg.Cache
 	if cache == nil {
-		cache = newArtifactCache(cfg.CacheEntries)
+		cache = NewCache(cfg.CacheEntries)
 	}
 	// per tracks this run's own cache traffic; it is written only under the
 	// cache mutex and read after the pool has drained.
 	per := new([3]StageStats)
 	masters := make(map[string]*core.Parsed, len(jobs))
-	var parseTimes []time.Duration
+	parsedBy := make([]bool, len(jobs))
 	for i, j := range jobs {
-		v, _, err := cache.getOrComputeStored(stageParsed, "parsed:"+j.Circuit, per, parsedCodec, func() (any, error) {
-			sp := obs.Start(ctx, "stage", "parse "+j.Circuit)
-			defer sp.End()
-			begin := time.Now()
-			c, err := load(j.Circuit)
-			if err != nil {
-				return nil, err
-			}
-			p, err := core.NewParsed(c)
-			if err == nil {
-				parseTimes = append(parseTimes, time.Since(begin))
-			}
-			return p, err
+		v, computed, err := cache.getOrCompute(stageParsed, "parsed:"+j.Circuit, per, parsedCodec, func() (any, error) {
+			return core.Parse(ctx, j.Circuit, load)
 		})
 		if err != nil {
 			return nil, fmt.Errorf("sweep: job %d: loading circuit %q: %w", i, j.Circuit, err)
 		}
 		masters[j.Circuit] = v.(*core.Parsed)
+		parsedBy[i] = computed
 	}
 
-	start := time.Now()
 	results := make([]JobResult, len(jobs))
 	idx := make(chan int)
 	var done atomic.Int64
@@ -361,7 +341,7 @@ func Run(ctx context.Context, jobs []Job, cfg Config) (*Report, error) {
 				if traced {
 					sp = obs.Start(wctx, "sweep", "job "+jobs[i].String())
 				}
-				results[i] = runJob(wctx, jobs[i], masters[jobs[i].Circuit], cache, per, cfg)
+				results[i] = runJob(wctx, jobs[i], masters[jobs[i].Circuit], parsedBy[i], cache, per, cfg)
 				sp.End()
 				if err := results[i].Err; err != nil {
 					log.Warn("sweep job failed", "job", jobs[i].String(), "err", err)
@@ -383,7 +363,7 @@ func Run(ctx context.Context, jobs []Job, cfg Config) (*Report, error) {
 	close(idx)
 	wg.Wait()
 
-	rep := &Report{Jobs: results, parseTimes: parseTimes}
+	rep := &Report{Jobs: results}
 	rep.Stats = aggregate(results, workers, time.Since(start))
 	rep.Cache = cache.statsFor(per)
 	obs.L(ctx).Info("sweep done", "jobs", rep.Stats.Jobs,
@@ -392,7 +372,9 @@ func Run(ctx context.Context, jobs []Job, cfg Config) (*Report, error) {
 	return rep, nil
 }
 
-func runJob(ctx context.Context, j Job, master *core.Parsed, cache *Cache, per *[3]StageStats, cfg Config) (res JobResult) {
+// runJob compiles one job. When parsedHere, the job triggered the preload's
+// parse of master, whose time joins both its Phases and its Elapsed.
+func runJob(ctx context.Context, j Job, master *core.Parsed, parsedHere bool, cache *Cache, per *[3]StageStats, cfg Config) (res JobResult) {
 	res.Job = j
 	defer func() {
 		if r := recover(); r != nil {
@@ -438,6 +420,10 @@ func runJob(ctx context.Context, j Job, master *core.Parsed, cache *Cache, per *
 	res.MaxInputs = r.Partition.MaxInputs()
 	res.Areas = r.Areas
 	res.Phases = r.Phases
+	if parsedHere {
+		res.Phases.Add(master.Phases())
+		res.Elapsed += master.ParseTime
+	}
 	res.Kernels = r.Counters
 	if cfg.Coverage {
 		// The campaign reads the shared normalized circuit and the job's
@@ -489,22 +475,22 @@ func compileStaged(ctx context.Context, p *core.Parsed, cache *Cache, per *[3]St
 	r, err := core.CompileFrom(ctx, s, opt)
 	if r != nil {
 		if computedA {
-			r.Phases.Graph, r.Phases.SCC = a.GraphTime, a.SCCTime
+			r.Phases.Add(a.Phases())
 		}
 		if computedS {
-			r.Phases.Saturate = s.SaturateTime
+			r.Phases.Add(s.Phases())
 		}
 	}
 	return r, err
 }
 
-// cacheStagedArtifact wraps artifactCache.getOrCompute with one retry rule:
+// cacheStagedArtifact wraps Cache.getOrCompute with one retry rule:
 // when a *shared* computation fails with another job's cancellation while
 // this job's own context is still live, request again (the failed entry was
 // dropped, so the retry recomputes under this job's context).
 func cacheStagedArtifact(ctx context.Context, cache *Cache, st cacheStage, key string, per *[3]StageStats, codec *stageCodec, fn func() (any, error)) (any, bool, error) {
 	for {
-		v, computed, err := cache.getOrComputeStored(st, key, per, codec, fn)
+		v, computed, err := cache.getOrCompute(st, key, per, codec, fn)
 		if err == nil || computed || ctx.Err() != nil ||
 			!(errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)) {
 			return v, computed, err
@@ -521,12 +507,7 @@ func aggregate(results []JobResult, workers int, wall time.Duration) Stats {
 			continue
 		}
 		st.Compute += r.Elapsed
-		st.Phases.Graph += r.Phases.Graph
-		st.Phases.SCC += r.Phases.SCC
-		st.Phases.Saturate += r.Phases.Saturate
-		st.Phases.Group += r.Phases.Group
-		st.Phases.Assign += r.Phases.Assign
-		st.Phases.Retime += r.Phases.Retime
+		st.Phases.Add(r.Phases)
 	}
 	if wall > 0 {
 		st.JobsPerSec = float64(st.Jobs) / wall.Seconds()

@@ -315,9 +315,37 @@ func TestStatsAggregation(t *testing.T) {
 	if st.Wall <= 0 || st.Compute <= 0 || st.JobsPerSec <= 0 {
 		t.Fatalf("timing stats missing: %+v", st)
 	}
-	phaseSum := st.Phases.Graph + st.Phases.SCC + st.Phases.Saturate + st.Phases.Group + st.Phases.Assign + st.Phases.Retime
-	if phaseSum <= 0 || phaseSum > st.Compute*2 {
+	var phaseSum time.Duration
+	st.Phases.Each(func(_ string, d time.Duration) { phaseSum += d })
+	if phaseSum <= 0 || phaseSum > st.Compute {
 		t.Fatalf("phase totals odd: %+v vs compute %v", st.Phases, st.Compute)
+	}
+}
+
+// The preload's parse is attributed to the first job of each circuit, in
+// input order, and joins that job's Elapsed: no other job reports a parse,
+// and no job's phases sum past its Elapsed.
+func TestParseAttributedToFirstJobOfCircuit(t *testing.T) {
+	jobs := testJobs()
+	rep, err := Run(context.Background(), jobs, Config{Workers: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	seen := map[string]bool{}
+	for i, jr := range rep.Jobs {
+		if jr.Err != nil {
+			t.Fatalf("job %d: %v", i, jr.Err)
+		}
+		first := !seen[jr.Job.Circuit]
+		seen[jr.Job.Circuit] = true
+		if got := jr.Phases.Parse > 0; got != first {
+			t.Errorf("job %d (%s): parse %v, want nonzero only on the circuit's first job", i, jr.Job, jr.Phases.Parse)
+		}
+		var sum time.Duration
+		jr.Phases.Each(func(_ string, d time.Duration) { sum += d })
+		if sum > jr.Elapsed {
+			t.Errorf("job %d (%s): phases sum to %v, past elapsed %v", i, jr.Job, sum, jr.Elapsed)
+		}
 	}
 }
 
