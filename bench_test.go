@@ -248,6 +248,10 @@ func BenchmarkSCC(b *testing.B) {
 	}
 }
 
+// BenchmarkSaturateNetwork cycles the fixed flow seeds 1-8, as the
+// repository benchmark's compile workload does, so ns/op measures the same
+// workload whatever b.N turns out to be (a multiple of 8 averages it
+// exactly; flow seeds move the cost by about 8%).
 func BenchmarkSaturateNetwork(b *testing.B) {
 	g, err := graph.FromCircuit(loadB(b, "s1423"))
 	if err != nil {
@@ -255,7 +259,7 @@ func BenchmarkSaturateNetwork(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := flow.Saturate(context.Background(), g, flow.DefaultConfig(int64(i))); err != nil {
+		if _, err := flow.Saturate(context.Background(), g, flow.DefaultConfig(int64(i%8+1))); err != nil {
 			b.Fatal(err)
 		}
 	}

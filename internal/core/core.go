@@ -275,6 +275,9 @@ func (o Options) Validate() error {
 	case o.RefinePasses < 0:
 		return fmt.Errorf("core: RefinePasses must be >= 0 (got %d); 0 disables boundary refinement", o.RefinePasses)
 	}
+	if err := o.FlowConfig().Validate(); err != nil {
+		return fmt.Errorf("core: %w", err)
+	}
 	return nil
 }
 

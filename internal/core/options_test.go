@@ -2,6 +2,8 @@ package core
 
 import (
 	"context"
+	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/flow"
@@ -82,5 +84,44 @@ func TestLockedNodesRespected(t *testing.T) {
 	}
 	if err := r.Partition.Validate(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// Options.Validate checks the resolved flow config, so a bad Saturate_Network
+// parameter fails before any job runs, naming the field, while zero fields
+// (resolved to the paper defaults) stay valid.
+func TestValidateFlowConfig(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	cases := []struct {
+		name  string
+		flow  flow.Config
+		field string // "" means valid
+	}{
+		{"zero value", flow.Config{}, ""},
+		{"partial, zero fields default", flow.Config{MinVisit: 5, Seed: 9}, ""},
+		{"NaN capacity", flow.Config{Capacity: nan}, "Capacity"},
+		{"Inf capacity", flow.Config{Capacity: inf}, "Capacity"},
+		{"negative capacity", flow.Config{Capacity: -1}, "Capacity"},
+		{"NaN delta", flow.Config{Delta: nan}, "Delta"},
+		{"-Inf delta", flow.Config{Delta: -inf}, "Delta"},
+		{"negative delta", flow.Config{Delta: -0.01}, "Delta"},
+		{"NaN alpha", flow.Config{Alpha: nan}, "Alpha"},
+		{"Inf alpha", flow.Config{Alpha: inf}, "Alpha"},
+		{"negative alpha", flow.Config{Alpha: -4}, "Alpha"},
+		{"negative min visit", flow.Config{MinVisit: -1}, "MinVisit"},
+	}
+	for _, tc := range cases {
+		opt := DefaultOptions(3, 1)
+		opt.Flow = tc.flow
+		err := opt.Validate()
+		if tc.field == "" {
+			if err != nil {
+				t.Errorf("%s: %v", tc.name, err)
+			}
+			continue
+		}
+		if err == nil || !strings.Contains(err.Error(), tc.field) {
+			t.Errorf("%s: Validate() = %v, want an error naming %s", tc.name, err, tc.field)
+		}
 	}
 }

@@ -8,7 +8,6 @@ package flow
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -55,6 +54,25 @@ func DefaultConfig(seed int64) Config {
 	return Config{Capacity: 1, MinVisit: 20, Alpha: 4, Delta: 0.01, Seed: seed, Policy: VisitTree}
 }
 
+// Validate reports the first parameter that would break Saturate's
+// invariants: Capacity and Delta must be positive and finite, Alpha finite
+// and non-negative (a NaN, infinite or negative value would let a distance
+// fall below 1 or poison the Dijkstra comparisons), MinVisit non-negative.
+func (c Config) Validate() error {
+	finite := func(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
+	switch {
+	case !finite(c.Capacity) || c.Capacity <= 0:
+		return fmt.Errorf("flow: Capacity must be positive and finite (got %v)", c.Capacity)
+	case !finite(c.Delta) || c.Delta <= 0:
+		return fmt.Errorf("flow: Delta must be positive and finite (got %v)", c.Delta)
+	case !finite(c.Alpha) || c.Alpha < 0:
+		return fmt.Errorf("flow: Alpha must be non-negative and finite (got %v)", c.Alpha)
+	case c.MinVisit < 0:
+		return fmt.Errorf("flow: MinVisit must be >= 0 (got %d)", c.MinVisit)
+	}
+	return nil
+}
+
 // Result holds the saturated network state.
 type Result struct {
 	// D[e] is the distance/congestion index of net e (>= 1).
@@ -90,8 +108,8 @@ func Saturate(ctx context.Context, g *graph.G, cfg Config) (*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	if cfg.Capacity <= 0 || cfg.Delta <= 0 || cfg.MinVisit < 0 {
-		return nil, errors.New("flow: invalid config")
+	if err := cfg.Validate(); err != nil {
+		return nil, err
 	}
 	n := g.NumNodes()
 	res := &Result{
@@ -150,15 +168,15 @@ func Saturate(ctx context.Context, g *graph.G, cfg Config) (*Result, error) {
 		}
 		v := under[rng.Intn(len(under))] // STEP 3.1 (random under-visited node)
 		res.Trees++
-		tree, reached := dj.tree(v, res.D)
+		tree, reached := dj.tree(int32(v), res.D)
 		switch cfg.Policy {
 		case VisitSource:
 			bump(v)
 		default:
 			bump(v)
 			for _, w := range reached {
-				if w != v {
-					bump(w)
+				if int(w) != v {
+					bump(int(w))
 				}
 			}
 		}
@@ -174,69 +192,97 @@ func Saturate(ctx context.Context, g *graph.G, cfg Config) (*Result, error) {
 }
 
 // dijkstra is reusable scratch state for shortest-path trees over nets.
-// All per-run bookkeeping uses epoch-stamped arrays so repeated trees incur
-// no per-node allocation.
+// The adjacency is flattened once into int32 CSR arrays (one flat array per
+// relation plus an offsets array), and all per-run bookkeeping uses
+// epoch-stamped arrays, so repeated trees incur no per-node allocation.
 type dijkstra struct {
-	g        *graph.G
+	// outNets[outOff[v]:outOff[v+1]] is g.Out[v]; sinks[sinkOff[e]:sinkOff[e+1]]
+	// is g.Nets[e].Sinks, in the same order and with any repeats.
+	outOff, outNets []int32
+	sinkOff, sinks  []int32
+
 	dist     []float64
-	via      []int // net used to reach node, -1 for source/unreached
-	stamp    []int // node touched in current epoch
-	done     []int // node settled in current epoch
-	netStamp []int // net already added to the tree in current epoch
-	cur      int
-	pq       nodeHeap
-	treeBuf  []int
-	reachBuf []int
+	via      []int32  // net used to reach node, -1 for source/unreached
+	stamp    []uint32 // node touched in current epoch
+	done     []uint32 // node settled in current epoch
+	netStamp []uint32 // net already added to the tree in current epoch
+	cur      uint32
+	pq       distHeap
+	treeBuf  []int32
+	reachBuf []int32
 }
 
 func newDijkstra(g *graph.G) *dijkstra {
-	n := g.NumNodes()
-	return &dijkstra{
-		g:        g,
+	n, m := g.NumNodes(), g.NumNets()
+	dj := &dijkstra{
+		outOff:   make([]int32, n+1),
+		sinkOff:  make([]int32, m+1),
 		dist:     make([]float64, n),
-		via:      make([]int, n),
-		stamp:    make([]int, n),
-		done:     make([]int, n),
-		netStamp: make([]int, g.NumNets()),
+		via:      make([]int32, n),
+		stamp:    make([]uint32, n),
+		done:     make([]uint32, n),
+		netStamp: make([]uint32, m),
 	}
+	for v, out := range g.Out {
+		for _, e := range out {
+			dj.outNets = append(dj.outNets, int32(e))
+		}
+		dj.outOff[v+1] = int32(len(dj.outNets))
+	}
+	for e := range g.Nets {
+		for _, w := range g.Nets[e].Sinks {
+			dj.sinks = append(dj.sinks, int32(w))
+		}
+		dj.sinkOff[e+1] = int32(len(dj.sinks))
+	}
+	return dj
 }
 
 // tree grows a shortest-path tree from src using net distances d and returns
 // the set of tree nets (each net once) plus the reached nodes. The returned
 // slices are reused across calls.
-func (dj *dijkstra) tree(src int, d []float64) (treeNets []int, reached []int) {
+func (dj *dijkstra) tree(src int32, d []float64) (treeNets []int32, reached []int32) {
 	dj.cur++
-	g := dj.g
-	dj.dist[src] = 0
-	dj.via[src] = -1
-	dj.stamp[src] = dj.cur
-	dj.pq = dj.pq[:0]
-	dj.pq.push(nodeDist{src, 0})
+	if dj.cur == 0 { // the epoch wrapped: forget every stale stamp
+		clear(dj.stamp)
+		clear(dj.done)
+		clear(dj.netStamp)
+		dj.cur = 1
+	}
+	cur := dj.cur
+	dist, via, stamp, done, netStamp := dj.dist, dj.via, dj.stamp, dj.done, dj.netStamp
+	outOff, outNets, sinkOff, sinks := dj.outOff, dj.outNets, dj.sinkOff, dj.sinks
+	dist[src] = 0
+	via[src] = -1
+	stamp[src] = cur
+	pq := &dj.pq
+	pq.reset()
+	pq.push(src, 0)
 	treeNets = dj.treeBuf[:0]
 	reached = dj.reachBuf[:0]
-	for len(dj.pq) > 0 {
-		nd := dj.pq.pop()
-		v := nd.node
-		if dj.done[v] == dj.cur {
+	for pq.len() > 0 {
+		v := pq.pop()
+		if done[v] == cur {
 			continue
 		}
-		dj.done[v] = dj.cur
+		done[v] = cur
 		reached = append(reached, v)
-		if e := dj.via[v]; e >= 0 && dj.netStamp[e] != dj.cur {
-			dj.netStamp[e] = dj.cur
+		if e := via[v]; e >= 0 && netStamp[e] != cur {
+			netStamp[e] = cur
 			treeNets = append(treeNets, e)
 		}
-		for _, e := range g.Out[v] {
-			ndist := dj.dist[v] + d[e]
-			for _, w := range g.Nets[e].Sinks {
-				if dj.done[w] == dj.cur {
+		dv := dist[v]
+		for _, e := range outNets[outOff[v]:outOff[v+1]] {
+			ndist := dv + d[e]
+			for _, w := range sinks[sinkOff[e]:sinkOff[e+1]] {
+				if done[w] == cur {
 					continue
 				}
-				if dj.stamp[w] != dj.cur || ndist < dj.dist[w] {
-					dj.stamp[w] = dj.cur
-					dj.dist[w] = ndist
-					dj.via[w] = e
-					dj.pq.push(nodeDist{w, ndist})
+				if stamp[w] != cur || ndist < dist[w] {
+					stamp[w] = cur
+					dist[w] = ndist
+					via[w] = e
+					pq.push(w, ndist)
 				}
 			}
 		}
@@ -246,51 +292,65 @@ func (dj *dijkstra) tree(src int, d []float64) (treeNets []int, reached []int) {
 	return treeNets, reached
 }
 
-type nodeDist struct {
-	node int
-	d    float64
+// distHeap is a binary min-heap of (distance, node) pairs kept as two
+// parallel slices, specialised to avoid container/heap's interface boxing
+// on the hottest loop of the compiler. Among equal distances the pop order
+// is decided by the heap's shape, so push compares with <= against the
+// parent and pop moves the hole to the strictly smaller child, left before
+// right; changing either comparison changes every compile's decisions.
+type distHeap struct {
+	d    []float64
+	node []int32
 }
 
-// nodeHeap is a plain binary min-heap specialised to nodeDist to avoid
-// container/heap's interface boxing on the hottest loop of the compiler.
-type nodeHeap []nodeDist
+func (h *distHeap) len() int { return len(h.d) }
 
-func (h *nodeHeap) push(x nodeDist) {
-	*h = append(*h, x)
-	s := *h
-	i := len(s) - 1
+func (h *distHeap) reset() {
+	h.d = h.d[:0]
+	h.node = h.node[:0]
+}
+
+func (h *distHeap) push(node int32, d float64) {
+	hd := append(h.d, d)
+	hn := append(h.node, node)
+	h.d, h.node = hd, hn
+	i := len(hd) - 1
 	for i > 0 {
 		p := (i - 1) / 2
-		if s[p].d <= s[i].d {
+		if hd[p] <= d {
 			break
 		}
-		s[p], s[i] = s[i], s[p]
+		hd[i], hn[i] = hd[p], hn[p]
 		i = p
 	}
+	hd[i], hn[i] = d, node
 }
 
-func (h *nodeHeap) pop() nodeDist {
-	s := *h
-	top := s[0]
-	last := len(s) - 1
-	s[0] = s[last]
-	s = s[:last]
-	*h = s
+func (h *distHeap) pop() int32 {
+	n := len(h.d) - 1
+	hd, hn := h.d[:n+1], h.node[:n+1]
+	top := hn[0]
+	xd, xn := hd[n], hn[n]
+	h.d, h.node = hd[:n], hn[:n]
+	// The hole starts at the root and sinks while a child is strictly
+	// smaller than xd. hd[n] still holds xd, so a left child at n-1 is
+	// compared with xd in place of its missing right sibling; if xd wins,
+	// xd is also below the left child and the hole stops, as it would have
+	// without the comparison. The child pick is written as a 0/1 add so the
+	// compiler emits a flag set instead of an unpredictable branch.
 	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		m := i
-		if l < len(s) && s[l].d < s[m].d {
-			m = l
+	for c := 1; c < n; c = 2*i + 1 {
+		right := 0
+		if hd[c+1] < hd[c] {
+			right = 1
 		}
-		if r < len(s) && s[r].d < s[m].d {
-			m = r
-		}
-		if m == i {
+		c += right
+		if !(hd[c] < xd) {
 			break
 		}
-		s[i], s[m] = s[m], s[i]
-		i = m
+		hd[i], hn[i] = hd[c], hn[c]
+		i = c
 	}
+	hd[i], hn[i] = xd, xn
 	return top
 }

@@ -3,6 +3,8 @@ package flow
 import (
 	"context"
 	"math"
+	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -168,16 +170,50 @@ func TestSaturateMaxIterations(t *testing.T) {
 	}
 }
 
+// Every invalid config is rejected by Validate and by Saturate, before any
+// work, with an error naming the field. NaN, infinite or negative values
+// would let a distance fall below 1 or poison the Dijkstra comparisons.
 func TestSaturateInvalidConfig(t *testing.T) {
 	g := s27Graph(t)
-	bad := []Config{
-		{Capacity: 0, Delta: 0.01, MinVisit: 1},
-		{Capacity: 1, Delta: 0, MinVisit: 1},
-		{Capacity: 1, Delta: 0.1, MinVisit: -1},
+	nan, inf := math.NaN(), math.Inf(1)
+	bad := []struct {
+		field string
+		edit  func(*Config)
+	}{
+		{"Capacity", func(c *Config) { c.Capacity = 0 }},
+		{"Capacity", func(c *Config) { c.Capacity = -1 }},
+		{"Capacity", func(c *Config) { c.Capacity = nan }},
+		{"Capacity", func(c *Config) { c.Capacity = inf }},
+		{"Delta", func(c *Config) { c.Delta = 0 }},
+		{"Delta", func(c *Config) { c.Delta = -0.01 }},
+		{"Delta", func(c *Config) { c.Delta = nan }},
+		{"Delta", func(c *Config) { c.Delta = inf }},
+		{"Alpha", func(c *Config) { c.Alpha = -4 }},
+		{"Alpha", func(c *Config) { c.Alpha = nan }},
+		{"Alpha", func(c *Config) { c.Alpha = inf }},
+		{"Alpha", func(c *Config) { c.Alpha = -inf }},
+		{"MinVisit", func(c *Config) { c.MinVisit = -1 }},
 	}
-	for _, cfg := range bad {
+	for _, tc := range bad {
+		cfg := DefaultConfig(1)
+		tc.edit(&cfg)
+		if err := cfg.Validate(); err == nil || !strings.Contains(err.Error(), tc.field) {
+			t.Errorf("config %+v: Validate() = %v, want an error naming %s", cfg, err, tc.field)
+		}
 		if _, err := Saturate(context.Background(), g, cfg); err == nil {
-			t.Fatalf("config %+v accepted", cfg)
+			t.Errorf("config %+v accepted by Saturate", cfg)
+		}
+	}
+	// Alpha = 0 is the one zero that stays valid: every distance stays 1.
+	cfg := DefaultConfig(1)
+	cfg.Alpha = 0
+	res, err := Saturate(context.Background(), g, cfg)
+	if err != nil {
+		t.Fatalf("alpha=0 rejected: %v", err)
+	}
+	for e, d := range res.D {
+		if d != 1 {
+			t.Fatalf("alpha=0: D[%d] = %v, want 1", e, d)
 		}
 	}
 }
@@ -239,5 +275,29 @@ func BenchmarkSaturateS27(b *testing.B) {
 		if _, err := Saturate(context.Background(), g, cfg); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// TestDistHeapTieOrder pins the pop order of the Dijkstra heap, ties
+// included. Among equal distances the order falls out of the heap's shape,
+// and every net starts at D = 1, so ties decide which tree net reaches a
+// node first; the sequence below was recorded from the compiler's original
+// array-of-structs heap.
+func TestDistHeapTieOrder(t *testing.T) {
+	ds := []float64{1, 1, 2, 1, 0.5, 1, 2, 1, 1, 3, 0.5, 1, 2, 2, 1, 1}
+	var h distHeap
+	var got []int32
+	for i, d := range ds {
+		h.push(int32(i), d)
+		if i%5 == 4 {
+			got = append(got, h.pop())
+		}
+	}
+	for h.len() > 0 {
+		got = append(got, h.pop())
+	}
+	want := []int32{4, 1, 10, 0, 15, 3, 8, 5, 11, 7, 14, 6, 12, 13, 2, 9}
+	if !slices.Equal(got, want) {
+		t.Fatalf("pop order %v, want %v", got, want)
 	}
 }

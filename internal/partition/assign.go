@@ -2,6 +2,7 @@ package partition
 
 import (
 	"errors"
+	"slices"
 	"sort"
 )
 
@@ -27,146 +28,157 @@ func AssignCBIT(r *Result, lk int) ([]MergeTrace, error) {
 	}
 	g := r.G
 
+	// live is a cluster being merged: its cells and its deduplicated
+	// external input nets (iota is len(inputs)).
 	type live struct {
-		nodes  map[int]bool
-		inputs map[int]struct{}
+		nodes  []int
+		inputs []int
 		id     int
 		dead   bool
 	}
 	clusters := make([]*live, 0, len(r.Clusters))
-	srcCluster := make(map[int]int) // net -> live index of source cluster
-	readers := make(map[int]map[int]bool)
+	owner := make([]int, g.NumNodes()) // cell -> live index of its cluster
+	for v := range owner {
+		owner[v] = -1
+	}
+	readers := make([][]int, g.NumNets()) // net -> live indexes reading it
 	for li, c := range r.Clusters {
-		lc := &live{nodes: make(map[int]bool, len(c.Nodes)), inputs: make(map[int]struct{}, len(c.InputNets)), id: c.ID}
+		lc := &live{nodes: append([]int(nil), c.Nodes...), inputs: make([]int, 0, len(c.InputNets)), id: c.ID}
 		for _, v := range c.Nodes {
-			lc.nodes[v] = true
-			for _, e := range g.Out[v] {
-				srcCluster[e] = li
-			}
+			owner[v] = li
 		}
 		for e := range c.InputNets {
-			lc.inputs[e] = struct{}{}
-			if readers[e] == nil {
-				readers[e] = make(map[int]bool)
-			}
-			readers[e][li] = true
+			lc.inputs = append(lc.inputs, e)
+		}
+		sort.Ints(lc.inputs)
+		for _, e := range lc.inputs {
+			readers[e] = append(readers[e], li)
 		}
 		clusters = append(clusters, lc)
 	}
 
+	// Per-pass marks for mergedInputs, neighbors and the merge step.
+	nets, cls := newMark(g.NumNets()), newMark(len(clusters))
+
 	// mergedInputs computes iota(a+b) and the number of cut nets the merge
 	// removes, without mutating.
-	mergedInputs := func(a, b *live) (iota, removed int) {
-		inUnion := func(v int) bool { return a.nodes[v] || b.nodes[v] }
-		seen := make(map[int]bool, len(a.inputs)+len(b.inputs))
-		both := 0
-		for e := range a.inputs {
-			seen[e] = true
-		}
-		for e := range b.inputs {
-			if seen[e] {
-				both++
-			}
-			seen[e] = true
-		}
-		//detlint:ordered g.IsCell is a pure topology predicate; only commutative integer counts escape the loop
-		for e := range seen {
+	mergedInputs := func(ai, bi int) (iota, removed int) {
+		nets.reset()
+		count := func(e int) {
 			src := g.Nets[e].Source
-			if g.IsCell(src) && inUnion(src) {
+			if g.IsCell(src) && (owner[src] == ai || owner[src] == bi) {
 				removed++ // net becomes internal to the union
-				continue
+				return
 			}
 			iota++
 		}
-		removed += both // shared external nets now counted once
+		for _, e := range clusters[ai].inputs {
+			nets.add(e)
+			count(e)
+		}
+		for _, e := range clusters[bi].inputs {
+			if !nets.add(e) {
+				removed++ // shared external net now counted once
+				continue
+			}
+			count(e)
+		}
 		return iota, removed
 	}
 
-	// neighbors collects live cluster indexes sharing a net with o.
-	neighbors := func(oi int) map[int]bool {
+	// neighbors collects, in ascending order, the live cluster indexes
+	// sharing a net with o, plus extra when it is >= 0.
+	var cands []int
+	neighbors := func(oi, extra int) []int {
+		cls.reset()
+		cands = cands[:0]
+		add := func(i int) {
+			if i >= 0 && i != oi && !clusters[i].dead && cls.add(i) {
+				cands = append(cands, i)
+			}
+		}
 		o := clusters[oi]
-		out := make(map[int]bool)
-		for e := range o.inputs {
-			if si, ok := srcCluster[e]; ok && si != oi && !clusters[si].dead {
-				out[si] = true
+		for _, e := range o.inputs {
+			if src := g.Nets[e].Source; g.IsCell(src) {
+				add(owner[src])
 			}
-			for ri := range readers[e] {
-				if ri != oi && !clusters[ri].dead {
-					out[ri] = true
-				}
+			for _, ri := range readers[e] {
+				add(ri)
 			}
 		}
-		for v := range o.nodes {
+		for _, v := range o.nodes {
 			for _, e := range g.Out[v] {
-				for ri := range readers[e] {
-					if ri != oi && !clusters[ri].dead {
-						out[ri] = true
-					}
+				for _, ri := range readers[e] {
+					add(ri)
 				}
 			}
 		}
-		return out
+		add(extra)
+		sort.Ints(cands)
+		return cands
 	}
 
-	remaining := len(clusters)
+	// dropReader removes live index li from readers[e].
+	dropReader := func(e, li int) {
+		rs := readers[e]
+		for k, ri := range rs {
+			if ri == li {
+				rs[k] = rs[len(rs)-1]
+				readers[e] = rs[:len(rs)-1]
+				return
+			}
+		}
+	}
+
+	// Extract_Max and the smallest-candidate pick both choose among the
+	// unprocessed live clusters, whose inputs never change: a merge only
+	// grows O, which is already processed, and kills the merged cluster.
+	// So each pick walks one fixed order (by iota, lowest index first on
+	// ties) from the front, skipping clusters processed or merged since.
 	processed := make([]bool, len(clusters))
+	gone := func(i int) bool { return clusters[i].dead || processed[i] }
+	byMax := make([]int, len(clusters))
+	for i := range byMax {
+		byMax[i] = i
+	}
+	byMin := slices.Clone(byMax)
+	slices.SortStableFunc(byMax, func(a, b int) int { return len(clusters[b].inputs) - len(clusters[a].inputs) })
+	slices.SortStableFunc(byMin, func(a, b int) int { return len(clusters[a].inputs) - len(clusters[b].inputs) })
 	var trace []MergeTrace
 	var order []int
 
-	for remaining > 0 {
+	for {
 		// STEP 3.1: O = Extract_Max(S) over unprocessed live clusters.
-		oi, best := -1, -1
-		minIdx, minIn := -1, 0
-		for i, c := range clusters {
-			if c.dead || processed[i] {
-				continue
-			}
-			if len(c.inputs) > best {
-				best = len(c.inputs)
-				oi = i
-			}
+		for len(byMax) > 0 && gone(byMax[0]) {
+			byMax = byMax[1:]
 		}
-		if oi < 0 {
+		if len(byMax) == 0 {
 			break
 		}
+		oi := byMax[0]
 		processed[oi] = true
-		remaining--
 		o := clusters[oi]
 		order = append(order, oi)
 
 		// STEP 3.2: merge best feasible candidate while iota(O) < lk.
 		for len(o.inputs) < lk {
-			cands := neighbors(oi)
 			// Add the globally smallest unmerged cluster: with no sharing,
 			// iota(O+g) = iota(O) + iota(g), minimised by the smallest g.
-			minIdx, minIn = -1, 1<<30
-			for i, c := range clusters {
-				if c.dead || i == oi || processed[i] {
-					continue
-				}
-				if len(c.inputs) < minIn {
-					minIn = len(c.inputs)
-					minIdx = i
-				}
+			for len(byMin) > 0 && gone(byMin[0]) {
+				byMin = byMin[1:]
 			}
-			if minIdx >= 0 {
-				cands[minIdx] = true
+			minIdx := -1
+			if len(byMin) > 0 {
+				minIdx = byMin[0]
 			}
-			// Scan candidates in index order: map iteration order would make
-			// tie-breaks between equal (iota, removed) candidates random,
-			// and with it the whole compilation nondeterministic.
-			candIdx := make([]int, 0, len(cands))
-			for gi := range cands {
-				candIdx = append(candIdx, gi)
-			}
-			sort.Ints(candIdx)
+			// Scan candidates in index order, so tie-breaks between equal
+			// (iota, removed) candidates are deterministic.
 			bestIdx, bestIota, bestRemoved := -1, 0, -1
-			for _, gi := range candIdx {
-				gc := clusters[gi]
+			for _, gi := range neighbors(oi, minIdx) {
 				if processed[gi] {
 					continue // already emitted as a CBIT of its own
 				}
-				iota, removed := mergedInputs(o, gc)
+				iota, removed := mergedInputs(oi, gi)
 				if iota > lk { // Eq. (5) infeasible
 					continue
 				}
@@ -183,28 +195,33 @@ func AssignCBIT(r *Result, lk int) ([]MergeTrace, error) {
 				InputsBefore: len(o.inputs), InputsAfter: bestIota,
 				Gain: lk - bestIota,
 			})
-			// Merge gc into o, updating indexes.
-			for v := range gc.nodes {
-				o.nodes[v] = true
-				for _, e := range g.Out[v] {
-					srcCluster[e] = oi
+			// Merge gc into o, updating indexes: nets now driven from
+			// inside o stop being inputs.
+			for _, v := range gc.nodes {
+				owner[v] = oi
+			}
+			o.nodes = append(o.nodes, gc.nodes...)
+			nets.reset()
+			for _, e := range o.inputs {
+				nets.add(e)
+			}
+			for _, e := range gc.inputs {
+				dropReader(e, bestIdx)
+				if nets.add(e) {
+					o.inputs = append(o.inputs, e)
+					readers[e] = append(readers[e], oi)
 				}
 			}
-			for e := range gc.inputs {
-				o.inputs[e] = struct{}{}
-				delete(readers[e], bestIdx)
-				readers[e][oi] = true
-			}
-			//detlint:ordered g.IsCell is a pure topology predicate; deletions are keyed by the loop variable and converge to the same sets
-			for e := range o.inputs {
-				src := g.Nets[e].Source
-				if g.IsCell(src) && o.nodes[src] {
-					delete(o.inputs, e)
-					delete(readers[e], oi)
+			kept := o.inputs[:0]
+			for _, e := range o.inputs {
+				if src := g.Nets[e].Source; g.IsCell(src) && owner[src] == oi {
+					dropReader(e, oi)
+					continue
 				}
+				kept = append(kept, e)
 			}
-			gc.dead = true
-			remaining--
+			o.inputs = kept
+			gc.nodes, gc.inputs, gc.dead = nil, nil, true
 		}
 	}
 
@@ -220,12 +237,11 @@ func AssignCBIT(r *Result, lk int) ([]MergeTrace, error) {
 			continue
 		}
 		ci := len(outClusters)
-		c := &Cluster{ID: ci}
-		for v := range lc.nodes {
-			c.Nodes = append(c.Nodes, v)
+		c := &Cluster{ID: ci, Nodes: lc.nodes}
+		sort.Ints(c.Nodes)
+		for _, v := range c.Nodes {
 			assign[v] = ci
 		}
-		sort.Ints(c.Nodes)
 		outClusters = append(outClusters, c)
 	}
 	nr := finalize(g, r.SCC, outClusters, assign, r.BoundarySteps)

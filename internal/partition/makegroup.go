@@ -37,12 +37,15 @@ func MakeGroup(g *graph.G, scc *graph.SCCInfo, d []float64, opt Options) (*Resul
 		return nil, errors.New("partition: distance vector length mismatch")
 	}
 	st := &groupState{
-		g:    g,
-		scc:  scc,
-		d:    d,
-		opt:  opt,
-		cut:  make([]bool, g.NumNets()),
-		cSCC: make([]int, scc.NumComponents()),
+		g:       g,
+		scc:     scc,
+		d:       d,
+		opt:     opt,
+		cut:     make([]bool, g.NumNets()),
+		cSCC:    make([]int, scc.NumComponents()),
+		inList:  newMark(g.NumNodes()),
+		visited: newMark(g.NumNodes()),
+		nets:    newMark(g.NumNets()),
 	}
 	st.initSCCBudget()
 
@@ -127,6 +130,10 @@ type groupState struct {
 
 	// visits counts node pops across every makeSet traversal.
 	visits int
+
+	// Per-pass marks for makeSet and inputsOf.
+	inList, visited, nets mark
+	stack                 []int
 
 	// Incremental Eq. (6) machinery: per nontrivial component, its intra
 	// nets sorted by initial d descending, and a pointer to the first
@@ -232,9 +239,10 @@ func (st *groupState) maxUncutD(nodes []int) float64 {
 // Traversal is undirected over surviving nets; removed nets are recorded in
 // st.cut.
 func (st *groupState) makeSet(list []int, boundary float64) []*Cluster {
-	inList := make(map[int]bool, len(list))
+	st.inList.reset()
+	st.visited.reset()
 	for _, v := range list {
-		inList[v] = true
+		st.inList.add(v)
 	}
 	isCutNow := func(e int) bool {
 		if st.cut[e] {
@@ -252,20 +260,23 @@ func (st *groupState) makeSet(list []int, boundary float64) []*Cluster {
 		}
 		return false
 	}
+	// join queues w when it belongs to the list and is not yet visited.
+	join := func(w int) {
+		if st.inList.has(w) && st.visited.add(w) {
+			st.stack = append(st.stack, w)
+		}
+	}
 
-	visited := make(map[int]bool, len(list))
 	var out []*Cluster
-	var stack []int
 	for _, seed := range list {
-		if visited[seed] {
+		if !st.visited.add(seed) {
 			continue
 		}
 		cl := &Cluster{}
-		stack = append(stack[:0], seed)
-		visited[seed] = true
-		for len(stack) > 0 {
-			v := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
+		st.stack = append(st.stack[:0], seed)
+		for len(st.stack) > 0 {
+			v := st.stack[len(st.stack)-1]
+			st.stack = st.stack[:len(st.stack)-1]
 			st.visits++
 			cl.Nodes = append(cl.Nodes, v)
 			// Forward branches.
@@ -274,10 +285,7 @@ func (st *groupState) makeSet(list []int, boundary float64) []*Cluster {
 					continue
 				}
 				for _, w := range st.g.Nets[e].Sinks {
-					if inList[w] && !visited[w] {
-						visited[w] = true
-						stack = append(stack, w)
-					}
+					join(w)
 				}
 			}
 			// Backward via driving nets (undirected connectivity: a group
@@ -287,16 +295,10 @@ func (st *groupState) makeSet(list []int, boundary float64) []*Cluster {
 				if !st.g.IsCell(src) || isCutNow(e) {
 					continue
 				}
-				if inList[src] && !visited[src] {
-					visited[src] = true
-					stack = append(stack, src)
-				}
+				join(src)
 				// Sibling sinks of the same surviving net are also joined.
 				for _, w := range st.g.Nets[e].Sinks {
-					if inList[w] && !visited[w] {
-						visited[w] = true
-						stack = append(stack, w)
-					}
+					join(w)
 				}
 			}
 		}
@@ -309,20 +311,22 @@ func (st *groupState) makeSet(list []int, boundary float64) []*Cluster {
 // inputsOf computes iota over an ad-hoc node set (used mid-search, before a
 // final assignment exists).
 func (st *groupState) inputsOf(nodes []int) int {
-	in := make(map[int]struct{})
-	member := make(map[int]bool, len(nodes))
+	member := &st.inList
+	member.reset()
+	st.nets.reset()
 	for _, v := range nodes {
-		member[v] = true
+		member.add(v)
 	}
+	n := 0
 	for _, v := range nodes {
 		for _, e := range st.g.In[v] {
 			src := st.g.Nets[e].Source
-			if !st.g.IsCell(src) || !member[src] {
-				in[e] = struct{}{}
+			if (!st.g.IsCell(src) || !member.has(src)) && st.nets.add(e) {
+				n++
 			}
 		}
 	}
-	return len(in)
+	return n
 }
 
 // MaxFanin returns the largest cell fanin in g: Make_Group can always reach

@@ -169,3 +169,33 @@ func finalize(g *graph.G, scc *graph.SCCInfo, clusters []*Cluster, assign []int,
 	}
 	return r
 }
+
+// mark is an epoch-stamped set over the indexes 0..n-1, which the
+// clustering loops use in place of a per-pass map: reset empties it in
+// O(1) by starting a new epoch, so a pass allocates nothing.
+type mark struct {
+	stamp []uint32
+	epoch uint32
+}
+
+func newMark(n int) mark { return mark{stamp: make([]uint32, n), epoch: 1} }
+
+// reset empties the set.
+func (m *mark) reset() {
+	m.epoch++
+	if m.epoch == 0 { // wrapped: forget every stale stamp
+		clear(m.stamp)
+		m.epoch = 1
+	}
+}
+
+func (m *mark) has(i int) bool { return m.stamp[i] == m.epoch }
+
+// add inserts i and reports whether it was absent.
+func (m *mark) add(i int) bool {
+	if m.stamp[i] == m.epoch {
+		return false
+	}
+	m.stamp[i] = m.epoch
+	return true
+}

@@ -16,39 +16,54 @@ func Refine(r *Result, lk int, maxPasses int) int {
 	g := r.G
 	assign := r.Assign
 
-	// clusterNodes mirrors assignments as mutable sets.
-	clusters := make([]map[int]bool, len(r.Clusters))
+	// members[ci] lists the cells assigned to cluster ci, in no particular
+	// order; pos[v] is v's index in its list, so a move is O(1).
+	members := make([][]int, len(r.Clusters))
+	pos := make([]int, g.NumNodes())
 	for ci, c := range r.Clusters {
-		clusters[ci] = make(map[int]bool, len(c.Nodes))
-		for _, v := range c.Nodes {
-			clusters[ci][v] = true
+		members[ci] = append([]int(nil), c.Nodes...)
+		for p, v := range c.Nodes {
+			pos[v] = p
 		}
 	}
+	move := func(v, to int) {
+		from := assign[v]
+		m := members[from]
+		last := m[len(m)-1]
+		m[pos[v]] = last
+		pos[last] = pos[v]
+		members[from] = m[:len(m)-1]
+		pos[v] = len(members[to])
+		members[to] = append(members[to], v)
+		assign[v] = to
+	}
+
+	// Per-pass marks for iota, localCuts and neighbours.
+	nets, cls := newMark(g.NumNets()), newMark(len(r.Clusters))
 
 	iota := func(ci int) int {
-		in := make(map[int]struct{})
-		//detlint:ordered g.IsCell is a pure topology predicate; the loop only builds a set, whose size is returned
-		for v := range clusters[ci] {
+		nets.reset()
+		n := 0
+		for _, v := range members[ci] {
 			for _, e := range g.In[v] {
 				src := g.Nets[e].Source
-				if !g.IsCell(src) || assign[src] != ci {
-					in[e] = struct{}{}
+				if (!g.IsCell(src) || assign[src] != ci) && nets.add(e) {
+					n++
 				}
 			}
 		}
-		return len(in)
+		return n
 	}
 
-	// cutDelta counts, over the nets incident to v, how many are cut under
+	// localCuts counts, over the nets incident to v, how many are cut under
 	// the current assignment.
 	localCuts := func(v int) int {
 		n := 0
-		seen := map[int]bool{}
+		nets.reset()
 		count := func(e int) {
-			if seen[e] {
+			if !nets.add(e) {
 				return
 			}
-			seen[e] = true
 			net := &g.Nets[e]
 			if !g.IsCell(net.Source) {
 				return
@@ -70,12 +85,15 @@ func Refine(r *Result, lk int, maxPasses int) int {
 		return n
 	}
 
-	// neighbours of v: clusters adjacent through any incident net.
+	// neighbours of v: clusters adjacent through any incident net, in
+	// ascending order.
+	var nbuf []int
 	neighbours := func(v int) []int {
-		set := map[int]bool{}
+		cls.reset()
+		nbuf = nbuf[:0]
 		add := func(w int) {
-			if g.IsCell(w) && assign[w] != assign[v] {
-				set[assign[w]] = true
+			if g.IsCell(w) && assign[w] != assign[v] && cls.add(assign[w]) {
+				nbuf = append(nbuf, assign[w])
 			}
 		}
 		for _, e := range g.In[v] {
@@ -89,12 +107,8 @@ func Refine(r *Result, lk int, maxPasses int) int {
 				add(s)
 			}
 		}
-		out := make([]int, 0, len(set))
-		for c := range set {
-			out = append(out, c)
-		}
-		sort.Ints(out)
-		return out
+		sort.Ints(nbuf)
+		return nbuf
 	}
 
 	moves := 0
@@ -102,30 +116,22 @@ func Refine(r *Result, lk int, maxPasses int) int {
 		improved := false
 		for _, v := range g.CellIDs() {
 			from := assign[v]
-			if from < 0 || len(clusters[from]) <= 1 {
+			if from < 0 || len(members[from]) <= 1 {
 				continue
 			}
 			best, bestGain := -1, 0
 			before := localCuts(v)
 			for _, to := range neighbours(v) {
-				// Tentative move.
-				assign[v] = to
-				delete(clusters[from], v)
-				clusters[to][v] = true
+				move(v, to) // tentative
 				gain := before - localCuts(v)
 				ok := gain > 0 && iota(to) <= lk && iota(from) <= lk
-				// Undo.
-				assign[v] = from
-				clusters[from][v] = true
-				delete(clusters[to], v)
+				move(v, from) // undo
 				if ok && gain > bestGain {
 					best, bestGain = to, gain
 				}
 			}
 			if best >= 0 {
-				assign[v] = best
-				delete(clusters[from], v)
-				clusters[best][v] = true
+				move(v, best)
 				moves++
 				improved = true
 			}
@@ -140,19 +146,12 @@ func Refine(r *Result, lk int, maxPasses int) int {
 
 	// Rebuild the Result (drop emptied clusters).
 	var newClusters []*Cluster
-	remap := make([]int, len(clusters))
-	for ci := range clusters {
-		if len(clusters[ci]) == 0 {
-			remap[ci] = -1
+	for _, m := range members {
+		if len(m) == 0 {
 			continue
 		}
-		remap[ci] = len(newClusters)
-		c := &Cluster{ID: remap[ci]}
-		for v := range clusters[ci] {
-			c.Nodes = append(c.Nodes, v)
-		}
-		sort.Ints(c.Nodes)
-		newClusters = append(newClusters, c)
+		sort.Ints(m)
+		newClusters = append(newClusters, &Cluster{ID: len(newClusters), Nodes: m})
 	}
 	newAssign := make([]int, g.NumNodes())
 	for i := range newAssign {
