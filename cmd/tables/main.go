@@ -15,11 +15,18 @@
 //	tables -table all  everything above
 //
 // Use -circuits to restrict to a comma-separated subset and -seed to vary
-// the stochastic flow seed.
+// the stochastic flow seed. -no-timing drops the CPU-seconds column of
+// Tables 10 and 11, so the output is byte-reproducible; results/tables_all.txt
+// is `tables -table all -no-timing`.
+//
+// Every compile is checked against the paper's invariants (a valid
+// partition, every cluster within l_k inputs, a legal retiming, and covered
+// + excess = cut nets); a violation exits non-zero.
 package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -39,6 +46,7 @@ func main() {
 	circuits := flag.String("circuits", "", "comma-separated circuit subset (default: the paper's list)")
 	seed := flag.Int64("seed", 1, "random seed for Saturate_Network")
 	csv := flag.Bool("csv", false, "emit CSV instead of aligned text")
+	flag.BoolVar(&noTiming, "no-timing", false, "omit the CPU-seconds column for byte-reproducible output")
 	flag.Parse()
 
 	sel := selectCircuits(*circuits)
@@ -182,13 +190,22 @@ func table9(sel []string) *report.Table {
 	return t
 }
 
+// noTiming drops the wall-clock column of Tables 10 and 11.
+var noTiming bool
+
 func table1011(sel []string, lk int, seed int64) *report.Table {
-	t := report.NewTable(fmt.Sprintf("Table %d: Partition Results for l_k = %d", 10+(lk-16)/8, lk),
-		"Circuit", "DFFs", "DFFs on SCC", "cut nets on SCC", "nets cut", "CPU time (s)")
+	headers := []string{"Circuit", "DFFs", "DFFs on SCC", "cut nets on SCC", "nets cut", "CPU time (s)"}
+	if noTiming {
+		headers = headers[:len(headers)-1]
+	}
+	t := report.NewTable(fmt.Sprintf("Table %d: Partition Results for l_k = %d", 10+(lk-16)/8, lk), headers...)
 	for _, name := range sel {
 		r := compile(name, lk, seed)
-		t.AddRowf(name, r.Areas.DFFs, r.Areas.DFFsOnSCC, r.Areas.CutNetsOnSCC,
-			r.Areas.CutNets, r.Elapsed.Seconds())
+		row := []interface{}{name, r.Areas.DFFs, r.Areas.DFFsOnSCC, r.Areas.CutNetsOnSCC, r.Areas.CutNets}
+		if !noTiming {
+			row = append(row, r.Elapsed.Seconds())
+		}
+		t.AddRowf(row...)
 	}
 	return t
 }
@@ -313,9 +330,34 @@ func compile(name string, lk int, seed int64) *core.Result {
 		return r
 	}
 	r, err := core.Compile(context.Background(), mustLoad(name), core.DefaultOptions(lk, seed))
+	if err == nil {
+		err = checkInvariants(r, lk)
+	}
 	if err != nil {
 		fatal(fmt.Errorf("%s lk=%d: %w", name, lk, err))
 	}
 	compileCache[key] = r
 	return r
+}
+
+// checkInvariants checks the paper's invariants on a compile that a table
+// reports: a valid partition, every cluster within l_k inputs, a legal
+// retiming, and covered + excess = cut nets.
+func checkInvariants(r *core.Result, lk int) error {
+	if err := r.Partition.Validate(); err != nil {
+		return err
+	}
+	if m := r.Partition.MaxInputs(); m > lk {
+		return fmt.Errorf("a cluster has %d inputs, over l_k=%d", m, lk)
+	}
+	if r.Retiming == nil || r.CombGraph == nil {
+		return errors.New("no retiming solution")
+	}
+	if err := r.CombGraph.CheckLegal(r.Retiming.Rho); err != nil {
+		return err
+	}
+	if a := r.Areas; a.CoveredCuts+a.ExcessCuts != a.CutNets {
+		return fmt.Errorf("covered %d + excess %d != cut nets %d", a.CoveredCuts, a.ExcessCuts, a.CutNets)
+	}
+	return nil
 }
