@@ -1,14 +1,15 @@
 package main
 
 // Golden equivalence test for the staged pipeline refactor. The files
-// under results/golden/ were rendered by the pre-refactor engine (every
-// job running the monolithic core.Compile) over the matrix
+// under results/golden/ were first rendered by the pre-refactor engine
+// (every job running the monolithic core.Compile) over the matrix
 //
 //	-circuits small,s1423 -lks 16,24 -betas 25,50,100 -seeds 1,2
 //
-// with -no-timing, so the sweep output is byte-reproducible. The staged
-// shared-prefix pipeline must reproduce both renderings bit for bit: the
-// refactor is allowed to change wall-clock cost and nothing else.
+// with -no-timing, so the sweep output is byte-reproducible. They were
+// re-rendered once since, when nodes without out-nets left the Saturate
+// heap and every compile's decisions moved. The staged shared-prefix
+// pipeline must reproduce both renderings bit for bit.
 
 import (
 	"bytes"

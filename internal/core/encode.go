@@ -32,11 +32,14 @@ import (
 )
 
 // Schema versions of the persistent artifact encodings, pinned in every CAS
-// entry header. Bump on any change to the corresponding payload layout.
+// entry header. Bump on any change to the corresponding payload layout, or
+// to the decisions that fill it: SaturatedSchemaVersion went to 2 when
+// nodes without out-nets left the Saturate heap, so that entries written
+// by older builds miss cleanly instead of serving stale flows.
 const (
 	ParsedSchemaVersion    = 1
 	AnalyzedSchemaVersion  = 1
-	SaturatedSchemaVersion = 1
+	SaturatedSchemaVersion = 2
 )
 
 // parsedWire is the Parsed payload: the canonical .bench serialisation plus

@@ -174,7 +174,7 @@ func Saturate(ctx context.Context, g *graph.G, cfg Config) (*Result, error) {
 			bump(v)
 		default:
 			bump(v)
-			for _, w := range reached {
+			for _, w := range reached { // ascending node id
 				if int(w) != v {
 					bump(int(w))
 				}
@@ -238,9 +238,16 @@ func newDijkstra(g *graph.G) *dijkstra {
 	return dj
 }
 
-// tree grows a shortest-path tree from src using net distances d and returns
-// the set of tree nets (each net once) plus the reached nodes. The returned
-// slices are reused across calls.
+// tree grows a shortest-path tree from src using net distances d. It
+// returns the reached nodes in ascending node id (src included) and the
+// tree nets, the via net of each reached node taken once, in the same
+// order. The returned slices are reused across calls.
+//
+// A node with no out-nets (a leaf) is relaxed like any other, with strict
+// < on dist so that on a tie the first relaxation keeps via, but it never
+// enters the heap: settling it could relax nothing, and no relaxation after
+// that point could lower its distance, since the heap pops in
+// nondecreasing order and every d(e) is positive.
 func (dj *dijkstra) tree(src int32, d []float64) (treeNets []int32, reached []int32) {
 	dj.cur++
 	if dj.cur == 0 { // the epoch wrapped: forget every stale stamp
@@ -255,22 +262,24 @@ func (dj *dijkstra) tree(src int32, d []float64) (treeNets []int32, reached []in
 	dist[src] = 0
 	via[src] = -1
 	stamp[src] = cur
+	treeNets = dj.treeBuf[:0]
+	reached = dj.reachBuf[:0]
+	// A leaf source reaches only itself. About a quarter of all trees start
+	// at one, so skip the scan below for them.
+	if outOff[src] == outOff[src+1] {
+		reached = append(reached, src)
+		dj.reachBuf = reached
+		return treeNets, reached
+	}
 	pq := &dj.pq
 	pq.reset()
 	pq.push(src, 0)
-	treeNets = dj.treeBuf[:0]
-	reached = dj.reachBuf[:0]
 	for pq.len() > 0 {
 		v := pq.pop()
 		if done[v] == cur {
 			continue
 		}
 		done[v] = cur
-		reached = append(reached, v)
-		if e := via[v]; e >= 0 && netStamp[e] != cur {
-			netStamp[e] = cur
-			treeNets = append(treeNets, e)
-		}
 		dv := dist[v]
 		for _, e := range outNets[outOff[v]:outOff[v+1]] {
 			ndist := dv + d[e]
@@ -282,9 +291,23 @@ func (dj *dijkstra) tree(src int32, d []float64) (treeNets []int32, reached []in
 					stamp[w] = cur
 					dist[w] = ndist
 					via[w] = e
-					pq.push(w, ndist)
+					if outOff[w] != outOff[w+1] {
+						pq.push(w, ndist)
+					}
 				}
 			}
+		}
+	}
+	// Every stamped node was reached; a scan in node order is cheaper than
+	// sorting, since a tree typically reaches most of the graph.
+	for w, s := range stamp {
+		if s != cur {
+			continue
+		}
+		reached = append(reached, int32(w))
+		if e := via[w]; e >= 0 && netStamp[e] != cur {
+			netStamp[e] = cur
+			treeNets = append(treeNets, e)
 		}
 	}
 	dj.treeBuf = treeNets

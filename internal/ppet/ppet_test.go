@@ -197,19 +197,19 @@ func TestSelfTestGoldenSignatures(t *testing.T) {
 		{
 			circuit: "s510", lk: 8, fault: "FF0",
 			golden: []uint64{
-				0x15a, 0x2, 0x3f5f278b, 0xe8, 0x4, 0x955b8, 0xa0c7, 0x68, 0xb9, 0x15, 0x11b,
-				0x18d, 0x1401, 0x6, 0x7e, 0x3, 0x259, 0x0, 0x1d, 0x2, 0x3,
+				0x4, 0x2b7, 0x63072995, 0x198, 0x28a, 0xea30ad, 0x1b9dd, 0x130, 0x1f, 0xb8,
+				0x27, 0x2b, 0x1401, 0x32, 0xf, 0x33, 0x2c, 0x6, 0x3, 0x3,
 			},
-			faultSeg: 3, faultSig: 0x151,
+			faultSeg: 10, faultSig: 0x5d,
 		},
 		{
 			circuit: "s1423", lk: 16, fault: "FF15",
 			golden: []uint64{
-				0x43c2bc, 0x1af53a46, 0x952305d9, 0xd3693, 0x4b95, 0x2981b15, 0xc38f9dae,
-				0xfb0821a7, 0xb44512, 0x99680c45, 0x4ff9fe1d, 0x2d0c1, 0x99dab4f0, 0x8ef1e,
-				0x931fd01, 0x6f0, 0x838, 0x112, 0xe, 0x1447, 0x4,
+				0xc3f9, 0x6f954e, 0x112f99c0, 0x660c, 0x37cee3, 0x83476dec, 0x536924,
+				0x77f09dc4, 0xc6b48d24, 0x58e5779f, 0x73c45eff, 0xd527a5, 0xf45957f3,
+				0x7ae3ba, 0x195, 0x355, 0x5379, 0x6, 0x4c2, 0x2,
 			},
-			faultSeg: 0, faultSig: 0x11b8370,
+			faultSeg: 9, faultSig: 0x153d755c,
 		},
 	}
 	for _, tc := range cases {

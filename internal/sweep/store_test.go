@@ -12,10 +12,12 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 
 	"repro/internal/cas"
+	"repro/internal/core"
 )
 
 // storeDir opens a cas store in a fresh temp dir.
@@ -188,5 +190,65 @@ func TestTrailerShowsTierSplit(t *testing.T) {
 	}
 	if !strings.Contains(b.String(), "saturated 2h/2d/0m/0e") {
 		t.Fatalf("trailer missing tier split:\n%s", b.String())
+	}
+}
+
+// recordingStore remembers the key of every entry written through it.
+type recordingStore struct {
+	*cas.Store
+	mu   sync.Mutex
+	keys map[string][]string // stage -> keys
+}
+
+func (r *recordingStore) Put(stage, key string, schema int, payload []byte) error {
+	r.mu.Lock()
+	r.keys[stage] = append(r.keys[stage], key)
+	r.mu.Unlock()
+	return r.Store.Put(stage, key, schema, payload)
+}
+
+// TestSaturatedEntryFromOlderSchemaMisses: a saturated entry written at
+// schema version 1, by a build whose Saturate made other decisions, must be
+// a clean miss (recomputed, no disk error), never a hit.
+func TestSaturatedEntryFromOlderSchemaMisses(t *testing.T) {
+	if core.SaturatedSchemaVersion == 1 {
+		t.Fatal("SaturatedSchemaVersion is still 1")
+	}
+	st, _ := storeDir(t)
+	rec := &recordingStore{Store: st, keys: map[string][]string{}}
+	cache := NewCacheWithStore(0, rec)
+	cold, err := Run(context.Background(), twoTierMatrix(), Config{Workers: 2, Cache: cache})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cache.Flush()
+	coldJSON, coldCSV := renderAll(t, cold)
+
+	// Rewrite every saturated entry under the old schema version.
+	keys := rec.keys[stageName[stageSaturated]]
+	if len(keys) != 2 {
+		t.Fatalf("cold run wrote %d saturated entries, want 2", len(keys))
+	}
+	for _, key := range keys {
+		payload, ok, err := st.Get(stageName[stageSaturated], key, core.SaturatedSchemaVersion)
+		if err != nil || !ok {
+			t.Fatalf("reading %s: ok=%v err=%v", key, ok, err)
+		}
+		if err := st.Put(stageName[stageSaturated], key, 1, payload); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	warm, _ := runWithStore(t, st)
+	ws := warm.Cache
+	if ws.Saturated.Misses != 2 || ws.Saturated.DiskHits != 0 || ws.DiskErrors != 0 {
+		t.Fatalf("version-1 entries: %d misses, %d disk hits, %d disk errors; want 2/0/0",
+			ws.Saturated.Misses, ws.Saturated.DiskHits, ws.DiskErrors)
+	}
+	if ws.Analyzed.DiskHits != 2 {
+		t.Fatalf("analyzed disk hits = %d, want 2 (only the saturated schema moved)", ws.Analyzed.DiskHits)
+	}
+	if warmJSON, warmCSV := renderAll(t, warm); warmJSON != coldJSON || warmCSV != coldCSV {
+		t.Fatal("recomputed report differs from cold run")
 	}
 }
