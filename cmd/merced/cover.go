@@ -7,7 +7,6 @@ import (
 	"strconv"
 
 	"repro/internal/jobspec"
-	"repro/internal/ledger"
 	"repro/internal/netlist"
 	"repro/internal/sweep"
 )
@@ -31,9 +30,6 @@ type coverRun struct {
 	// cache, when non-nil, is the two-tier cache backed by -cache-dir;
 	// main owns it and flushes pending disk writes after the mode returns.
 	cache *sweep.Cache
-	// led, when non-nil, receives one run record per completed campaign
-	// (-ledger).
-	led *ledger.Ledger
 }
 
 // runCover is the whole of `merced -cover`, adapted onto the jobspec
@@ -79,7 +75,6 @@ func runCover(ctx context.Context, cr coverRun, stdout, stderr io.Writer) int {
 		// preserving the historical flag behavior.
 		Load: func(string) (*netlist.Circuit, error) { return loadCircuit(cr.file, cr.circuit) },
 	}
-	rt.OnSummary = ledgerHook(cr.led, s, stderr)
 	var prog *progressLine
 	if cr.progress {
 		prog = newProgressLine(stderr, "batches")

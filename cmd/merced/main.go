@@ -71,13 +71,7 @@
 //	merced -cover -circuit s1423 -lk 12 -metrics -log-level info
 //
 // With `-metrics` on a timed run the report also carries per-phase latency
-// histograms; `-ledger` (requires -cache-dir) appends a run record —
-// fingerprint, tool/machine info, latency, counters — into the artifact
-// store, and the `history` subcommand triages the accumulated records:
-//
-//	merced -cover -circuit s1423 -lk 12 -cache-dir .mc -ledger
-//	merced history list -cache-dir .mc
-//	merced history check -cache-dir .mc -threshold 25 -metrics wall
+// histograms.
 package main
 
 import (
@@ -95,7 +89,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/emit"
 	"repro/internal/jobspec"
-	"repro/internal/ledger"
 	"repro/internal/netlist"
 	"repro/internal/obs"
 	"repro/internal/sweep"
@@ -112,8 +105,6 @@ func main() {
 			os.Exit(runMerge(os.Args[2:], os.Stdout, os.Stderr))
 		case "cas":
 			os.Exit(runCAS(os.Args[2:], os.Stdout, os.Stderr))
-		case "history":
-			os.Exit(runHistory(os.Args[2:], os.Stdout, os.Stderr))
 		}
 	}
 
@@ -144,7 +135,6 @@ func main() {
 	cacheStats := flag.Bool("cache-stats", false, "with -sweep: report artifact-cache memory/disk hits, misses, and evictions per stage")
 	noCache := flag.Bool("no-cache", false, "with -sweep: disable shared-prefix artifact reuse (every job compiles from scratch)")
 	cacheDir := flag.String("cache-dir", "", "persistent content-addressed artifact store backing the cache (shared across runs; maintain with `merced cas`)")
-	withLedger := flag.Bool("ledger", false, "append a run record (fingerprint, tool, machine, latency, counters) to the -cache-dir store; triage with `merced history`")
 	shardFlag := flag.String("shard", "", "with -sweep: run slice i/N of the job matrix and emit a shard document (reassemble with `merced merge`)")
 	sweepCoverage := flag.Bool("coverage", false, "with -sweep: fault-simulate each job's partition and report coverage")
 	doCover := flag.Bool("cover", false, "run the parallel fault-coverage campaign instead of a single report")
@@ -177,7 +167,6 @@ func main() {
 	// addressed store: hits survive process restarts, and concurrent
 	// sharded runs can share one directory (writes are atomic renames).
 	var cache *sweep.Cache
-	var led *ledger.Ledger
 	if *cacheDir != "" {
 		st, err := cas.Open(*cacheDir)
 		if err != nil {
@@ -185,12 +174,6 @@ func main() {
 			os.Exit(1)
 		}
 		cache = sweep.NewCacheWithStore(0, st)
-		if *withLedger {
-			led = ledger.Open(st)
-		}
-	} else if *withLedger {
-		fmt.Fprintln(os.Stderr, "merced: -ledger requires -cache-dir (run records live in the artifact store)")
-		os.Exit(1)
 	}
 
 	// The rule catalog sits inside the profiled region like every other
@@ -221,7 +204,7 @@ func main() {
 			noRetime: *noRetime, lint: *doLint, format: *format, noTiming: *noTiming,
 			cacheStats: *cacheStats, noCache: *noCache, shard: *shardFlag, cache: cache,
 			coverage: *sweepCoverage, coverageMaxPatterns: *maxPatterns, lanes: *lanesFlag,
-			metrics: *withMetrics, progress: *progress, led: led,
+			metrics: *withMetrics, progress: *progress,
 		}, os.Stdout, os.Stderr)
 	case *doLint:
 		code = runLint(lintRun{
@@ -236,14 +219,14 @@ func main() {
 			maxPatterns: *maxPatterns, workers: *workers, lanes: *lanesFlag,
 			noCollapse: *noCollapse, undetected: *undetected,
 			format: *format, noTiming: *noTiming,
-			metrics: *withMetrics, progress: *progress, cache: cache, led: led,
+			metrics: *withMetrics, progress: *progress, cache: cache,
 		}, os.Stdout, os.Stderr)
 	default:
 		code = runReport(ctx, reportRun{
 			file: *file, circuit: *circuit,
 			lk: *lk, beta: *beta, seed: *seed,
 			verbose: *verbose, noRetime: *noRetime, minPeriod: *minPeriod,
-			emitPath: *emitPath, metrics: *withMetrics, cache: cache, led: led,
+			emitPath: *emitPath, metrics: *withMetrics, cache: cache,
 		}, os.Stdout, os.Stderr)
 	}
 	stop()
@@ -312,23 +295,6 @@ type reportRun struct {
 	// cache, when non-nil, is the two-tier cache backed by -cache-dir;
 	// main owns it and flushes pending disk writes after the mode returns.
 	cache *sweep.Cache
-	// led, when non-nil, receives one run record per completed run
-	// (-ledger).
-	led *ledger.Ledger
-}
-
-// ledgerHook adapts a ledger into the jobspec OnSummary callback for the
-// given spec. An append failure is a warning, never a run failure: the
-// report already reached stdout by the time the hook fires.
-func ledgerHook(led *ledger.Ledger, s *jobspec.Spec, stderr io.Writer) func(*jobspec.RunSummary) {
-	if led == nil {
-		return nil
-	}
-	return func(sum *jobspec.RunSummary) {
-		if _, err := led.Append(ledger.NewRecord(s, sum)); err != nil {
-			fmt.Fprintln(stderr, "merced: ledger:", err)
-		}
-	}
 }
 
 // runReport is the default single-compilation mode, adapted onto the
@@ -362,7 +328,6 @@ func runReport(ctx context.Context, rr reportRun, stdout, stderr io.Writer) int 
 		// flag behavior (no .bench suffix heuristics).
 		Load: func(string) (*netlist.Circuit, error) { return loadCircuit(rr.file, rr.circuit) },
 	}
-	rt.OnSummary = ledgerHook(rr.led, s, stderr)
 	if rr.emitPath != "" {
 		rt.OnCompileResult = func(r *core.Result) error {
 			tc, info, err := emit.Testable(r)

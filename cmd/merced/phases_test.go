@@ -2,14 +2,12 @@ package main
 
 // The compiler's phases are named once, in core.PhaseNames. This test pins
 // that every timing surface uses that one list: the timed sweep JSON's
-// phases_ms and latency.phase.* histograms, the ledger's phases_ns, and
-// the trace's "stage" spans.
+// phases_ms and latency.phase.* histograms, and the trace's "stage" spans.
 
 import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"io"
 	"reflect"
 	"sort"
 	"strings"
@@ -17,8 +15,6 @@ import (
 
 	"repro/internal/bench89"
 	"repro/internal/core"
-	"repro/internal/jobspec"
-	"repro/internal/ledger"
 	"repro/internal/obs"
 )
 
@@ -61,26 +57,6 @@ func TestPhaseVocabularyEndToEnd(t *testing.T) {
 	}
 	if got := sorted(keys); !reflect.DeepEqual(got, want) {
 		t.Errorf("latency.phase.* histograms = %v, want %v", got, want)
-	}
-
-	// A cold compile run records every phase in its ledger record.
-	spec := &jobspec.Spec{V: jobspec.Version, Kind: jobspec.KindCompile,
-		Compile: &jobspec.Compile{Circuit: "s27", LK: 3}}
-	var sum *jobspec.RunSummary
-	if err := jobspec.Run(context.Background(), spec, io.Discard, jobspec.Runtime{
-		OnSummary: func(s *jobspec.RunSummary) { sum = s },
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if sum == nil {
-		t.Fatal("compile run produced no summary")
-	}
-	keys = nil
-	for k := range ledger.NewRecord(spec, sum).PhasesNS {
-		keys = append(keys, k)
-	}
-	if got := sorted(keys); !reflect.DeepEqual(got, want) {
-		t.Errorf("ledger phases_ns keys = %v, want %v", got, want)
 	}
 
 	// A traced compilation opens one "stage" span per phase, named

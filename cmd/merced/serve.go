@@ -22,7 +22,6 @@ import (
 	"time"
 
 	"repro/internal/cas"
-	"repro/internal/ledger"
 	"repro/internal/obs"
 	"repro/internal/serve"
 	"repro/internal/sweep"
@@ -57,7 +56,6 @@ func runServe(args []string, stdout, stderr io.Writer) int {
 	// a restarted daemon serves warm artifacts from disk instead of
 	// recomputing them.
 	var cache *sweep.Cache
-	var led *ledger.Ledger
 	if *cacheDir != "" {
 		st, err := cas.Open(*cacheDir)
 		if err != nil {
@@ -66,10 +64,6 @@ func runServe(args []string, stdout, stderr io.Writer) int {
 		}
 		cache = sweep.NewCacheWithStore(*cacheSize, st)
 		defer cache.Flush() // pending write-behind persists land before exit
-		// The run ledger is always on when a store exists: a daemon with
-		// persistent artifacts also keeps its performance history
-		// (`merced history` reads it back).
-		led = ledger.Open(st)
 	}
 
 	// Jobs derive from their own root, NOT the signal context: a SIGTERM
@@ -82,7 +76,6 @@ func runServe(args []string, stdout, stderr io.Writer) int {
 		Cache:       cache,
 		BaseContext: base,
 		Pprof:       *withPprof,
-		Ledger:      led,
 	})
 	httpSrv := &http.Server{Addr: *addr, Handler: srv.Handler()}
 

@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"repro/internal/jobspec"
-	"repro/internal/ledger"
 	"repro/internal/sweep"
 )
 
@@ -50,10 +49,6 @@ type sweepRun struct {
 
 	metrics  bool // append the deterministic kernel-counter table/object
 	progress bool // live done/total line on stderr (stdout untouched)
-
-	// led, when non-nil, receives one run record per completed sweep
-	// (-ledger).
-	led *ledger.Ledger
 }
 
 // runSweep executes the batch mode and returns the process exit code: 0
@@ -67,7 +62,7 @@ func runSweep(ctx context.Context, cfg sweepRun, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "merced:", err)
 		return 1
 	}
-	rt := jobspec.Runtime{Cache: cfg.cache, OnSummary: ledgerHook(cfg.led, s, stderr)}
+	rt := jobspec.Runtime{Cache: cfg.cache}
 	var prog *progressLine
 	if cfg.progress {
 		prog = newProgressLine(stderr, "jobs")

@@ -100,8 +100,8 @@ func (a AreaReport) Saving() float64 { return a.RatioNonRetimed - a.RatioRetimed
 // graph and scc (STEPs 1-2), saturate (Saturate_Network), group
 // (Make_Group), assign (Assign_CBIT and refinement), retime (the
 // Leiserson-Saxe solver). Result.Phases, the "stage" trace spans and every
-// timing report built from them (sweep totals and latency.phase.*
-// histograms, ledger phases_ns) use these names and this order.
+// timing report built from them (sweep totals, latency.phase.* histograms
+// and the compile report's time line) use these names and this order.
 var PhaseNames = [...]string{"parse", "graph", "scc", "saturate", "group", "assign", "retime"}
 
 // Indices into PhaseNames, one per Phases field.

@@ -4,8 +4,8 @@ package fault
 // engine on s510 and s1423. The seed path is transcribed faithfully from
 // the pre-engine code (per-gate evalGate type switch over fanin slices,
 // per-segment mutable force masks, a fresh state allocation per session,
-// no collapsing, no triage); `go test -bench Campaign ./internal/fault`
-// is what CI records into BENCH_cover.json, and the acceptance bar is
+// no collapsing, no triage); run them with `go test -bench Campaign
+// ./internal/fault`. The acceptance bar is
 // BenchmarkCampaignParallel at 8 workers beating BenchmarkCampaignSeedSerial
 // by >= 3x on s1423.
 
@@ -423,8 +423,8 @@ var benchWideCircuits = []struct {
 // BenchmarkCampaignParallel runs the engine at 1 and 8 workers crossed
 // with scalar (l1 = 63-lane) and wide (l4 = 255-lane) batches, collapsing
 // and triage on — the production `-cover` configuration. The l1-vs-l4
-// delta at fixed workers is the wide-engine speedup CI records; read it
-// off the big-cluster s1423-lk18 point (the per-lane kernel gain itself
+// delta at fixed workers is the wide-engine speedup; read it off the
+// big-cluster s1423-lk18 point (the per-lane kernel gain itself
 // is BenchmarkEvalFaulty* in internal/sim).
 func BenchmarkCampaignParallel(b *testing.B) {
 	for _, bc := range benchWideCircuits {

@@ -42,12 +42,6 @@ type Runtime struct {
 	// compile job after the report is written — the CLI hangs -emit and
 	// -min-period-adjacent extras here without jobspec knowing about them.
 	OnCompileResult func(*core.Result) error
-	// OnSummary, when non-nil, receives the run's observability summary
-	// after the report is written (and before Run returns, including the
-	// failed-jobs error path) — the -ledger flag and the serve daemon
-	// hang run-record persistence here. The hook must not write to the
-	// report stream.
-	OnSummary func(*RunSummary)
 }
 
 // Run executes a normalized, validated spec and writes its report to w.
@@ -142,15 +136,6 @@ func runSweep(ctx context.Context, s *Spec, w io.Writer, rt Runtime, cache *swee
 	if err != nil {
 		return err
 	}
-	if rt.OnSummary != nil {
-		cs := rep.Cache
-		st := rep.Stats
-		rt.OnSummary(&RunSummary{
-			Kind: KindSweep, Wall: st.Wall, Jobs: st.Jobs, Failed: st.Failed,
-			Phases:  st.Phases,
-			Metrics: rep.Metrics(), Latency: rep.Histograms(), Cache: &cs,
-		})
-	}
 	if sw.Shard != nil {
 		// A shard's output is always its self-describing JSON document —
 		// the requested format travels inside it and `merced merge`
@@ -212,15 +197,6 @@ func runCover(ctx context.Context, s *Spec, w io.Writer, rt Runtime, cache *swee
 	if err != nil {
 		return err
 	}
-	if rt.OnSummary != nil {
-		m := obs.NewMetrics()
-		rep.AddMetrics(m)
-		rt.OnSummary(&RunSummary{
-			Kind: KindCover, Wall: rep.Elapsed, Jobs: 1,
-			Phases:  r.Phases,
-			Metrics: m, Latency: rep.Latency,
-		})
-	}
 	opts := fault.RenderOptions{Timing: !s.Output.NoTiming, Undetected: s.Output.Undetected, Metrics: s.Output.Metrics}
 	switch s.Output.Format {
 	case "json":
@@ -237,15 +213,6 @@ func runCompile(ctx context.Context, s *Spec, w io.Writer, rt Runtime, cache *sw
 	r, err := cache.Compile(ctx, cp.Circuit, rt.Load, compileOptions(cp.LK, cp.Beta, cp.Seed, cp.NoRetimeSolver))
 	if err != nil {
 		return err
-	}
-	if rt.OnSummary != nil {
-		m := obs.NewMetrics()
-		r.Counters.AddTo(m)
-		rt.OnSummary(&RunSummary{
-			Kind: KindCompile, Wall: r.Elapsed, Jobs: 1,
-			Phases:  r.Phases,
-			Metrics: m,
-		})
 	}
 	writeCompileReport(w, r, cp.LK, cp.Verbose)
 	if s.Output.Metrics {

@@ -140,8 +140,8 @@ type BucketCount struct {
 }
 
 // HistogramSummary is the serialized histogram: sparse non-empty buckets
-// plus precomputed deterministic quantiles. It is the shared schema for
-// report JSON, the run ledger, and the Prometheus exposition.
+// plus precomputed deterministic quantiles. It is the schema of the
+// report JSON's latency objects.
 type HistogramSummary struct {
 	Count   uint64        `json:"count"`
 	SumNS   int64         `json:"sum_ns"`
@@ -149,18 +149,6 @@ type HistogramSummary struct {
 	P90NS   int64         `json:"p90_ns"`
 	P99NS   int64         `json:"p99_ns"`
 	Buckets []BucketCount `json:"buckets,omitempty"`
-}
-
-// Histogram reconstitutes the summary into a fillable histogram. Buckets
-// whose edge does not match a fixed edge are folded into the bucket that
-// contains them, so summaries round-trip exactly and foreign edges
-// degrade gracefully.
-func (s HistogramSummary) Histogram() *Histogram {
-	h := &Histogram{sum: s.SumNS, count: s.Count}
-	for _, b := range s.Buckets {
-		h.counts[bucketIndex(time.Duration(b.LeNS))] += b.Count
-	}
-	return h
 }
 
 // HistogramSet is a named collection of histograms, the latency analogue

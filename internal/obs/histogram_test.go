@@ -3,6 +3,7 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -146,12 +147,34 @@ func TestSummaryRoundTrip(t *testing.T) {
 	if err := json.Unmarshal(blob, &back); err != nil {
 		t.Fatal(err)
 	}
-	h2 := back.Histogram()
-	if *h2 != h {
-		t.Fatalf("round trip mismatch:\n %+v\n %+v", h, *h2)
+	want := HistogramSummary{
+		Count: 6,
+		SumNS: 1 + 3 + 1000 + 1<<20 + 1<<40,
+		P50NS: h.Quantile(0.50),
+		P90NS: h.Quantile(0.90),
+		P99NS: h.Quantile(0.99),
+		Buckets: []BucketCount{
+			{LeNS: BucketUpper(0), Count: 1},
+			{LeNS: BucketUpper(1), Count: 1},
+			{LeNS: BucketUpper(2), Count: 1},
+			{LeNS: BucketUpper(10), Count: 1},
+			{LeNS: BucketUpper(21), Count: 1},
+			{LeNS: BucketUpper(41), Count: 1},
+		},
 	}
-	if s.P50NS != h.Quantile(0.5) || s.P99NS != h.Quantile(0.99) {
-		t.Fatal("summary quantiles disagree with histogram")
+	if !reflect.DeepEqual(s, want) {
+		t.Fatalf("summary mismatch:\n got  %+v\n want %+v", s, want)
+	}
+	if !reflect.DeepEqual(back, s) {
+		t.Fatalf("round trip mismatch:\n %+v\n %+v", s, back)
+	}
+	// Every bucket edge maps back to the bucket it was written from.
+	var counts [len(h.counts)]uint64
+	for _, b := range back.Buckets {
+		counts[bucketIndex(time.Duration(b.LeNS))] += b.Count
+	}
+	if counts != h.counts || back.SumNS != h.sum || back.Count != h.count {
+		t.Fatalf("summary does not rebuild the histogram:\n %+v\n %+v", back, h)
 	}
 }
 

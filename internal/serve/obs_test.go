@@ -1,19 +1,15 @@
 package serve
 
 // Observability-surface tests: gauge/admission consistency, the
-// Prometheus exposition, opt-in pprof, and per-run ledger records.
+// Prometheus exposition, and opt-in pprof.
 
 import (
-	"context"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
 	"strings"
 	"testing"
 	"time"
-
-	"repro/internal/cas"
-	"repro/internal/ledger"
 )
 
 // tableValue extracts one metric's value from the deterministic table.
@@ -221,56 +217,5 @@ func TestPprofMountedOnlyWhenEnabled(t *testing.T) {
 	defer tsOff.Close()
 	if code, _, _ := getBody(t, tsOff.URL+"/debug/pprof/"); code == http.StatusOK {
 		t.Fatal("pprof index mounted without -pprof")
-	}
-}
-
-// TestLedgerRecordsServeRuns runs the real funnel with a ledger attached
-// and checks one record per finished job lands in the CAS, chained on the
-// spec fingerprint.
-func TestLedgerRecordsServeRuns(t *testing.T) {
-	store, err := cas.Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	led := ledger.Open(store)
-	s := New(Config{Workers: 1, Ledger: led})
-	defer s.Drain(context.Background())
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
-
-	for i := 0; i < 2; i++ {
-		code, body := postJob(t, ts, sweepSpec)
-		if code != http.StatusCreated {
-			t.Fatalf("submit: HTTP %d", code)
-		}
-		waitState(t, ts, body["id"].(string), "done")
-	}
-
-	entries, err := led.List()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(entries) != 2 {
-		t.Fatalf("ledger has %d records, want 2", len(entries))
-	}
-	if entries[0].Fingerprint != entries[1].Fingerprint {
-		t.Fatal("identical specs did not chain on one fingerprint")
-	}
-	rec, err := led.Get(entries[1].ID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rec.Kind != "sweep" || rec.Jobs != 2 || rec.Failed != 0 {
-		t.Fatalf("unexpected record: kind=%s jobs=%d failed=%d", rec.Kind, rec.Jobs, rec.Failed)
-	}
-	if rec.WallNS <= 0 {
-		t.Fatal("record missing wall time")
-	}
-	if len(rec.Counters) == 0 {
-		t.Fatal("record missing kernel counters")
-	}
-	_, _, table := getBody(t, ts.URL+"/metrics")
-	if tableValue(t, string(table), "serve.ledger.appends") != 2 {
-		t.Fatalf("ledger append counter wrong:\n%s", table)
 	}
 }

@@ -32,7 +32,6 @@ import (
 	"time"
 
 	"repro/internal/jobspec"
-	"repro/internal/ledger"
 	"repro/internal/obs"
 	"repro/internal/sweep"
 )
@@ -67,10 +66,6 @@ type Config struct {
 	// Off by default: profiling endpoints on a shared daemon are a
 	// deliberate opt-in (`merced serve -pprof`).
 	Pprof bool
-	// Ledger, when non-nil, receives one run record per finished job —
-	// the CLI constructs it over the -cache-dir CAS store, so a serving
-	// host accumulates the same history `merced history` reads.
-	Ledger *ledger.Ledger
 }
 
 // DefaultQueueDepth bounds the admission queue when Config leaves it 0.
@@ -277,18 +272,6 @@ func (s *Server) runJob(ctx context.Context, j *job) {
 		ctx = obs.With(ctx, rec, 0)
 	}
 	rt := jobspec.Runtime{Cache: s.cache, Progress: j.onProgress}
-	if s.cfg.Ledger != nil {
-		rt.OnSummary = func(sum *jobspec.RunSummary) {
-			_, lerr := s.cfg.Ledger.Append(ledger.NewRecord(j.spec, sum))
-			s.mu.Lock()
-			if lerr != nil {
-				s.counters["serve.ledger.errors"]++
-			} else {
-				s.counters["serve.ledger.appends"]++
-			}
-			s.mu.Unlock()
-		}
-	}
 	var out bytes.Buffer
 	err := s.run(ctx, j.spec, &out, rt)
 	var trace []byte

@@ -258,6 +258,16 @@ func MergeShards(shards []*ShardReport) (*Report, ShardOutput, error) {
 		}
 		return nil, out, fmt.Errorf("sweep: merge: have %d of %d shards (missing indices %v)", len(shards), ref.Shard.Count, missing)
 	}
+	// The universe size comes from the documents, so check it against the
+	// job entries before it sizes any allocation. With as many entries as
+	// jobs and no index supplied twice, every job is filled below.
+	entries := 0
+	for _, sr := range shards {
+		entries += len(sr.Jobs)
+	}
+	if ref.Universe.Jobs != entries {
+		return nil, out, fmt.Errorf("sweep: merge: universe declares %d jobs but the shards carry %d job entries", ref.Universe.Jobs, entries)
+	}
 
 	results := make([]JobResult, ref.Universe.Jobs)
 	filled := make([]bool, ref.Universe.Jobs)
@@ -295,11 +305,6 @@ func MergeShards(shards []*ShardReport) (*Report, ShardOutput, error) {
 				jr.Phases = *e.Phases
 			}
 			results[e.Index] = jr
-		}
-	}
-	for i, ok := range filled {
-		if !ok {
-			return nil, out, fmt.Errorf("sweep: merge: universe job %d missing from every shard", i)
 		}
 	}
 	rep := &Report{Jobs: results}

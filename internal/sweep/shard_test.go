@@ -209,6 +209,24 @@ func TestMergeValidation(t *testing.T) {
 	}
 }
 
+// TestMergeRejectsBadUniverseJobs: the universe size a shard document
+// declares must be checked against its job entries before it sizes the
+// merge, so a negative or inflated count is an error, not a panic or a
+// huge allocation.
+func TestMergeRejectsBadUniverseJobs(t *testing.T) {
+	universe := shardUniverse()
+	out := ShardOutput{Format: "json", NoTiming: true}
+	for _, jobs := range []int{-1, 1 << 50, len(universe) + 1, len(universe) - 1} {
+		shards := runShards(t, universe, 2, out)
+		for _, sr := range shards {
+			sr.Universe.Jobs = jobs
+		}
+		if _, _, err := MergeShards(shards); err == nil || !strings.Contains(err.Error(), "job entries") {
+			t.Errorf("universe.jobs = %d: err = %v", jobs, err)
+		}
+	}
+}
+
 // TestMergePreservesJobErrors: a failed job's error string survives the
 // shard round-trip, renders identically to the unsharded run, and keeps
 // the merged report's exit-1 contract (FirstErr non-nil).

@@ -138,8 +138,8 @@ func TestLintGatesWithSharedArtifacts(t *testing.T) {
 	}
 }
 
-// Benchmarks for the shared-prefix speedup; CI runs them once per commit
-// (`go test -bench Sweep -benchtime 1x`) into BENCH_sweep.json. The
+// Benchmarks for the shared-prefix speedup (`go test -bench Sweep
+// -benchtime 1x`). The
 // matrix crosses each (circuit, seed) prefix with six (l_k, β)
 // coordinates, so the cached run saturates each prefix once instead of
 // six times.
@@ -167,9 +167,8 @@ func BenchmarkSweepNoCache(b *testing.B) { runSweepBenchmark(b, Config{NoCache: 
 
 // BenchmarkSweepTraced is BenchmarkSweepSharedPrefix with a live trace
 // recorder in the context; the delta against the plain benchmark is the
-// enabled-tracing overhead, and CI records both into BENCH_obs.json (the
-// disabled path must stay within noise of the plain run, which predates
-// the obs layer).
+// enabled-tracing overhead (the disabled path must stay within noise of
+// the plain run, which predates the obs layer).
 func BenchmarkSweepTraced(b *testing.B) {
 	jobs := benchmarkJobs()
 	b.ReportAllocs()
