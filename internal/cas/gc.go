@@ -138,10 +138,10 @@ type GCOptions struct {
 type GCReport struct {
 	Kept        int   `json:"kept"`
 	KeptBytes   int64 `json:"kept_bytes"`
-	Corrupt     int   `json:"corrupt"`    // quarantined during the mark phase
-	Expired     int   `json:"expired"`    // deleted: older than MaxAge
-	Evicted     int   `json:"evicted"`    // deleted: over the MaxBytes budget
-	Purged      int   `json:"purged"`     // quarantine files removed
+	Corrupt     int   `json:"corrupt"` // quarantined during the mark phase
+	Expired     int   `json:"expired"` // deleted: older than MaxAge
+	Evicted     int   `json:"evicted"` // deleted: over the MaxBytes budget
+	Purged      int   `json:"purged"`  // quarantine files removed
 	FreedBytes  int64 `json:"freed_bytes"`
 	CheckErrors int   `json:"check_errors"` // entries that could not be read at all
 }

@@ -51,8 +51,9 @@ import (
 // to stay well under the full pseudo-exhaustive budget of typical l_k
 // values (2^8-1 patterns x4 sessions at l_k=8), so batches holding a
 // hard-to-detect or redundant fault stop cheaply in stage one instead of
-// dragging their 62 batch-mates through the whole budget. Coverage is
-// unaffected: every survivor gets the full budget in the escalation stage.
+// dragging their batch-mates (254 at the default width) through the whole
+// budget. Coverage is unaffected: every survivor gets the full budget in
+// the escalation stage.
 const DefaultTriagePatterns = 128
 
 // CampaignOptions tunes a whole-partition campaign.

@@ -425,7 +425,7 @@ var benchWideCircuits = []struct {
 // and triage on — the production `-cover` configuration. The l1-vs-l4
 // delta at fixed workers is the wide-engine speedup; read it off the
 // big-cluster s1423-lk18 point (the per-lane kernel gain itself
-// is BenchmarkEvalFaulty* in internal/sim).
+// is BenchmarkLaneStep* in internal/sim).
 func BenchmarkCampaignParallel(b *testing.B) {
 	for _, bc := range benchWideCircuits {
 		for _, workers := range []int{1, 8} {

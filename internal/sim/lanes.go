@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 )
 
 // LaneEngine is a wide-lane fault-simulation machine bound to one Segment:
@@ -34,7 +35,7 @@ type LaneEngine interface {
 	// fault-free machine. Unknown signals are rejected.
 	Inject(f Fault, lane int) error
 	// Arm clears the detection accumulator and marks lanes 1..n as the
-	// armed set AllDetected tests against.
+	// armed set AllDetected tests against; n is clamped to Lanes().
 	Arm(n int)
 	// ResetState zeroes the sequential state (a scan-style
 	// re-initialisation between sessions).
@@ -108,11 +109,14 @@ func laneWordsIndex(words int) int { return bits.TrailingZeros(uint(words)) }
 // laneEngine is the generic engine behind LaneEngine: the per-signal value
 // and force-mask planes are []W so every signal's lanes live in one vector
 // word, and the detection accumulator and armed-lane mask are single
-// vector words compared by value. tap, non-nil only during a StepSample,
-// receives lane tapLane's boundary outputs.
+// vector words compared by value. forced lists, ascending, the program ops
+// whose output carries an injected fault; the settle folds force masks
+// there only. tap, non-nil only during a StepSample, receives lane
+// tapLane's boundary outputs.
 type laneEngine[W lanevec] struct {
 	sgmt           *Segment
 	force0, force1 []W
+	forced         []int32
 	v              []W
 	det, want      W
 	tap            []uint64
@@ -144,6 +148,7 @@ func (e *laneEngine[W]) ClearFaults() {
 		e.force0[i] = z
 		e.force1[i] = z
 	}
+	e.forced = e.forced[:0]
 }
 
 func (e *laneEngine[W]) Inject(f Fault, lane int) error {
@@ -159,13 +164,18 @@ func (e *laneEngine[W]) Inject(f Fault, lane int) error {
 	} else {
 		e.force0[i][lane>>6] |= 1 << uint(lane&63)
 	}
+	if op := e.sgmt.opOf[i]; op >= 0 {
+		if k, found := slices.BinarySearch(e.forced, op); !found {
+			e.forced = slices.Insert(e.forced, k, op)
+		}
+	}
 	return nil
 }
 
 func (e *laneEngine[W]) Arm(n int) {
 	var z W
 	e.det = z
-	for lane := 1; lane <= n; lane++ {
+	for lane := 1; lane <= min(n, e.Lanes()); lane++ {
 		z[lane>>6] |= 1 << uint(lane&63)
 	}
 	e.want = z

@@ -41,10 +41,11 @@ func randomProgram(rng *rand.Rand, gates int) ([]gateOp, int) {
 // kernels plane by plane: element j of every vector word must equal an
 // independent scalar evaluation of plane j. Even trials run with zero force
 // masks against the fault-free program.eval, odd trials with sparse random
-// masks against the evalFaulty oracle. This is the differential property
-// that pins every width to the scalar reference already pinned to refEval.
+// masks against the evalFaulty oracle, handing the kernel the ops whose
+// outputs carry a mask. This is the differential property that pins every
+// width to the scalar reference already pinned to refEval.
 func vecTrial[W lanevec](t *testing.T, rng *rand.Rand, prog *program, nsig int, trials int,
-	kern func(p *program, v, force0, force1 []W)) {
+	kern func(p *program, v, force0, force1 []W, forced []int32)) {
 	t.Helper()
 	var zero W
 	words := len(zero)
@@ -72,6 +73,12 @@ func vecTrial[W lanevec](t *testing.T, rng *rand.Rand, prog *program, nsig int, 
 				f1[i][rng.Intn(words)] = rng.Uint64()
 			}
 		}
+		var forced []int32
+		for i, o := range prog.ops {
+			if f0[o.out] != zero || f1[o.out] != zero {
+				forced = append(forced, int32(i))
+			}
+		}
 
 		// Scalar reference planes, captured before the wide kernel runs.
 		type plane struct{ v, f0, f1 []uint64 }
@@ -84,7 +91,7 @@ func vecTrial[W lanevec](t *testing.T, rng *rand.Rand, prog *program, nsig int, 
 			planes[j] = p
 		}
 
-		kern(prog, v, f0, f1)
+		kern(prog, v, f0, f1, forced)
 		for j := 0; j < words; j++ {
 			if faulty {
 				prog.evalFaulty(planes[j].v, planes[j].f0, planes[j].f1)
@@ -106,11 +113,11 @@ func vecTrial[W lanevec](t *testing.T, rng *rand.Rand, prog *program, nsig int, 
 func TestVecKernelsMatchScalar(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	order, nsig := randomProgram(rng, 200)
-	prog := compileProgram(order)
-	vecTrial(t, rng, prog, nsig, 20, evalFaulty1)
-	vecTrial(t, rng, prog, nsig, 20, evalFaulty2)
-	vecTrial(t, rng, prog, nsig, 20, evalFaulty4)
-	vecTrial(t, rng, prog, nsig, 20, evalFaulty8)
+	prog := compileProgram(order, nsig)
+	vecTrial(t, rng, prog, nsig, 20, settle1)
+	vecTrial(t, rng, prog, nsig, 20, settle2)
+	vecTrial(t, rng, prog, nsig, 20, settle4)
+	vecTrial(t, rng, prog, nsig, 20, settle8)
 }
 
 // All single stuck-at faults of a segment, in deterministic signal order.
@@ -261,6 +268,96 @@ func TestLaneEngineMatchesScalarSegment(t *testing.T) {
 	}
 }
 
+// twinTrial runs faults through a W-wide engine in full batches beside W
+// scalar reference clocks, one per word plane, and compares every signal
+// of every lane after each clock and every lane's verdict after the batch.
+// Consecutive batches reuse the engine, so ClearFaults is covered too.
+func twinTrial[W lanevec](t *testing.T, sg *Segment, faults []Fault, patterns []uint64) {
+	t.Helper()
+	e := newLaneEngine[W](sg)
+	words := e.Words()
+	outs := make([][]uint64, words)
+	for j := range outs {
+		outs[j] = make([]uint64, sg.NumOutputs())
+	}
+	for len(faults) > 0 {
+		batch := faults[:min(len(faults), e.Lanes())]
+		faults = faults[len(batch):]
+		e.ClearFaults()
+		e.ResetState()
+		refs := make([]*refClock, words)
+		for j := range refs {
+			refs[j] = newRefClock(sg)
+		}
+		for i, f := range batch {
+			lane := i + 1
+			if err := e.Inject(f, lane); err != nil {
+				t.Fatal(err)
+			}
+			mask := &refs[lane>>6].f0[sg.index[f.Signal]]
+			if f.Stuck1 {
+				mask = &refs[lane>>6].f1[sg.index[f.Signal]]
+			}
+			*mask |= 1 << uint(lane&63)
+		}
+		e.Arm(len(batch))
+		det := make([]uint64, words)
+		for cycle, p := range patterns {
+			e.Step(p)
+			for j, r := range refs {
+				r.step(p, outs[j])
+			}
+			for o := range outs[0] {
+				ref := -(outs[0][o] & 1)
+				for j := range det {
+					det[j] |= outs[j][o] ^ ref
+				}
+			}
+			for sig := range e.v {
+				for j := range words {
+					if got, want := e.v[sig][j], refs[j].v[sig]; got != want {
+						t.Fatalf("W=%d cycle %d: %s plane %d = %x, reference %x",
+							words, cycle, sg.names[sig], j, got, want)
+					}
+				}
+			}
+		}
+		for i, f := range batch {
+			lane := i + 1
+			if want := det[lane>>6]>>uint(lane&63)&1 != 0; e.Detected(lane) != want {
+				t.Fatalf("W=%d %v lane %d: detected %v, reference %v", words, f, lane, e.Detected(lane), want)
+			}
+		}
+	}
+}
+
+// The s641 twin adds what s27 lacks: 3-input gates, so the inline 3-input
+// opcodes, and many runs per level. Every fault — on inputs, gate outputs
+// and flip-flop outputs — runs at every width.
+func TestLaneEngineMatchesScalarTwin(t *testing.T) {
+	sg := twinSegment(t)
+	var has3 bool
+	for _, o := range sg.prog.ops {
+		has3 = has3 || o.kind&^1 == opAnd3 || o.kind&^1 == opOr3
+	}
+	if !has3 || sg.NumDFFs() == 0 {
+		t.Fatal("twin segment lacks 3-input gates or flip-flops — fixture assumption broken")
+	}
+	faults := segmentFaults(sg)
+	patterns := make([]uint64, 40)
+	x := uint64(0x9e3779b97f4a7c15)
+	for i := range patterns {
+		x ^= x << 13
+		x ^= x >> 7
+		x ^= x << 17
+		patterns[i] = x
+	}
+	twinTrial[[1]uint64](t, sg, faults, patterns)
+	twinTrial[[2]uint64](t, sg, faults, patterns)
+	twinTrial[[4]uint64](t, sg, faults, patterns)
+	twinTrial[[8]uint64](t, sg, faults, patterns)
+}
+
 func TestBatchLanes(t *testing.T) {
 	for _, tc := range []struct{ words, lanes int }{{1, 63}, {2, 127}, {4, 255}, {8, 511}} {
 		if got := BatchLanes(tc.words); got != tc.lanes {
@@ -307,6 +404,16 @@ func TestLaneEngineValidation(t *testing.T) {
 	}
 	if err := e.Inject(Fault{Signal: "nope"}, 1); err == nil {
 		t.Error("unknown signal accepted")
+	}
+
+	// Arm clamps to the engine's lanes rather than indexing past them.
+	one, err := sg.NewLaneEngine(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	one.Arm(64)
+	if one.AllDetected() {
+		t.Error("fault-free engine armed past its lanes reports all detected")
 	}
 }
 

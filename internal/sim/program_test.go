@@ -13,7 +13,7 @@ import (
 
 // refEval is the pre-flattening reference interpreter: a per-gate type
 // switch walking per-op fanin slices. The program kernel must agree with
-// it on every opcode, including the specialized 1/2-input forms.
+// it on every opcode, including the inline 1-, 2- and 3-input forms.
 func refEval(t netlist.GateType, fanin []int, v []uint64) uint64 {
 	switch t {
 	case netlist.And, netlist.Nand:
@@ -55,82 +55,23 @@ func refEval(t netlist.GateType, fanin []int, v []uint64) uint64 {
 }
 
 // evalFaulty is the scalar fault-simulation oracle: the program with
-// per-signal stuck-at lane masks applied to every computed value. It is
-// pinned to refEval below, and the wide kernels in wide_unroll.go are
-// pinned to it plane by plane (lanes_test.go).
+// per-signal stuck-at lane masks folded into every computed value, op by
+// op. It is pinned to refEval below, and the wide kernels in
+// wide_unroll.go, which fold only at forced ops, are pinned to it plane by
+// plane (lanes_test.go).
 func (p *program) evalFaulty(v, force0, force1 []uint64) {
-	kind, out, a, b := p.kind, p.out, p.a, p.b
-	arena := p.arena
-	for i, k := range kind {
-		var r uint64
-		switch k {
-		case opBuf:
-			r = v[a[i]]
-		case opNot:
-			r = ^v[a[i]]
-		case opAnd2:
-			r = v[a[i]] & v[b[i]]
-		case opNand2:
-			r = ^(v[a[i]] & v[b[i]])
-		case opOr2:
-			r = v[a[i]] | v[b[i]]
-		case opNor2:
-			r = ^(v[a[i]] | v[b[i]])
-		case opXor2:
-			r = v[a[i]] ^ v[b[i]]
-		case opXnor2:
-			r = ^(v[a[i]] ^ v[b[i]])
-		case opAndN, opNandN:
-			r = ^uint64(0)
-			for _, f := range arena[a[i]:b[i]] {
-				r &= v[f]
-			}
-			if k == opNandN {
-				r = ^r
-			}
-		case opOrN, opNorN:
-			r = 0
-			for _, f := range arena[a[i]:b[i]] {
-				r |= v[f]
-			}
-			if k == opNorN {
-				r = ^r
-			}
-		default:
-			r = p.wide(k, i, v)
-		}
-		o := out[i]
-		v[o] = (r &^ force0[o]) | force1[o]
+	for i := range p.ops {
+		o := &p.ops[i]
+		v[o.out] = p.gate(o, v)&^force0[o.out] | force1[o.out]
 	}
 }
 
 func TestProgramMatchesReference(t *testing.T) {
 	// Random DAG over 8 source signals: every gate type at fanins 1..5.
 	rng := rand.New(rand.NewSource(42))
+	order, next := randomProgram(rng, 200)
 	const sources = 8
-	types := []netlist.GateType{
-		netlist.And, netlist.Nand, netlist.Or, netlist.Nor,
-		netlist.Xor, netlist.Xnor, netlist.Not, netlist.Buf, netlist.Mux,
-	}
-	var order []gateOp
-	next := sources
-	for i := 0; i < 200; i++ {
-		typ := types[rng.Intn(len(types))]
-		n := 1 + rng.Intn(5)
-		switch typ {
-		case netlist.Not, netlist.Buf:
-			n = 1
-		case netlist.Mux:
-			n = 3
-		}
-		fanin := make([]int, n)
-		for j := range fanin {
-			fanin[j] = rng.Intn(next)
-		}
-		order = append(order, gateOp{typ: typ, out: next, fanin: fanin})
-		next++
-	}
-	prog := compileProgram(order)
+	prog := compileProgram(order, next)
 
 	for trial := 0; trial < 50; trial++ {
 		want := make([]uint64, next)

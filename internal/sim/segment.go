@@ -30,6 +30,7 @@ type Segment struct {
 	inputs  []int
 	outputs []int
 	prog    *program
+	opOf    []int32 // signal -> index of the op that drives it, or -1
 	dffs    []dffInfo
 
 	// lanePools recycle LaneEngines across batches and workers, one pool
@@ -172,7 +173,14 @@ func BuildSegment(c *netlist.Circuit, g *graph.G, nodes []int, inputNets []int) 
 	sort.Strings(sg.OutputNames)
 	sort.Ints(sg.outputs)
 
-	sg.prog = compileProgram(ops)
+	sg.prog = compileProgram(ops, len(sg.names))
+	sg.opOf = make([]int32, len(sg.names))
+	for i := range sg.opOf {
+		sg.opOf[i] = -1
+	}
+	for i, o := range sg.prog.ops {
+		sg.opOf[o.out] = int32(i)
+	}
 	return sg, nil
 }
 

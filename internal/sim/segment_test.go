@@ -3,6 +3,7 @@ package sim
 import (
 	"testing"
 
+	"repro/internal/bench89"
 	"repro/internal/graph"
 	"repro/internal/netlist"
 )
@@ -36,9 +37,27 @@ func segmentFixture(t *testing.T, text string) (*netlist.Circuit, *graph.G, *Seg
 	if err != nil {
 		t.Fatal(err)
 	}
+	g, sg := wholeSegment(t, c)
+	return c, g, sg
+}
+
+// twinSegment is the whole of the bench89 s641 twin as one segment: unlike
+// s27 it has 3-input gates, and 19 flip-flops.
+func twinSegment(tb testing.TB) *Segment {
+	tb.Helper()
+	c, err := bench89.Load("s641")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	_, sg := wholeSegment(tb, c)
+	return sg
+}
+
+func wholeSegment(tb testing.TB, c *netlist.Circuit) (*graph.G, *Segment) {
+	tb.Helper()
 	g, err := graph.FromCircuit(c)
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	var nodes, inputNets []int
 	for _, n := range g.Nodes {
@@ -53,9 +72,9 @@ func segmentFixture(t *testing.T, text string) (*netlist.Circuit, *graph.G, *Seg
 	}
 	sg, err := BuildSegment(c, g, nodes, inputNets)
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
-	return c, g, sg
+	return g, sg
 }
 
 func TestBuildSegmentS27(t *testing.T) {
@@ -70,6 +89,55 @@ func TestBuildSegmentS27(t *testing.T) {
 	// segment.
 	if sg.NumOutputs() != 1 || sg.OutputNames[0] != "G17" {
 		t.Fatalf("outputs = %v", sg.OutputNames)
+	}
+}
+
+// operands lists the signals op o reads.
+func (p *program) operands(o *op) []int32 {
+	switch o.kind &^ 1 {
+	case opBuf:
+		return []int32{o.a}
+	case opAnd2, opOr2, opXor2:
+		return []int32{o.a, o.b}
+	case opAnd3, opOr3, opXor3, opMux:
+		return []int32{o.a, o.b, o.c}
+	}
+	return p.arena[o.a:o.b]
+}
+
+// The run-wise fold in the lane kernels is exact only if the program is
+// topological and no run spans a level: an op must never read an op of its
+// own run.
+func TestBuildSegmentProgramOrder(t *testing.T) {
+	_, _, s27sg := segmentFixture(t, s27)
+	for _, sg := range []*Segment{s27sg, twinSegment(t)} {
+		p := sg.prog
+		level := make([]int, len(p.ops))
+		for i := range p.ops {
+			for _, f := range p.operands(&p.ops[i]) {
+				if j := sg.opOf[f]; j >= 0 {
+					if int(j) >= i {
+						t.Fatalf("op %d reads %s, driven by later op %d", i, sg.names[f], j)
+					}
+					level[i] = max(level[i], level[j]+1)
+				}
+			}
+		}
+		start := 0
+		for r, end := range p.runEnds {
+			for i := start + 1; i < int(end); i++ {
+				if level[i] != level[start] || p.ops[i].kind != p.ops[start].kind {
+					t.Fatalf("run %d [%d:%d) mixes levels or opcodes at op %d", r, start, end, i)
+				}
+			}
+			if start > 0 && level[start] == level[start-1] && p.ops[start].kind == p.ops[start-1].kind {
+				t.Fatalf("run %d is not maximal", r)
+			}
+			start = int(end)
+		}
+		if start != len(p.ops) {
+			t.Fatalf("runs cover %d of %d ops", start, len(p.ops))
+		}
 	}
 }
 

@@ -117,7 +117,7 @@ func Compile(c *netlist.Circuit) (*Evaluator, error) {
 			}
 		}
 	}
-	ev.prog = compileProgram(order)
+	ev.prog = compileProgram(order, len(ev.Names))
 	return ev, nil
 }
 

@@ -1,9 +1,10 @@
 package sim
 
 // This file holds the lane-width vocabulary of the wide fault-simulation
-// kernel: the same flattened SoA opcode program as program.go, evaluated
-// over [W]uint64 vector words (wide_unroll.go) instead of a single uint64.
-// One vector of W machine words carries 64*W bit-parallel lanes — lane 0
+// kernel: the same level-ordered op-record program as program.go,
+// evaluated over [W]uint64 vector words (wide_unroll.go) instead of a
+// single uint64. One vector of W machine words carries 64*W bit-parallel
+// lanes — lane 0
 // is the fault-free machine, lanes 1..BatchLanes(W) each carry one
 // injected stuck-at fault — so a W=4 batch simulates 255 faults per
 // pattern. The interpreter overhead per gate (opcode dispatch, operand

@@ -1,34 +1,38 @@
 package sim
 
-// Kernel microbenchmarks: the unrolled width specializations on one
-// 400-gate random program. The number to watch is
+// Kernel microbenchmarks: one LaneEngine.Step per op on the whole s641
+// twin segment with a full batch of faults injected, the quantity the
+// repository benchmark reports as sim.step_ns.w*. The number to watch is
 // ns/op divided by the width's lane count (63/127/255/511): per-lane
 // throughput is what the campaign's batch packing converts into wall
-// clock, and the unrolled W=4 kernel is the per-lane sweet spot.
+// clock.
 
-import (
-	"math/rand"
-	"testing"
-)
+import "testing"
 
-func benchProgram(b *testing.B) (*program, int) {
-	rng := rand.New(rand.NewSource(1))
-	order, nsig := randomProgram(rng, 400)
-	return compileProgram(order), nsig
-}
-
-func benchVec[W lanevec](b *testing.B, kern func(p *program, v, force0, force1 []W)) {
-	p, n := benchProgram(b)
-	v := make([]W, n)
-	f0 := make([]W, n)
-	f1 := make([]W, n)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		kern(p, v, f0, f1)
+func benchLaneStep(b *testing.B, words int) {
+	sg := twinSegment(b)
+	e, err := sg.NewLaneEngine(words)
+	if err != nil {
+		b.Fatal(err)
+	}
+	faults := segmentFaults(sg)
+	n := min(len(faults), e.Lanes())
+	for i, f := range faults[:n] {
+		if err := e.Inject(f, i+1); err != nil {
+			b.Fatal(err)
+		}
+	}
+	e.Arm(n)
+	pattern := uint64(0x9e3779b97f4a7c15)
+	for b.Loop() {
+		e.Step(pattern)
+		pattern ^= pattern << 13
+		pattern ^= pattern >> 7
+		pattern ^= pattern << 17
 	}
 }
 
-func BenchmarkEvalFaultyVec1(b *testing.B) { benchVec(b, evalFaulty1) }
-func BenchmarkEvalFaultyVec2(b *testing.B) { benchVec(b, evalFaulty2) }
-func BenchmarkEvalFaultyVec4(b *testing.B) { benchVec(b, evalFaulty4) }
-func BenchmarkEvalFaultyVec8(b *testing.B) { benchVec(b, evalFaulty8) }
+func BenchmarkLaneStep1(b *testing.B) { benchLaneStep(b, 1) }
+func BenchmarkLaneStep2(b *testing.B) { benchLaneStep(b, 2) }
+func BenchmarkLaneStep4(b *testing.B) { benchLaneStep(b, 4) }
+func BenchmarkLaneStep8(b *testing.B) { benchLaneStep(b, 8) }

@@ -8,333 +8,421 @@ package sim
 // variable is forced onto the stack. Per gate that costs W loop iterations
 // of load/op/store/branch plus vector spills — measured ~3.5x over
 // straight-line code at W=4, which erases the whole point of wide lanes.
-// These specializations keep every element in a named scalar (r0..rW-1),
-// so the compiler holds the vector in registers and the per-gate
-// interpreter overhead (opcode dispatch, operand index loads) is genuinely
-// amortized over W words.
+// These specializations spell out every element, so the per-gate
+// interpreter overhead (operand index loads) is genuinely amortized over W
+// words. They store each result word straight into the signal plane: a
+// [W]uint64 composite literal with more than one element is built in a
+// zeroed stack temporary and then copied, which cost W=8 its whole gain.
 //
-// Each function evaluates the same opcode set with the same force-mask
-// fold on every destination. The differential tests (lanes_test.go) pin
-// all four, plane by plane, against the scalar evalFaulty oracle in
-// program_test.go; any edit here must keep them passing.
+// settleW evaluates the program over W-word lanes, run by run (see
+// program.go): one opcode dispatch per run, then a tight loop with no
+// per-gate switch and no force-mask loads. forced lists, ascending, the
+// ops whose output carries a fault; their force masks are folded after the
+// run that computes them. Ops of one level never read each other, so no
+// op can see a forced signal's unforced value.
+//
+// The differential tests (lanes_test.go) pin all four widths, plane by
+// plane, against the scalar evalFaulty oracle in program_test.go, which
+// folds the masks at every op; any edit here must keep them passing.
 
-func evalFaulty1(p *program, v, force0, force1 [][1]uint64) {
-	kind, out, a, b := p.kind, p.out, p.a, p.b
-	arena := p.arena
-	for i, k := range kind {
-		var r0 uint64
-		switch k {
+func settle1(p *program, v, f0, f1 [][1]uint64, forced []int32) {
+	ops := p.ops
+	start := int32(0)
+	for _, end := range p.runEnds {
+		run := ops[start:end]
+		inv := run[0].kind.inv()
+		switch run[0].kind &^ 1 {
 		case opBuf:
-			r0 = v[a[i]][0]
-		case opNot:
-			r0 = ^v[a[i]][0]
+			for i := range run {
+				o := &run[i]
+				x, d := &v[o.a], &v[o.out]
+				d[0] = x[0] ^ inv
+			}
 		case opAnd2:
-			r0 = v[a[i]][0] & v[b[i]][0]
-		case opNand2:
-			r0 = ^(v[a[i]][0] & v[b[i]][0])
+			for i := range run {
+				o := &run[i]
+				x, y, d := &v[o.a], &v[o.b], &v[o.out]
+				d[0] = x[0]&y[0] ^ inv
+			}
 		case opOr2:
-			r0 = v[a[i]][0] | v[b[i]][0]
-		case opNor2:
-			r0 = ^(v[a[i]][0] | v[b[i]][0])
+			for i := range run {
+				o := &run[i]
+				x, y, d := &v[o.a], &v[o.b], &v[o.out]
+				d[0] = (x[0] | y[0]) ^ inv
+			}
 		case opXor2:
-			r0 = v[a[i]][0] ^ v[b[i]][0]
-		case opXnor2:
-			r0 = ^(v[a[i]][0] ^ v[b[i]][0])
-		case opAndN, opNandN:
-			r0 = ^uint64(0)
-			for _, f := range arena[a[i]:b[i]] {
-				r0 &= v[f][0]
+			for i := range run {
+				o := &run[i]
+				x, y, d := &v[o.a], &v[o.b], &v[o.out]
+				d[0] = x[0] ^ y[0] ^ inv
 			}
-			if k == opNandN {
-				r0 = ^r0
+		case opAnd3:
+			for i := range run {
+				o := &run[i]
+				x, y, z, d := &v[o.a], &v[o.b], &v[o.c], &v[o.out]
+				d[0] = x[0]&y[0]&z[0] ^ inv
 			}
-		case opOrN, opNorN:
-			for _, f := range arena[a[i]:b[i]] {
-				r0 |= v[f][0]
+		case opOr3:
+			for i := range run {
+				o := &run[i]
+				x, y, z, d := &v[o.a], &v[o.b], &v[o.c], &v[o.out]
+				d[0] = (x[0] | y[0] | z[0]) ^ inv
 			}
-			if k == opNorN {
-				r0 = ^r0
+		case opXor3:
+			for i := range run {
+				o := &run[i]
+				x, y, z, d := &v[o.a], &v[o.b], &v[o.c], &v[o.out]
+				d[0] = x[0] ^ y[0] ^ z[0] ^ inv
 			}
 		case opMux:
-			m := arena[a[i] : a[i]+3 : a[i]+3]
-			s := v[m[0]][0]
-			r0 = (v[m[1]][0] &^ s) | (v[m[2]][0] & s)
-		default: // opXorN, opXnorN
-			for _, f := range arena[a[i]:b[i]] {
-				r0 ^= v[f][0]
+			for i := range run {
+				o := &run[i]
+				s, lo, hi, d := &v[o.a], &v[o.b], &v[o.c], &v[o.out]
+				d[0] = lo[0]&^s[0] | hi[0]&s[0]
 			}
-			if k == opXnorN {
-				r0 = ^r0
-			}
+		default:
+			settleN(p, run, v)
 		}
-		o := out[i]
-		g0, g1 := &force0[o], &force1[o]
-		v[o] = [1]uint64{(r0 &^ g0[0]) | g1[0]}
+		for len(forced) > 0 && forced[0] < end {
+			o := ops[forced[0]].out
+			x, g0, g1 := &v[o], &f0[o], &f1[o]
+			x[0] = x[0]&^g0[0] | g1[0]
+			forced = forced[1:]
+		}
+		start = end
 	}
 }
 
-func evalFaulty2(p *program, v, force0, force1 [][2]uint64) {
-	kind, out, a, b := p.kind, p.out, p.a, p.b
-	arena := p.arena
-	for i, k := range kind {
-		var r0, r1 uint64
-		switch k {
+func settle2(p *program, v, f0, f1 [][2]uint64, forced []int32) {
+	ops := p.ops
+	start := int32(0)
+	for _, end := range p.runEnds {
+		run := ops[start:end]
+		inv := run[0].kind.inv()
+		switch run[0].kind &^ 1 {
 		case opBuf:
-			x := &v[a[i]]
-			r0, r1 = x[0], x[1]
-		case opNot:
-			x := &v[a[i]]
-			r0, r1 = ^x[0], ^x[1]
+			for i := range run {
+				o := &run[i]
+				x, d := &v[o.a], &v[o.out]
+				d[0] = x[0] ^ inv
+				d[1] = x[1] ^ inv
+			}
 		case opAnd2:
-			x, y := &v[a[i]], &v[b[i]]
-			r0, r1 = x[0]&y[0], x[1]&y[1]
-		case opNand2:
-			x, y := &v[a[i]], &v[b[i]]
-			r0, r1 = ^(x[0]&y[0]), ^(x[1]&y[1])
+			for i := range run {
+				o := &run[i]
+				x, y, d := &v[o.a], &v[o.b], &v[o.out]
+				d[0] = x[0]&y[0] ^ inv
+				d[1] = x[1]&y[1] ^ inv
+			}
 		case opOr2:
-			x, y := &v[a[i]], &v[b[i]]
-			r0, r1 = x[0]|y[0], x[1]|y[1]
-		case opNor2:
-			x, y := &v[a[i]], &v[b[i]]
-			r0, r1 = ^(x[0]|y[0]), ^(x[1]|y[1])
+			for i := range run {
+				o := &run[i]
+				x, y, d := &v[o.a], &v[o.b], &v[o.out]
+				d[0] = (x[0] | y[0]) ^ inv
+				d[1] = (x[1] | y[1]) ^ inv
+			}
 		case opXor2:
-			x, y := &v[a[i]], &v[b[i]]
-			r0, r1 = x[0]^y[0], x[1]^y[1]
-		case opXnor2:
-			x, y := &v[a[i]], &v[b[i]]
-			r0, r1 = ^(x[0]^y[0]), ^(x[1]^y[1])
-		case opAndN, opNandN:
-			r0, r1 = ^uint64(0), ^uint64(0)
-			for _, f := range arena[a[i]:b[i]] {
-				x := &v[f]
-				r0 &= x[0]
-				r1 &= x[1]
+			for i := range run {
+				o := &run[i]
+				x, y, d := &v[o.a], &v[o.b], &v[o.out]
+				d[0] = x[0] ^ y[0] ^ inv
+				d[1] = x[1] ^ y[1] ^ inv
 			}
-			if k == opNandN {
-				r0, r1 = ^r0, ^r1
+		case opAnd3:
+			for i := range run {
+				o := &run[i]
+				x, y, z, d := &v[o.a], &v[o.b], &v[o.c], &v[o.out]
+				d[0] = x[0]&y[0]&z[0] ^ inv
+				d[1] = x[1]&y[1]&z[1] ^ inv
 			}
-		case opOrN, opNorN:
-			for _, f := range arena[a[i]:b[i]] {
-				x := &v[f]
-				r0 |= x[0]
-				r1 |= x[1]
+		case opOr3:
+			for i := range run {
+				o := &run[i]
+				x, y, z, d := &v[o.a], &v[o.b], &v[o.c], &v[o.out]
+				d[0] = (x[0] | y[0] | z[0]) ^ inv
+				d[1] = (x[1] | y[1] | z[1]) ^ inv
 			}
-			if k == opNorN {
-				r0, r1 = ^r0, ^r1
+		case opXor3:
+			for i := range run {
+				o := &run[i]
+				x, y, z, d := &v[o.a], &v[o.b], &v[o.c], &v[o.out]
+				d[0] = x[0] ^ y[0] ^ z[0] ^ inv
+				d[1] = x[1] ^ y[1] ^ z[1] ^ inv
 			}
 		case opMux:
-			m := arena[a[i] : a[i]+3 : a[i]+3]
-			s, d0, d1 := &v[m[0]], &v[m[1]], &v[m[2]]
-			r0 = (d0[0] &^ s[0]) | (d1[0] & s[0])
-			r1 = (d0[1] &^ s[1]) | (d1[1] & s[1])
-		default: // opXorN, opXnorN
-			for _, f := range arena[a[i]:b[i]] {
-				x := &v[f]
-				r0 ^= x[0]
-				r1 ^= x[1]
+			for i := range run {
+				o := &run[i]
+				s, lo, hi, d := &v[o.a], &v[o.b], &v[o.c], &v[o.out]
+				d[0] = lo[0]&^s[0] | hi[0]&s[0]
+				d[1] = lo[1]&^s[1] | hi[1]&s[1]
 			}
-			if k == opXnorN {
-				r0, r1 = ^r0, ^r1
-			}
+		default:
+			settleN(p, run, v)
 		}
-		o := out[i]
-		g0, g1 := &force0[o], &force1[o]
-		v[o] = [2]uint64{
-			(r0 &^ g0[0]) | g1[0],
-			(r1 &^ g0[1]) | g1[1],
+		for len(forced) > 0 && forced[0] < end {
+			o := ops[forced[0]].out
+			x, g0, g1 := &v[o], &f0[o], &f1[o]
+			x[0] = x[0]&^g0[0] | g1[0]
+			x[1] = x[1]&^g0[1] | g1[1]
+			forced = forced[1:]
 		}
+		start = end
 	}
 }
 
-func evalFaulty4(p *program, v, force0, force1 [][4]uint64) {
-	kind, out, a, b := p.kind, p.out, p.a, p.b
-	arena := p.arena
-	for i, k := range kind {
-		var r0, r1, r2, r3 uint64
-		switch k {
+func settle4(p *program, v, f0, f1 [][4]uint64, forced []int32) {
+	ops := p.ops
+	start := int32(0)
+	for _, end := range p.runEnds {
+		run := ops[start:end]
+		inv := run[0].kind.inv()
+		switch run[0].kind &^ 1 {
 		case opBuf:
-			x := &v[a[i]]
-			r0, r1, r2, r3 = x[0], x[1], x[2], x[3]
-		case opNot:
-			x := &v[a[i]]
-			r0, r1, r2, r3 = ^x[0], ^x[1], ^x[2], ^x[3]
+			for i := range run {
+				o := &run[i]
+				x, d := &v[o.a], &v[o.out]
+				d[0] = x[0] ^ inv
+				d[1] = x[1] ^ inv
+				d[2] = x[2] ^ inv
+				d[3] = x[3] ^ inv
+			}
 		case opAnd2:
-			x, y := &v[a[i]], &v[b[i]]
-			r0, r1, r2, r3 = x[0]&y[0], x[1]&y[1], x[2]&y[2], x[3]&y[3]
-		case opNand2:
-			x, y := &v[a[i]], &v[b[i]]
-			r0, r1, r2, r3 = ^(x[0]&y[0]), ^(x[1]&y[1]), ^(x[2]&y[2]), ^(x[3]&y[3])
+			for i := range run {
+				o := &run[i]
+				x, y, d := &v[o.a], &v[o.b], &v[o.out]
+				d[0] = x[0]&y[0] ^ inv
+				d[1] = x[1]&y[1] ^ inv
+				d[2] = x[2]&y[2] ^ inv
+				d[3] = x[3]&y[3] ^ inv
+			}
 		case opOr2:
-			x, y := &v[a[i]], &v[b[i]]
-			r0, r1, r2, r3 = x[0]|y[0], x[1]|y[1], x[2]|y[2], x[3]|y[3]
-		case opNor2:
-			x, y := &v[a[i]], &v[b[i]]
-			r0, r1, r2, r3 = ^(x[0]|y[0]), ^(x[1]|y[1]), ^(x[2]|y[2]), ^(x[3]|y[3])
+			for i := range run {
+				o := &run[i]
+				x, y, d := &v[o.a], &v[o.b], &v[o.out]
+				d[0] = (x[0] | y[0]) ^ inv
+				d[1] = (x[1] | y[1]) ^ inv
+				d[2] = (x[2] | y[2]) ^ inv
+				d[3] = (x[3] | y[3]) ^ inv
+			}
 		case opXor2:
-			x, y := &v[a[i]], &v[b[i]]
-			r0, r1, r2, r3 = x[0]^y[0], x[1]^y[1], x[2]^y[2], x[3]^y[3]
-		case opXnor2:
-			x, y := &v[a[i]], &v[b[i]]
-			r0, r1, r2, r3 = ^(x[0]^y[0]), ^(x[1]^y[1]), ^(x[2]^y[2]), ^(x[3]^y[3])
-		case opAndN, opNandN:
-			r0, r1, r2, r3 = ^uint64(0), ^uint64(0), ^uint64(0), ^uint64(0)
-			for _, f := range arena[a[i]:b[i]] {
-				x := &v[f]
-				r0 &= x[0]
-				r1 &= x[1]
-				r2 &= x[2]
-				r3 &= x[3]
+			for i := range run {
+				o := &run[i]
+				x, y, d := &v[o.a], &v[o.b], &v[o.out]
+				d[0] = x[0] ^ y[0] ^ inv
+				d[1] = x[1] ^ y[1] ^ inv
+				d[2] = x[2] ^ y[2] ^ inv
+				d[3] = x[3] ^ y[3] ^ inv
 			}
-			if k == opNandN {
-				r0, r1, r2, r3 = ^r0, ^r1, ^r2, ^r3
+		case opAnd3:
+			for i := range run {
+				o := &run[i]
+				x, y, z, d := &v[o.a], &v[o.b], &v[o.c], &v[o.out]
+				d[0] = x[0]&y[0]&z[0] ^ inv
+				d[1] = x[1]&y[1]&z[1] ^ inv
+				d[2] = x[2]&y[2]&z[2] ^ inv
+				d[3] = x[3]&y[3]&z[3] ^ inv
 			}
-		case opOrN, opNorN:
-			for _, f := range arena[a[i]:b[i]] {
-				x := &v[f]
-				r0 |= x[0]
-				r1 |= x[1]
-				r2 |= x[2]
-				r3 |= x[3]
+		case opOr3:
+			for i := range run {
+				o := &run[i]
+				x, y, z, d := &v[o.a], &v[o.b], &v[o.c], &v[o.out]
+				d[0] = (x[0] | y[0] | z[0]) ^ inv
+				d[1] = (x[1] | y[1] | z[1]) ^ inv
+				d[2] = (x[2] | y[2] | z[2]) ^ inv
+				d[3] = (x[3] | y[3] | z[3]) ^ inv
 			}
-			if k == opNorN {
-				r0, r1, r2, r3 = ^r0, ^r1, ^r2, ^r3
+		case opXor3:
+			for i := range run {
+				o := &run[i]
+				x, y, z, d := &v[o.a], &v[o.b], &v[o.c], &v[o.out]
+				d[0] = x[0] ^ y[0] ^ z[0] ^ inv
+				d[1] = x[1] ^ y[1] ^ z[1] ^ inv
+				d[2] = x[2] ^ y[2] ^ z[2] ^ inv
+				d[3] = x[3] ^ y[3] ^ z[3] ^ inv
 			}
 		case opMux:
-			m := arena[a[i] : a[i]+3 : a[i]+3]
-			s, d0, d1 := &v[m[0]], &v[m[1]], &v[m[2]]
-			r0 = (d0[0] &^ s[0]) | (d1[0] & s[0])
-			r1 = (d0[1] &^ s[1]) | (d1[1] & s[1])
-			r2 = (d0[2] &^ s[2]) | (d1[2] & s[2])
-			r3 = (d0[3] &^ s[3]) | (d1[3] & s[3])
-		default: // opXorN, opXnorN
-			for _, f := range arena[a[i]:b[i]] {
-				x := &v[f]
-				r0 ^= x[0]
-				r1 ^= x[1]
-				r2 ^= x[2]
-				r3 ^= x[3]
+			for i := range run {
+				o := &run[i]
+				s, lo, hi, d := &v[o.a], &v[o.b], &v[o.c], &v[o.out]
+				d[0] = lo[0]&^s[0] | hi[0]&s[0]
+				d[1] = lo[1]&^s[1] | hi[1]&s[1]
+				d[2] = lo[2]&^s[2] | hi[2]&s[2]
+				d[3] = lo[3]&^s[3] | hi[3]&s[3]
 			}
-			if k == opXnorN {
-				r0, r1, r2, r3 = ^r0, ^r1, ^r2, ^r3
-			}
+		default:
+			settleN(p, run, v)
 		}
-		o := out[i]
-		g0, g1 := &force0[o], &force1[o]
-		v[o] = [4]uint64{
-			(r0 &^ g0[0]) | g1[0],
-			(r1 &^ g0[1]) | g1[1],
-			(r2 &^ g0[2]) | g1[2],
-			(r3 &^ g0[3]) | g1[3],
+		for len(forced) > 0 && forced[0] < end {
+			o := ops[forced[0]].out
+			x, g0, g1 := &v[o], &f0[o], &f1[o]
+			x[0] = x[0]&^g0[0] | g1[0]
+			x[1] = x[1]&^g0[1] | g1[1]
+			x[2] = x[2]&^g0[2] | g1[2]
+			x[3] = x[3]&^g0[3] | g1[3]
+			forced = forced[1:]
 		}
+		start = end
 	}
 }
 
-func evalFaulty8(p *program, v, force0, force1 [][8]uint64) {
-	kind, out, a, b := p.kind, p.out, p.a, p.b
-	arena := p.arena
-	for i, k := range kind {
-		var r0, r1, r2, r3, r4, r5, r6, r7 uint64
-		switch k {
+func settle8(p *program, v, f0, f1 [][8]uint64, forced []int32) {
+	ops := p.ops
+	start := int32(0)
+	for _, end := range p.runEnds {
+		run := ops[start:end]
+		inv := run[0].kind.inv()
+		switch run[0].kind &^ 1 {
 		case opBuf:
-			x := &v[a[i]]
-			r0, r1, r2, r3, r4, r5, r6, r7 = x[0], x[1], x[2], x[3], x[4], x[5], x[6], x[7]
-		case opNot:
-			x := &v[a[i]]
-			r0, r1, r2, r3, r4, r5, r6, r7 = ^x[0], ^x[1], ^x[2], ^x[3], ^x[4], ^x[5], ^x[6], ^x[7]
+			for i := range run {
+				o := &run[i]
+				x, d := &v[o.a], &v[o.out]
+				d[0] = x[0] ^ inv
+				d[1] = x[1] ^ inv
+				d[2] = x[2] ^ inv
+				d[3] = x[3] ^ inv
+				d[4] = x[4] ^ inv
+				d[5] = x[5] ^ inv
+				d[6] = x[6] ^ inv
+				d[7] = x[7] ^ inv
+			}
 		case opAnd2:
-			x, y := &v[a[i]], &v[b[i]]
-			r0, r1, r2, r3 = x[0]&y[0], x[1]&y[1], x[2]&y[2], x[3]&y[3]
-			r4, r5, r6, r7 = x[4]&y[4], x[5]&y[5], x[6]&y[6], x[7]&y[7]
-		case opNand2:
-			x, y := &v[a[i]], &v[b[i]]
-			r0, r1, r2, r3 = ^(x[0]&y[0]), ^(x[1]&y[1]), ^(x[2]&y[2]), ^(x[3]&y[3])
-			r4, r5, r6, r7 = ^(x[4]&y[4]), ^(x[5]&y[5]), ^(x[6]&y[6]), ^(x[7]&y[7])
+			for i := range run {
+				o := &run[i]
+				x, y, d := &v[o.a], &v[o.b], &v[o.out]
+				d[0] = x[0]&y[0] ^ inv
+				d[1] = x[1]&y[1] ^ inv
+				d[2] = x[2]&y[2] ^ inv
+				d[3] = x[3]&y[3] ^ inv
+				d[4] = x[4]&y[4] ^ inv
+				d[5] = x[5]&y[5] ^ inv
+				d[6] = x[6]&y[6] ^ inv
+				d[7] = x[7]&y[7] ^ inv
+			}
 		case opOr2:
-			x, y := &v[a[i]], &v[b[i]]
-			r0, r1, r2, r3 = x[0]|y[0], x[1]|y[1], x[2]|y[2], x[3]|y[3]
-			r4, r5, r6, r7 = x[4]|y[4], x[5]|y[5], x[6]|y[6], x[7]|y[7]
-		case opNor2:
-			x, y := &v[a[i]], &v[b[i]]
-			r0, r1, r2, r3 = ^(x[0]|y[0]), ^(x[1]|y[1]), ^(x[2]|y[2]), ^(x[3]|y[3])
-			r4, r5, r6, r7 = ^(x[4]|y[4]), ^(x[5]|y[5]), ^(x[6]|y[6]), ^(x[7]|y[7])
+			for i := range run {
+				o := &run[i]
+				x, y, d := &v[o.a], &v[o.b], &v[o.out]
+				d[0] = (x[0] | y[0]) ^ inv
+				d[1] = (x[1] | y[1]) ^ inv
+				d[2] = (x[2] | y[2]) ^ inv
+				d[3] = (x[3] | y[3]) ^ inv
+				d[4] = (x[4] | y[4]) ^ inv
+				d[5] = (x[5] | y[5]) ^ inv
+				d[6] = (x[6] | y[6]) ^ inv
+				d[7] = (x[7] | y[7]) ^ inv
+			}
 		case opXor2:
-			x, y := &v[a[i]], &v[b[i]]
-			r0, r1, r2, r3 = x[0]^y[0], x[1]^y[1], x[2]^y[2], x[3]^y[3]
-			r4, r5, r6, r7 = x[4]^y[4], x[5]^y[5], x[6]^y[6], x[7]^y[7]
-		case opXnor2:
-			x, y := &v[a[i]], &v[b[i]]
-			r0, r1, r2, r3 = ^(x[0]^y[0]), ^(x[1]^y[1]), ^(x[2]^y[2]), ^(x[3]^y[3])
-			r4, r5, r6, r7 = ^(x[4]^y[4]), ^(x[5]^y[5]), ^(x[6]^y[6]), ^(x[7]^y[7])
-		case opAndN, opNandN:
-			r0, r1, r2, r3 = ^uint64(0), ^uint64(0), ^uint64(0), ^uint64(0)
-			r4, r5, r6, r7 = ^uint64(0), ^uint64(0), ^uint64(0), ^uint64(0)
-			for _, f := range arena[a[i]:b[i]] {
-				x := &v[f]
-				r0 &= x[0]
-				r1 &= x[1]
-				r2 &= x[2]
-				r3 &= x[3]
-				r4 &= x[4]
-				r5 &= x[5]
-				r6 &= x[6]
-				r7 &= x[7]
+			for i := range run {
+				o := &run[i]
+				x, y, d := &v[o.a], &v[o.b], &v[o.out]
+				d[0] = x[0] ^ y[0] ^ inv
+				d[1] = x[1] ^ y[1] ^ inv
+				d[2] = x[2] ^ y[2] ^ inv
+				d[3] = x[3] ^ y[3] ^ inv
+				d[4] = x[4] ^ y[4] ^ inv
+				d[5] = x[5] ^ y[5] ^ inv
+				d[6] = x[6] ^ y[6] ^ inv
+				d[7] = x[7] ^ y[7] ^ inv
 			}
-			if k == opNandN {
-				r0, r1, r2, r3, r4, r5, r6, r7 = ^r0, ^r1, ^r2, ^r3, ^r4, ^r5, ^r6, ^r7
+		case opAnd3:
+			for i := range run {
+				o := &run[i]
+				x, y, z, d := &v[o.a], &v[o.b], &v[o.c], &v[o.out]
+				d[0] = x[0]&y[0]&z[0] ^ inv
+				d[1] = x[1]&y[1]&z[1] ^ inv
+				d[2] = x[2]&y[2]&z[2] ^ inv
+				d[3] = x[3]&y[3]&z[3] ^ inv
+				d[4] = x[4]&y[4]&z[4] ^ inv
+				d[5] = x[5]&y[5]&z[5] ^ inv
+				d[6] = x[6]&y[6]&z[6] ^ inv
+				d[7] = x[7]&y[7]&z[7] ^ inv
 			}
-		case opOrN, opNorN:
-			for _, f := range arena[a[i]:b[i]] {
-				x := &v[f]
-				r0 |= x[0]
-				r1 |= x[1]
-				r2 |= x[2]
-				r3 |= x[3]
-				r4 |= x[4]
-				r5 |= x[5]
-				r6 |= x[6]
-				r7 |= x[7]
+		case opOr3:
+			for i := range run {
+				o := &run[i]
+				x, y, z, d := &v[o.a], &v[o.b], &v[o.c], &v[o.out]
+				d[0] = (x[0] | y[0] | z[0]) ^ inv
+				d[1] = (x[1] | y[1] | z[1]) ^ inv
+				d[2] = (x[2] | y[2] | z[2]) ^ inv
+				d[3] = (x[3] | y[3] | z[3]) ^ inv
+				d[4] = (x[4] | y[4] | z[4]) ^ inv
+				d[5] = (x[5] | y[5] | z[5]) ^ inv
+				d[6] = (x[6] | y[6] | z[6]) ^ inv
+				d[7] = (x[7] | y[7] | z[7]) ^ inv
 			}
-			if k == opNorN {
-				r0, r1, r2, r3, r4, r5, r6, r7 = ^r0, ^r1, ^r2, ^r3, ^r4, ^r5, ^r6, ^r7
+		case opXor3:
+			for i := range run {
+				o := &run[i]
+				x, y, z, d := &v[o.a], &v[o.b], &v[o.c], &v[o.out]
+				d[0] = x[0] ^ y[0] ^ z[0] ^ inv
+				d[1] = x[1] ^ y[1] ^ z[1] ^ inv
+				d[2] = x[2] ^ y[2] ^ z[2] ^ inv
+				d[3] = x[3] ^ y[3] ^ z[3] ^ inv
+				d[4] = x[4] ^ y[4] ^ z[4] ^ inv
+				d[5] = x[5] ^ y[5] ^ z[5] ^ inv
+				d[6] = x[6] ^ y[6] ^ z[6] ^ inv
+				d[7] = x[7] ^ y[7] ^ z[7] ^ inv
 			}
 		case opMux:
-			m := arena[a[i] : a[i]+3 : a[i]+3]
-			s, d0, d1 := &v[m[0]], &v[m[1]], &v[m[2]]
-			r0 = (d0[0] &^ s[0]) | (d1[0] & s[0])
-			r1 = (d0[1] &^ s[1]) | (d1[1] & s[1])
-			r2 = (d0[2] &^ s[2]) | (d1[2] & s[2])
-			r3 = (d0[3] &^ s[3]) | (d1[3] & s[3])
-			r4 = (d0[4] &^ s[4]) | (d1[4] & s[4])
-			r5 = (d0[5] &^ s[5]) | (d1[5] & s[5])
-			r6 = (d0[6] &^ s[6]) | (d1[6] & s[6])
-			r7 = (d0[7] &^ s[7]) | (d1[7] & s[7])
-		default: // opXorN, opXnorN
-			for _, f := range arena[a[i]:b[i]] {
-				x := &v[f]
-				r0 ^= x[0]
-				r1 ^= x[1]
-				r2 ^= x[2]
-				r3 ^= x[3]
-				r4 ^= x[4]
-				r5 ^= x[5]
-				r6 ^= x[6]
-				r7 ^= x[7]
+			for i := range run {
+				o := &run[i]
+				s, lo, hi, d := &v[o.a], &v[o.b], &v[o.c], &v[o.out]
+				d[0] = lo[0]&^s[0] | hi[0]&s[0]
+				d[1] = lo[1]&^s[1] | hi[1]&s[1]
+				d[2] = lo[2]&^s[2] | hi[2]&s[2]
+				d[3] = lo[3]&^s[3] | hi[3]&s[3]
+				d[4] = lo[4]&^s[4] | hi[4]&s[4]
+				d[5] = lo[5]&^s[5] | hi[5]&s[5]
+				d[6] = lo[6]&^s[6] | hi[6]&s[6]
+				d[7] = lo[7]&^s[7] | hi[7]&s[7]
 			}
-			if k == opXnorN {
-				r0, r1, r2, r3, r4, r5, r6, r7 = ^r0, ^r1, ^r2, ^r3, ^r4, ^r5, ^r6, ^r7
-			}
+		default:
+			settleN(p, run, v)
 		}
-		o := out[i]
-		g0, g1 := &force0[o], &force1[o]
-		v[o] = [8]uint64{
-			(r0 &^ g0[0]) | g1[0],
-			(r1 &^ g0[1]) | g1[1],
-			(r2 &^ g0[2]) | g1[2],
-			(r3 &^ g0[3]) | g1[3],
-			(r4 &^ g0[4]) | g1[4],
-			(r5 &^ g0[5]) | g1[5],
-			(r6 &^ g0[6]) | g1[6],
-			(r7 &^ g0[7]) | g1[7],
+		for len(forced) > 0 && forced[0] < end {
+			o := ops[forced[0]].out
+			x, g0, g1 := &v[o], &f0[o], &f1[o]
+			x[0] = x[0]&^g0[0] | g1[0]
+			x[1] = x[1]&^g0[1] | g1[1]
+			x[2] = x[2]&^g0[2] | g1[2]
+			x[3] = x[3]&^g0[3] | g1[3]
+			x[4] = x[4]&^g0[4] | g1[4]
+			x[5] = x[5]&^g0[5] | g1[5]
+			x[6] = x[6]&^g0[6] | g1[6]
+			x[7] = x[7]&^g0[7] | g1[7]
+			forced = forced[1:]
+		}
+		start = end
+	}
+}
+
+// settleN evaluates a run of gates with fanin >= 4 plane by plane. They
+// are rare enough in ISCAS89-style netlists that the generic word loop
+// costs nothing measurable.
+func settleN[W lanevec](p *program, run []op, v []W) {
+	var w W
+	inv, fam := run[0].kind.inv(), run[0].kind&^1
+	for i := range run {
+		o := &run[i]
+		fan := p.arena[o.a:o.b]
+		for j := range len(w) {
+			var r uint64
+			switch fam {
+			case opAndN:
+				r = ^uint64(0)
+				for _, f := range fan {
+					r &= v[f][j]
+				}
+			case opOrN:
+				for _, f := range fan {
+					r |= v[f][j]
+				}
+			default: // opXorN
+				for _, f := range fan {
+					r ^= v[f][j]
+				}
+			}
+			v[o.out][j] = r ^ inv
 		}
 	}
 }
@@ -349,10 +437,10 @@ func cycle1(e *laneEngine[[1]uint64], pattern uint64, detect bool) {
 	v, f0, f1 := e.v, e.force0, e.force1
 	for i, sig := range sg.inputs {
 		w := -(pattern >> uint(i) & 1)
-		g0, g1 := &f0[sig], &f1[sig]
-		v[sig] = [1]uint64{(w &^ g0[0]) | g1[0]}
+		d, g0, g1 := &v[sig], &f0[sig], &f1[sig]
+		d[0] = w&^g0[0] | g1[0]
 	}
-	evalFaulty1(sg.prog, v, f0, f1)
+	settle1(sg.prog, v, f0, f1, e.forced)
 	if e.tap != nil {
 		e.sample()
 	}
@@ -367,9 +455,8 @@ func cycle1(e *laneEngine[[1]uint64], pattern uint64, detect bool) {
 	}
 	for i := range sg.dffs {
 		d := &sg.dffs[i]
-		x := &v[d.in]
-		g0, g1 := &f0[d.out], &f1[d.out]
-		v[d.out] = [1]uint64{(x[0] &^ g0[0]) | g1[0]}
+		x, q, g0, g1 := &v[d.in], &v[d.out], &f0[d.out], &f1[d.out]
+		q[0] = x[0]&^g0[0] | g1[0]
 	}
 }
 
@@ -378,13 +465,11 @@ func cycle2(e *laneEngine[[2]uint64], pattern uint64, detect bool) {
 	v, f0, f1 := e.v, e.force0, e.force1
 	for i, sig := range sg.inputs {
 		w := -(pattern >> uint(i) & 1)
-		g0, g1 := &f0[sig], &f1[sig]
-		v[sig] = [2]uint64{
-			(w &^ g0[0]) | g1[0],
-			(w &^ g0[1]) | g1[1],
-		}
+		d, g0, g1 := &v[sig], &f0[sig], &f1[sig]
+		d[0] = w&^g0[0] | g1[0]
+		d[1] = w&^g0[1] | g1[1]
 	}
-	evalFaulty2(sg.prog, v, f0, f1)
+	settle2(sg.prog, v, f0, f1, e.forced)
 	if e.tap != nil {
 		e.sample()
 	}
@@ -400,12 +485,9 @@ func cycle2(e *laneEngine[[2]uint64], pattern uint64, detect bool) {
 	}
 	for i := range sg.dffs {
 		d := &sg.dffs[i]
-		x := &v[d.in]
-		g0, g1 := &f0[d.out], &f1[d.out]
-		v[d.out] = [2]uint64{
-			(x[0] &^ g0[0]) | g1[0],
-			(x[1] &^ g0[1]) | g1[1],
-		}
+		x, q, g0, g1 := &v[d.in], &v[d.out], &f0[d.out], &f1[d.out]
+		q[0] = x[0]&^g0[0] | g1[0]
+		q[1] = x[1]&^g0[1] | g1[1]
 	}
 }
 
@@ -414,15 +496,13 @@ func cycle4(e *laneEngine[[4]uint64], pattern uint64, detect bool) {
 	v, f0, f1 := e.v, e.force0, e.force1
 	for i, sig := range sg.inputs {
 		w := -(pattern >> uint(i) & 1)
-		g0, g1 := &f0[sig], &f1[sig]
-		v[sig] = [4]uint64{
-			(w &^ g0[0]) | g1[0],
-			(w &^ g0[1]) | g1[1],
-			(w &^ g0[2]) | g1[2],
-			(w &^ g0[3]) | g1[3],
-		}
+		d, g0, g1 := &v[sig], &f0[sig], &f1[sig]
+		d[0] = w&^g0[0] | g1[0]
+		d[1] = w&^g0[1] | g1[1]
+		d[2] = w&^g0[2] | g1[2]
+		d[3] = w&^g0[3] | g1[3]
 	}
-	evalFaulty4(sg.prog, v, f0, f1)
+	settle4(sg.prog, v, f0, f1, e.forced)
 	if e.tap != nil {
 		e.sample()
 	}
@@ -440,14 +520,11 @@ func cycle4(e *laneEngine[[4]uint64], pattern uint64, detect bool) {
 	}
 	for i := range sg.dffs {
 		d := &sg.dffs[i]
-		x := &v[d.in]
-		g0, g1 := &f0[d.out], &f1[d.out]
-		v[d.out] = [4]uint64{
-			(x[0] &^ g0[0]) | g1[0],
-			(x[1] &^ g0[1]) | g1[1],
-			(x[2] &^ g0[2]) | g1[2],
-			(x[3] &^ g0[3]) | g1[3],
-		}
+		x, q, g0, g1 := &v[d.in], &v[d.out], &f0[d.out], &f1[d.out]
+		q[0] = x[0]&^g0[0] | g1[0]
+		q[1] = x[1]&^g0[1] | g1[1]
+		q[2] = x[2]&^g0[2] | g1[2]
+		q[3] = x[3]&^g0[3] | g1[3]
 	}
 }
 
@@ -456,19 +533,17 @@ func cycle8(e *laneEngine[[8]uint64], pattern uint64, detect bool) {
 	v, f0, f1 := e.v, e.force0, e.force1
 	for i, sig := range sg.inputs {
 		w := -(pattern >> uint(i) & 1)
-		g0, g1 := &f0[sig], &f1[sig]
-		v[sig] = [8]uint64{
-			(w &^ g0[0]) | g1[0],
-			(w &^ g0[1]) | g1[1],
-			(w &^ g0[2]) | g1[2],
-			(w &^ g0[3]) | g1[3],
-			(w &^ g0[4]) | g1[4],
-			(w &^ g0[5]) | g1[5],
-			(w &^ g0[6]) | g1[6],
-			(w &^ g0[7]) | g1[7],
-		}
+		d, g0, g1 := &v[sig], &f0[sig], &f1[sig]
+		d[0] = w&^g0[0] | g1[0]
+		d[1] = w&^g0[1] | g1[1]
+		d[2] = w&^g0[2] | g1[2]
+		d[3] = w&^g0[3] | g1[3]
+		d[4] = w&^g0[4] | g1[4]
+		d[5] = w&^g0[5] | g1[5]
+		d[6] = w&^g0[6] | g1[6]
+		d[7] = w&^g0[7] | g1[7]
 	}
-	evalFaulty8(sg.prog, v, f0, f1)
+	settle8(sg.prog, v, f0, f1, e.forced)
 	if e.tap != nil {
 		e.sample()
 	}
@@ -494,17 +569,14 @@ func cycle8(e *laneEngine[[8]uint64], pattern uint64, detect bool) {
 	}
 	for i := range sg.dffs {
 		d := &sg.dffs[i]
-		x := &v[d.in]
-		g0, g1 := &f0[d.out], &f1[d.out]
-		v[d.out] = [8]uint64{
-			(x[0] &^ g0[0]) | g1[0],
-			(x[1] &^ g0[1]) | g1[1],
-			(x[2] &^ g0[2]) | g1[2],
-			(x[3] &^ g0[3]) | g1[3],
-			(x[4] &^ g0[4]) | g1[4],
-			(x[5] &^ g0[5]) | g1[5],
-			(x[6] &^ g0[6]) | g1[6],
-			(x[7] &^ g0[7]) | g1[7],
-		}
+		x, q, g0, g1 := &v[d.in], &v[d.out], &f0[d.out], &f1[d.out]
+		q[0] = x[0]&^g0[0] | g1[0]
+		q[1] = x[1]&^g0[1] | g1[1]
+		q[2] = x[2]&^g0[2] | g1[2]
+		q[3] = x[3]&^g0[3] | g1[3]
+		q[4] = x[4]&^g0[4] | g1[4]
+		q[5] = x[5]&^g0[5] | g1[5]
+		q[6] = x[6]&^g0[6] | g1[6]
+		q[7] = x[7]&^g0[7] | g1[7]
 	}
 }
