@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"strconv"
 
 	"repro/internal/jobspec"
 	"repro/internal/netlist"
@@ -19,7 +18,6 @@ type coverRun struct {
 	noRetime      bool
 	maxPatterns   uint64 // per-fault pattern cap (0: full pseudo-exhaustive)
 	workers       int    // campaign worker pool (0: GOMAXPROCS)
-	lanes         string // batch vector width in words ("": engine default)
 	noCollapse    bool   // disable structural fault collapsing
 	undetected    bool   // list surviving faults in the text form
 	format        string // text, json, csv
@@ -42,16 +40,6 @@ func runCover(ctx context.Context, cr coverRun, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "merced:", fmt.Errorf("one of -file or -circuit is required"))
 		return 1
 	}
-	// -lanes is a comma list under -sweep but a single width here; the
-	// width itself is validated by the jobspec layer.
-	lanes := 0
-	if cr.lanes != "" {
-		var err error
-		if lanes, err = strconv.Atoi(cr.lanes); err != nil {
-			fmt.Fprintln(stderr, "merced:", fmt.Errorf("-lanes: %q is not an integer", cr.lanes))
-			return 1
-		}
-	}
 	name := cr.file
 	if name == "" {
 		name = cr.circuit
@@ -61,7 +49,7 @@ func runCover(ctx context.Context, cr coverRun, stdout, stderr io.Writer) int {
 		Kind: jobspec.KindCover,
 		Cover: &jobspec.Cover{
 			Circuit: name, LK: cr.lk, Beta: cr.beta, Seed: cr.seed,
-			NoRetimeSolver: cr.noRetime, Workers: cr.workers, Lanes: lanes,
+			NoRetimeSolver: cr.noRetime, Workers: cr.workers,
 			MaxPatterns: cr.maxPatterns, NoCollapse: cr.noCollapse,
 		},
 		Output: &jobspec.Output{

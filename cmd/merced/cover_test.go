@@ -38,42 +38,6 @@ func TestCoverDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
-// The lane-width counterpart: -lanes changes batch packing and throughput
-// but not one byte of the -no-timing report.
-func TestCoverDeterministicAcrossLanes(t *testing.T) {
-	for _, format := range []string{"text", "json", "csv"} {
-		base := coverRun{circuit: "s510", lk: 8, beta: 50, seed: 1, format: format, noTiming: true}
-		var want string
-		for _, lanes := range []string{"1", "2", "4"} {
-			cr := base
-			cr.lanes = lanes
-			out := runCoverOut(t, cr)
-			if want == "" {
-				want = out
-				continue
-			}
-			if out != want {
-				t.Errorf("%s: reports differ between -lanes 1 and %s:\n--- 1\n%s\n--- %s\n%s", format, lanes, want, lanes, out)
-			}
-		}
-	}
-}
-
-func TestCoverBadLanes(t *testing.T) {
-	var out, errb bytes.Buffer
-	if code := runCover(context.Background(), coverRun{circuit: "s27", lk: 3, beta: 50, seed: 1, lanes: "x"}, &out, &errb); code == 0 {
-		t.Fatal("non-integer -lanes accepted")
-	}
-	out.Reset()
-	errb.Reset()
-	if code := runCover(context.Background(), coverRun{circuit: "s27", lk: 3, beta: 50, seed: 1, lanes: "5"}, &out, &errb); code == 0 {
-		t.Fatal("-lanes 5 accepted")
-	}
-	if !strings.Contains(errb.String(), "lanes") {
-		t.Errorf("error does not mention lanes: %q", errb.String())
-	}
-}
-
 func TestCoverTextReport(t *testing.T) {
 	out := runCoverOut(t, coverRun{circuit: "s27", lk: 3, beta: 50, seed: 1, noTiming: true, undetected: true})
 	for _, want := range []string{"Fault coverage", "cluster", "total:", "faults detected"} {
@@ -90,9 +54,10 @@ func TestCoverJSONHasSegments(t *testing.T) {
 			t.Errorf("JSON report missing %q:\n%s", want, out)
 		}
 	}
-	// Batch counts depend on the lane width, so they are timing-gated and
-	// must stay out of the reproducible report along with the wall-clock.
-	for _, leak := range []string{`"elapsed_ms"`, `"batches"`, `"triage_batches"`, `"lanes"`} {
+	// Batch counts depend on the packing width, so they are timing-gated
+	// and must stay out of the reproducible report along with the
+	// wall-clock.
+	for _, leak := range []string{`"elapsed_ms"`, `"batches"`, `"triage_batches"`} {
 		if strings.Contains(out, leak) {
 			t.Errorf("timing field %s leaked into -no-timing JSON:\n%s", leak, out)
 		}

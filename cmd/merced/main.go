@@ -139,7 +139,6 @@ func main() {
 	sweepCoverage := flag.Bool("coverage", false, "with -sweep: fault-simulate each job's partition and report coverage")
 	doCover := flag.Bool("cover", false, "run the parallel fault-coverage campaign instead of a single report")
 	maxPatterns := flag.Uint64("max-patterns", 0, "with -cover/-sweep -coverage: per-fault pattern cap (0: full pseudo-exhaustive budget)")
-	lanesFlag := flag.String("lanes", "", "with -cover/-sweep -coverage: fault-batch vector width in 64-bit words (1, 2, 4, or 8; comma list sweeps the axis under -sweep; empty: engine default)")
 	noCollapse := flag.Bool("no-collapse", false, "with -cover: disable structural fault-equivalence collapsing")
 	undetected := flag.Bool("undetected", false, "with -cover: list surviving faults in the text report")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
@@ -203,7 +202,7 @@ func main() {
 			workers: *workers, timeout: *timeout, jobTimeout: *jobTimeout,
 			noRetime: *noRetime, lint: *doLint, format: *format, noTiming: *noTiming,
 			cacheStats: *cacheStats, noCache: *noCache, shard: *shardFlag, cache: cache,
-			coverage: *sweepCoverage, coverageMaxPatterns: *maxPatterns, lanes: *lanesFlag,
+			coverage: *sweepCoverage, coverageMaxPatterns: *maxPatterns,
 			metrics: *withMetrics, progress: *progress,
 		}, os.Stdout, os.Stderr)
 	case *doLint:
@@ -216,7 +215,7 @@ func main() {
 		code = runCover(ctx, coverRun{
 			file: *file, circuit: *circuit,
 			lk: *lk, beta: *beta, seed: *seed, noRetime: *noRetime,
-			maxPatterns: *maxPatterns, workers: *workers, lanes: *lanesFlag,
+			maxPatterns: *maxPatterns, workers: *workers,
 			noCollapse: *noCollapse, undetected: *undetected,
 			format: *format, noTiming: *noTiming,
 			metrics: *withMetrics, progress: *progress, cache: cache,

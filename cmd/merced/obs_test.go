@@ -203,20 +203,20 @@ func TestTraceFileSchema(t *testing.T) {
 	}
 }
 
-// The trace schema holds at wide batch widths too: a -lanes 4 campaign
-// exports the same campaign-worker-N lanes with stably-sorted,
-// nondecreasing per-lane timestamps. Wide lanes change batch packing (and
-// so span counts), never the trace shape.
+// The trace schema holds for a multi-worker campaign of wide batches too:
+// it exports campaign-worker-N lanes with stably-sorted, nondecreasing
+// per-lane timestamps. Batch packing changes span counts, never the trace
+// shape.
 func TestTraceFileSchemaWideLanes(t *testing.T) {
 	rec := obs.NewRecorder()
 	ctx := obs.With(context.Background(), rec, 0)
 	var out, errBuf bytes.Buffer
 	code := runCover(ctx, coverRun{
-		circuit: "s510", lk: 8, beta: 50, seed: 1, workers: 4, lanes: "4",
+		circuit: "s510", lk: 8, beta: 50, seed: 1, workers: 4,
 		format: "csv", noTiming: true,
 	}, &out, &errBuf)
 	if code != 0 {
-		t.Fatalf("runCover -lanes 4 exit %d: %s", code, errBuf.String())
+		t.Fatalf("runCover exit %d: %s", code, errBuf.String())
 	}
 
 	var buf bytes.Buffer

@@ -41,12 +41,6 @@ type sweepRun struct {
 	coverage            bool
 	coverageMaxPatterns uint64
 
-	// lanes is a comma list of fault-batch widths in 64-bit words; each
-	// value becomes a matrix axis entry, so "-lanes 1,4" runs every job at
-	// both widths. The reports are byte-identical at every width — the axis
-	// exists for throughput comparison, not result exploration.
-	lanes string
-
 	metrics  bool // append the deterministic kernel-counter table/object
 	progress bool // live done/total line on stderr (stdout untouched)
 }
@@ -178,13 +172,6 @@ func applySweepFlags(s *jobspec.Spec, cfg sweepRun) error {
 	}
 	if cfg.coverageMaxPatterns != 0 {
 		sw.MaxPatterns = cfg.coverageMaxPatterns
-	}
-	if cfg.lanes != "" {
-		lanes, err := splitInts("lanes", cfg.lanes)
-		if err != nil {
-			return err
-		}
-		sw.Lanes = lanes
 	}
 	if s.Output == nil {
 		s.Output = &jobspec.Output{}

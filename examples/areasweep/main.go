@@ -27,7 +27,7 @@ func main() {
 	ctx := context.Background()
 
 	// l_k sweep: one job per standard CBIT width, compiled in parallel.
-	jobs := sweep.Matrix([]string{name}, cbit.StandardWidths, []int{50}, []int64{1}, nil)
+	jobs := sweep.Matrix([]string{name}, cbit.StandardWidths, []int{50}, []int64{1})
 	rep, err := sweep.Run(ctx, jobs, sweep.Config{})
 	if err != nil {
 		log.Fatal(err)
@@ -48,7 +48,7 @@ func main() {
 	// retimed hardware per cut, but the partitioner may need more or
 	// wider clusters -> longer testing time). The paper leaves beta to the
 	// designer and uses 50 for the unrestricted experiments.
-	jobs = sweep.Matrix([]string{name}, []int{16}, []int{1, 2, 5, 50}, []int64{1}, nil)
+	jobs = sweep.Matrix([]string{name}, []int{16}, []int{1, 2, 5, 50}, []int64{1})
 	rep, err = sweep.Run(ctx, jobs, sweep.Config{})
 	if err != nil {
 		log.Fatal(err)

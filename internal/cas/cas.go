@@ -156,6 +156,26 @@ func decodeEntry(data []byte) (header, []byte, error) {
 	return hdr, payload, nil
 }
 
+// encodeEntry lays out one entry file, the inverse of decodeEntry: magic,
+// header line, payload.
+func encodeEntry(stage, key string, schema int, payload []byte) ([]byte, error) {
+	sum := sha256.Sum256(payload)
+	hdr, err := json.Marshal(header{
+		Stage: stage, Key: key, Schema: schema,
+		Size: int64(len(payload)), SHA256: hex.EncodeToString(sum[:]),
+	})
+	if err != nil {
+		return nil, err
+	}
+	var buf bytes.Buffer
+	buf.Grow(len(magic) + len(hdr) + 1 + len(payload))
+	buf.WriteString(magic)
+	buf.Write(hdr)
+	buf.WriteByte('\n')
+	buf.Write(payload)
+	return buf.Bytes(), nil
+}
+
 // quarantine moves a bad entry aside (best effort): the file must stop
 // being served, but the bytes are kept for inspection rather than deleted.
 func (s *Store) quarantine(stage, path string) {
@@ -179,11 +199,7 @@ func (s *Store) Put(stage, key string, schema int, payload []byte) error {
 	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 		return fmt.Errorf("cas: put %s/%s: %w", stage, key, err)
 	}
-	sum := sha256.Sum256(payload)
-	hdr, err := json.Marshal(header{
-		Stage: stage, Key: key, Schema: schema,
-		Size: int64(len(payload)), SHA256: hex.EncodeToString(sum[:]),
-	})
+	entry, err := encodeEntry(stage, key, schema, payload)
 	if err != nil {
 		return fmt.Errorf("cas: put %s/%s: %w", stage, key, err)
 	}
@@ -192,13 +208,7 @@ func (s *Store) Put(stage, key string, schema int, payload []byte) error {
 		return fmt.Errorf("cas: put %s/%s: %w", stage, key, err)
 	}
 	defer os.Remove(tmp.Name()) // no-op after a successful rename
-	var buf bytes.Buffer
-	buf.Grow(len(magic) + len(hdr) + 1 + len(payload))
-	buf.WriteString(magic)
-	buf.Write(hdr)
-	buf.WriteByte('\n')
-	buf.Write(payload)
-	if _, err := tmp.Write(buf.Bytes()); err != nil {
+	if _, err := tmp.Write(entry); err != nil {
 		tmp.Close()
 		return fmt.Errorf("cas: put %s/%s: %w", stage, key, err)
 	}

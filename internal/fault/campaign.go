@@ -2,12 +2,11 @@ package fault
 
 // Campaign is the parallel fault-coverage engine: the full single-stuck-at
 // campaign of a partitioned circuit — every cluster, every (optionally
-// collapsed) fault, packed sim.BatchLanes(LaneWords) lanes per wide batch
-// (255 at the default width) — fanned over a bounded worker pool. The
-// paper's headline claim is that each segment with <= l_k inputs is tested
-// exhaustively and all segments concurrently; this engine is how the repo
-// verifies that claim on whole benchmarks instead of one cluster at a
-// time.
+// collapsed) fault, packed sim.BatchLanes(sim.MaxLaneWords) = 255 lanes
+// per wide batch — fanned over a bounded worker pool. The paper's headline
+// claim is that each segment with <= l_k inputs is tested exhaustively and
+// all segments concurrently; this engine is how the repo verifies that
+// claim on whole benchmarks instead of one cluster at a time.
 //
 // The engine drops faults in two tiers:
 //
@@ -28,9 +27,10 @@ package fault
 // independent in the sim kernel and batch-level session cutoff is only
 // taken on sets that fit one word-wide batch at every width, a fault's
 // verdict does not depend on which batch it was packed into. Reports are
-// therefore byte-identical for any Workers value AND any LaneWords value,
-// which the race-enabled tests and CI pin. Batch counts are the one
-// width-dependent quantity, so renders gate them behind Timing.
+// therefore byte-identical for any Workers value and any packing width,
+// which the race-enabled tests pin (they cap the width through the
+// unexported maxWords field). Batch counts are the one packing-dependent
+// quantity, so renders gate them behind Timing.
 
 import (
 	"context"
@@ -74,17 +74,16 @@ type CampaignOptions struct {
 	// DefaultTriagePatterns. Budgets at or below the triage budget skip
 	// the escalation stage entirely.
 	TriagePatterns uint64
-	// LaneWords is the batch vector width in 64-bit words (1, 2, 4, or 8;
-	// 0 means DefaultLaneWords), exactly as Options.LaneWords. Per-fault
-	// verdicts — and so the rendered report — are identical at every
-	// width; only batch counts and throughput change.
-	LaneWords int
 	// Progress, when non-nil, is called after every finished batch with
 	// the cumulative batch count and the total known so far (the total
 	// grows once when the escalation stage is packed). Called concurrently
 	// from pool workers; it must be cheap and must not touch the report
 	// stream.
 	Progress func(done, total int)
+
+	// maxWords caps the batch width below sim.MaxLaneWords (0: no cap),
+	// exactly as Options.maxWords.
+	maxWords int
 }
 
 // SegmentCoverage is one cluster's campaign outcome.
@@ -113,9 +112,9 @@ type CampaignReport struct {
 	Detected  int
 	Simulated int
 	// Batches counts simulated batches across both stages; TriageBatches
-	// of them were triage, the rest escalation. Both depend on LaneWords
-	// (wider batches → fewer of them), so deterministic renders gate them
-	// behind the Timing option.
+	// of them were triage, the rest escalation. Both depend on the packing
+	// width (wider batches → fewer of them), so deterministic renders gate
+	// them behind the Timing option.
 	Batches       int
 	TriageBatches int
 	// TriageDetected counts the representatives already detected when the
@@ -125,10 +124,7 @@ type CampaignReport struct {
 	TriageDetected int
 	Survivors      int
 	Workers        int
-	// LaneWords is the effective batch vector width (configuration, like
-	// Workers, so not listed as a counter).
-	LaneWords int
-	Elapsed   time.Duration
+	Elapsed        time.Duration
 	// Latency holds the per-batch wall-time histograms of the two stages
 	// (latency.campaign.batch.triage / .escalation). Like Elapsed it is
 	// observability metadata: timing-gated at render time and excluded
@@ -192,10 +188,7 @@ func Campaign(ctx context.Context, c *netlist.Circuit, r *partition.Result, opt 
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	words, err := laneWords(opt.LaneWords)
-	if err != nil {
-		return nil, err
-	}
+	words := batchWords(opt.maxWords)
 	triage := opt.TriagePatterns
 	if triage == 0 {
 		triage = DefaultTriagePatterns
@@ -289,7 +282,7 @@ func Campaign(ctx context.Context, c *netlist.Circuit, r *partition.Result, opt 
 		}
 		packSegment(si, allIdx[:len(cs.reps)], b, sess, 0)
 	}
-	rep := &CampaignReport{Workers: workers, LaneWords: words}
+	rep := &CampaignReport{Workers: workers}
 	rep.TriageBatches = len(jobs)
 	// Progress totals: the triage stage total is known now; the escalation
 	// total is appended once its jobs are packed. done is cumulative across

@@ -432,7 +432,7 @@ func BenchmarkCampaignParallel(b *testing.B) {
 			for _, lanes := range []int{1, 4} {
 				b.Run(fmt.Sprintf("%s-w%d-l%d", bc.label, workers, lanes), func(b *testing.B) {
 					c, p := benchPartitionB(b, bc.name, bc.lk)
-					opt := CampaignOptions{Seed: 1, Workers: workers, Collapse: true, LaneWords: lanes, MaxPatterns: bc.mp}
+					opt := CampaignOptions{Seed: 1, Workers: workers, Collapse: true, MaxPatterns: bc.mp, maxWords: lanes}
 					b.ResetTimer()
 					for i := 0; i < b.N; i++ {
 						rep, err := Campaign(context.Background(), c, p, opt)

@@ -48,16 +48,17 @@ func renderAll(t testing.TB, rep *CampaignReport) []byte {
 
 // TestCampaignDeterministicAcrossWorkers is the determinism contract: for
 // fixed options the rendered report (Timing off) is byte-identical across
-// runs, across every worker count, AND across every lane width. Run under
+// runs, across every worker count, AND across every packing width (capped
+// through the unexported maxWords field). Run under
 // -race this also exercises the shared-Segment concurrency claims.
 func TestCampaignDeterministicAcrossWorkers(t *testing.T) {
 	c, p := compilePartition(t, "s510", 8)
 	opt := CampaignOptions{Seed: 7, Collapse: true, TriagePatterns: 64}
 	var want []byte
 	for _, workers := range []int{1, 2, 8} {
-		for _, lanes := range []int{1, 2, 4} {
+		for _, lanes := range sim.LaneWordSizes {
 			opt.Workers = workers
-			opt.LaneWords = lanes
+			opt.maxWords = lanes
 			rep, err := Campaign(context.Background(), c, p, opt)
 			if err != nil {
 				t.Fatalf("workers=%d lanes=%d: %v", workers, lanes, err)
@@ -208,23 +209,16 @@ func TestBatchAllRedundantWideBatch(t *testing.T) {
 		faults[i] = sim.Fault{Signal: "y", Stuck1: true}
 	}
 	for _, words := range []int{1, 4} {
-		cov, err := Simulate(sg, faults, Options{Seed: 1, MaxPatterns: 128, LaneWords: words})
+		cov, err := Simulate(sg, faults, Options{Seed: 1, MaxPatterns: 128, maxWords: words})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if cov.Detected != 0 {
-			t.Fatalf("LaneWords=%d: redundant wide batch reported %d detections", words, cov.Detected)
+			t.Fatalf("maxWords=%d: redundant wide batch reported %d detections", words, cov.Detected)
 		}
 		if len(cov.Undetected) != len(faults) {
-			t.Fatalf("LaneWords=%d: undetected = %d, want %d", words, len(cov.Undetected), len(faults))
+			t.Fatalf("maxWords=%d: undetected = %d, want %d", words, len(cov.Undetected), len(faults))
 		}
-	}
-}
-
-func TestCampaignInvalidLaneWords(t *testing.T) {
-	c, p := compilePartition(t, "s27", 4)
-	if _, err := Campaign(context.Background(), c, p, CampaignOptions{Seed: 1, LaneWords: 5}); err == nil {
-		t.Fatal("LaneWords 5 accepted")
 	}
 }
 

@@ -3,7 +3,7 @@
 // of high fault coverage under pseudo-exhaustive per-segment testing.
 //
 // Two entry points share one wide-lane batch kernel (sim.LaneEngine, up to
-// 64*words-1 fault lanes per batch at a configurable vector width):
+// sim.BatchLanes(sim.MaxLaneWords) fault lanes per batch):
 // Simulate runs a single segment serially (the historical API), and
 // Campaign fans every segment of a partition across a bounded worker pool
 // with fault dropping and deterministic aggregation (campaign.go).
@@ -14,13 +14,13 @@
 // state (Simulate: the session index; Campaign: (seed, stage, segment)),
 // and batch-level session cutoff is only taken when the whole fault set
 // fits one word-wide batch at every width — so Detected/Undetected results
-// are identical for any LaneWords setting. Batch counts are the one
-// width-dependent observable.
+// do not depend on how faults are packed. The width is the engine's own
+// choice: full batches run at sim.MaxLaneWords and a partial final batch
+// at the narrowest width that holds it.
 package fault
 
 import (
 	"context"
-	"fmt"
 	"math/rand"
 	"sort"
 
@@ -66,10 +66,6 @@ func (c Coverage) Ratio() float64 {
 	return float64(c.Detected) / float64(c.Total)
 }
 
-// DefaultLaneWords is the batch vector width used when LaneWords is 0:
-// 4 words = 255 fault lanes per batch, matching 256-bit vector units.
-const DefaultLaneWords = 4
-
 // Options tunes the campaign.
 type Options struct {
 	// MaxPatterns caps applied patterns; 0 means the full pseudo-exhaustive
@@ -77,23 +73,19 @@ type Options struct {
 	MaxPatterns uint64
 	// Seed drives the LFSR initial state choice.
 	Seed int64
-	// LaneWords is the batch vector width in 64-bit words (1, 2, 4, or 8;
-	// 0 means DefaultLaneWords). A width-w batch simulates 64*w-1 faults
-	// per pattern. Detected/Undetected results are identical at every
-	// width; only Batches and throughput change.
-	LaneWords int
+
+	// maxWords caps the batch width below sim.MaxLaneWords (0: no cap).
+	// Only this package's width-invariance tests set it.
+	maxWords int
 }
 
-// laneWords validates an Options/CampaignOptions lane width, mapping the
-// zero value to the default.
-func laneWords(w int) (int, error) {
-	if w == 0 {
-		return DefaultLaneWords, nil
+// batchWords returns the width of a full batch: sim.MaxLaneWords unless a
+// test capped it through the unexported maxWords option field.
+func batchWords(maxWords int) int {
+	if maxWords == 0 {
+		return sim.MaxLaneWords
 	}
-	if !sim.ValidLaneWords(w) {
-		return 0, fmt.Errorf("fault: lane words %d not supported (want 1, 2, 4, or 8)", w)
-	}
-	return w, nil
+	return maxWords
 }
 
 // maxBatchSessions is the session count of a full (non-triage) batch on a
@@ -105,17 +97,15 @@ const maxBatchSessions = 4
 // mode would, and a fault counts as detected when any boundary output
 // differs from the fault-free machine on any cycle (the succeeding CBIT in
 // PSA mode would absorb the difference into its signature). Faults are
-// packed sim.BatchLanes(LaneWords) per batch (lane 0 is fault-free), with
-// the final partial batch re-fit to the narrowest width that holds it.
+// packed sim.BatchLanes(sim.MaxLaneWords) per batch (lane 0 is
+// fault-free), with the final partial batch re-fit to the narrowest width
+// that holds it.
 //
 // Every batch applies the same session seed sequence (drawn once from
-// Seed), so per-fault verdicts do not depend on LaneWords.
+// Seed), so per-fault verdicts do not depend on the packing width.
 func Simulate(sg *sim.Segment, faults []sim.Fault, opt Options) (Coverage, error) {
 	cov := Coverage{Total: len(faults)}
-	words, err := laneWords(opt.LaneWords)
-	if err != nil {
-		return cov, err
-	}
+	words := batchWords(opt.maxWords)
 	patterns := patternBudget(sg.NumInputs(), sg.NumDFFs(), opt.MaxPatterns)
 	cov.Patterns = patterns
 

@@ -161,32 +161,32 @@ func manyFaults(sg *sim.Segment, n int) []sim.Fault {
 func TestBatching(t *testing.T) {
 	sg := wholeSegment(t, s27)
 	faults := manyFaults(sg, sim.BatchLanes(4))
-	for _, words := range []int{1, 2, 4} {
-		cov, err := Simulate(sg, faults, Options{Seed: 1, MaxPatterns: 256, LaneWords: words})
+	for _, words := range sim.LaneWordSizes {
+		cov, err := Simulate(sg, faults, Options{Seed: 1, MaxPatterns: 256, maxWords: words})
 		if err != nil {
 			t.Fatal(err)
 		}
 		lanes := sim.BatchLanes(words)
 		wantBatches := (len(faults) + lanes - 1) / lanes
 		if cov.Batches != wantBatches {
-			t.Fatalf("LaneWords=%d: batches = %d, want %d", words, cov.Batches, wantBatches)
+			t.Fatalf("maxWords=%d: batches = %d, want %d", words, cov.Batches, wantBatches)
 		}
 	}
 }
 
-// TestSimulateWidthInvariant pins the Options.LaneWords contract: the
-// per-fault verdicts — and hence Detected and the ordered Undetected list —
-// are identical at every width, for a sole-batch list and a multi-batch
-// list alike.
+// TestSimulateWidthInvariant pins the packing contract: the per-fault
+// verdicts — and hence Detected and the ordered Undetected list — are
+// identical at every width the packing may be capped to, for a sole-batch
+// list and a multi-batch list alike.
 func TestSimulateWidthInvariant(t *testing.T) {
 	sg := wholeSegment(t, s27)
 	for _, faults := range [][]sim.Fault{
-		List(sg),                          // fits one 63-lane batch: sole at every width
-		manyFaults(sg, sim.BatchLanes(8)), // multiple batches even at 8 words
+		List(sg), // fits one 63-lane batch: sole at every width
+		manyFaults(sg, sim.BatchLanes(sim.MaxLaneWords)), // multiple batches even at the widest
 	} {
 		var want Coverage
-		for i, words := range []int{1, 2, 4, 8} {
-			cov, err := Simulate(sg, faults, Options{Seed: 9, MaxPatterns: 512, LaneWords: words})
+		for i, words := range sim.LaneWordSizes {
+			cov, err := Simulate(sg, faults, Options{Seed: 9, MaxPatterns: 512, maxWords: words})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -195,12 +195,12 @@ func TestSimulateWidthInvariant(t *testing.T) {
 				continue
 			}
 			if cov.Detected != want.Detected || len(cov.Undetected) != len(want.Undetected) {
-				t.Fatalf("LaneWords=%d: detected %d (undetected %d), LaneWords=1: %d (%d)",
+				t.Fatalf("maxWords=%d: detected %d (undetected %d), maxWords=1: %d (%d)",
 					words, cov.Detected, len(cov.Undetected), want.Detected, len(want.Undetected))
 			}
 			for j := range cov.Undetected {
 				if cov.Undetected[j] != want.Undetected[j] {
-					t.Fatalf("LaneWords=%d: undetected[%d] = %v, LaneWords=1: %v",
+					t.Fatalf("maxWords=%d: undetected[%d] = %v, maxWords=1: %v",
 						words, j, cov.Undetected[j], want.Undetected[j])
 				}
 			}
@@ -212,30 +212,23 @@ func TestSimulateWidthInvariant(t *testing.T) {
 // re-fit is pure throughput and must not change a single verdict.
 func TestPartialFinalBatchRefit(t *testing.T) {
 	sg := wholeSegment(t, s27)
-	faults := manyFaults(sg, 128)[:130] // 130 faults: one W=4 batch under LaneWords 8
-	wide, err := Simulate(sg, faults, Options{Seed: 2, MaxPatterns: 256, LaneWords: 8})
+	faults := manyFaults(sg, 70)[:70] // 70 faults: one W=2 batch at the default width
+	wide, err := Simulate(sg, faults, Options{Seed: 2, MaxPatterns: 256})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if wide.Batches != 1 {
-		t.Fatalf("batches = %d, want 1 (130 faults fit one 8-word batch)", wide.Batches)
+		t.Fatalf("batches = %d, want 1 (70 faults fit one 2-word batch)", wide.Batches)
 	}
-	narrow, err := Simulate(sg, faults, Options{Seed: 2, MaxPatterns: 256, LaneWords: 1})
+	narrow, err := Simulate(sg, faults, Options{Seed: 2, MaxPatterns: 256, maxWords: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if narrow.Batches != 3 {
-		t.Fatalf("batches = %d, want 3 at one word", narrow.Batches)
+	if narrow.Batches != 2 {
+		t.Fatalf("batches = %d, want 2 at one word", narrow.Batches)
 	}
 	if wide.Detected != narrow.Detected {
 		t.Fatalf("re-fit changed verdicts: %d vs %d detected", wide.Detected, narrow.Detected)
-	}
-}
-
-func TestSimulateInvalidLaneWords(t *testing.T) {
-	sg := wholeSegment(t, comb)
-	if _, err := Simulate(sg, List(sg), Options{Seed: 1, LaneWords: 3}); err == nil {
-		t.Fatal("LaneWords 3 accepted")
 	}
 }
 

@@ -5,8 +5,8 @@ import "repro/internal/obs"
 // AddMetrics folds the campaign's counters into m under the campaign.*
 // prefix. Every value is a pure function of the report, which is itself
 // deterministic for fixed options, so the resulting table is identical for
-// any Workers value. The batch counters do depend on LaneWords (wider
-// batches → fewer of them); the fault/detection counters do not.
+// any Workers value. The batch counters do depend on the packing width
+// (wider batches → fewer of them); the fault/detection counters do not.
 func (r *CampaignReport) AddMetrics(m *obs.Metrics) {
 	m.Add("campaign.segments", int64(len(r.Segments)))
 	m.Add("campaign.faults", int64(r.Total))

@@ -19,10 +19,10 @@ import (
 // RenderOptions selects what the campaign writers emit.
 type RenderOptions struct {
 	// Timing includes wall-clock and throughput-shape fields: campaign
-	// elapsed, worker count, lane width, and batch counts (batch counts
-	// are deterministic but depend on LaneWords, so they stay out of the
-	// reproducible report body). Leave Timing false when the output must
-	// be byte-identical across worker counts and lane widths.
+	// elapsed, worker count, and batch counts (batch counts are
+	// deterministic but depend on the packing width, so they stay out of
+	// the reproducible report body). Leave Timing false when the output
+	// must be byte-identical across worker counts.
 	Timing bool
 	// Undetected lists each cluster's surviving faults in the text form
 	// (they are always present in JSON).
@@ -59,7 +59,6 @@ type campaignJSON struct {
 	Batches       int                             `json:"batches,omitempty"`
 	TriageBatches int                             `json:"triage_batches,omitempty"`
 	Workers       int                             `json:"workers,omitempty"`
-	Lanes         int                             `json:"lanes,omitempty"`
 	ElapsedMS     float64                         `json:"elapsed_ms,omitempty"`
 	Metrics       *obs.Metrics                    `json:"metrics,omitempty"`
 	Latency       map[string]obs.HistogramSummary `json:"latency,omitempty"`
@@ -93,7 +92,6 @@ func (r *CampaignReport) WriteJSON(w io.Writer, opts RenderOptions) error {
 		out.Batches = r.Batches
 		out.TriageBatches = r.TriageBatches
 		out.Workers = r.Workers
-		out.Lanes = r.LaneWords
 		out.ElapsedMS = float64(r.Elapsed) / float64(time.Millisecond)
 	}
 	if opts.Metrics {
@@ -126,7 +124,7 @@ func (r *CampaignReport) WriteCSV(w io.Writer, opts RenderOptions) error {
 }
 
 // WriteText renders the aligned per-cluster table followed by the
-// aggregate line (worker/lanes/batches/elapsed trailer only under
+// aggregate line (worker/batches/elapsed trailer only under
 // opts.Timing).
 func (r *CampaignReport) WriteText(w io.Writer, opts RenderOptions) error {
 	if err := r.table("Fault coverage").Write(w); err != nil {
@@ -165,7 +163,7 @@ func (r *CampaignReport) WriteText(w io.Writer, opts RenderOptions) error {
 	if !opts.Timing {
 		return nil
 	}
-	_, err := fmt.Fprintf(w, "workers %d, lanes %d, %d batches (%d triage): %v\n",
-		r.Workers, r.LaneWords, r.Batches, r.TriageBatches, r.Elapsed.Round(time.Millisecond))
+	_, err := fmt.Fprintf(w, "workers %d, %d batches (%d triage): %v\n",
+		r.Workers, r.Batches, r.TriageBatches, r.Elapsed.Round(time.Millisecond))
 	return err
 }

@@ -16,9 +16,9 @@ func FuzzParseSpec(f *testing.F) {
 		`{}`,
 		`{"v":1,"kind":"compile","compile":{"circuit":"s27","lk":3},"output":{"metrics":true}}`,
 		`{"v":1,"kind":"sweep","timeout":"10m","sweep":{"circuits":["s27","s510"],"lks":[8],"workers":4,"job_timeout":"90s"},"output":{"format":"json","no_timing":true}}`,
-		`{"v":1,"kind":"cover","cover":{"circuit":"s510","lk":8,"max_patterns":4096,"no_collapse":true,"lanes":2},"output":{"undetected":true}}`,
-		`{"v":1,"kind":"sweep","sweep":{"jobs":[{"circuit":"s27","lk":3,"seed":2,"lanes":4}],"lanes":[1,8],"shard":{"index":2,"count":3}}}`,
-		`{"v":1,"kind":"sweep","sweep":{"circuits":[],"jobs":[],"lanes":[]},"output":{"format":"csv","cache_stats":true,"trace":true}}`,
+		`{"v":1,"kind":"cover","cover":{"circuit":"s510","lk":8,"max_patterns":4096,"no_collapse":true},"output":{"undetected":true}}`,
+		`{"v":1,"kind":"sweep","sweep":{"jobs":[{"circuit":"s27","lk":3,"seed":2}],"shard":{"index":2,"count":3}}}`,
+		`{"v":1,"kind":"sweep","sweep":{"circuits":[],"jobs":[]},"output":{"format":"csv","cache_stats":true,"trace":true}}`,
 		`{"v":1,"kind":"sweep","sweep":{"lks":[0]}}`,
 		`{"v":2,"kind":"compile","compile":{"circuit":"s27"}}`,
 		`{"v":1,"kind":"compile","compile":{"circuit":"s27"},"bogus":1}`,

@@ -14,10 +14,11 @@
 // Every request carries an explicit schema version ("v"); this build
 // speaks Version. The versioning policy (DESIGN.md §13): adding an
 // optional field is a compatible change within a version, while renaming,
-// removing, or changing the meaning of a field bumps the version. The
-// decoder rejects unknown fields, so a typo'd key — or a field from a
-// future version — fails loudly instead of silently shrinking an
-// experiment.
+// removing, or changing the meaning of a field bumps the version — except
+// for the three "lanes" keys, removed within version 1 because they never
+// changed a report byte. The decoder rejects unknown fields, so a typo'd
+// key — a removed "lanes" key, or a field from a future version — fails
+// loudly instead of silently shrinking an experiment.
 //
 // Defaulting (Normalize) reproduces the CLI flag defaults exactly: an
 // absent lk is 16, an absent beta 50, an absent seed 1, an absent sweep
@@ -147,12 +148,6 @@ type Sweep struct {
 	// MaxPatterns caps each coverage campaign's per-fault pattern budget;
 	// 0 means the full pseudo-exhaustive budget.
 	MaxPatterns uint64 `json:"max_patterns,omitempty"`
-	// Lanes lists coverage batch vector widths (1, 2, 4, or 8 words) as an
-	// extra matrix axis; empty means one pass at the engine default. The
-	// coverage results are identical at every width (the determinism
-	// contract), so sweeping lanes is a throughput experiment. Adding this
-	// optional field is a compatible change within version 1.
-	Lanes []int `json:"lanes,omitempty"`
 
 	// Shard, when set, runs only the 1-based shard Index of Count of the
 	// expanded job list (partitioned by stable job index) and emits a
@@ -177,9 +172,6 @@ type Job struct {
 	// Beta 0 means the paper's 50, matching the matrix default.
 	Beta int   `json:"beta,omitempty"`
 	Seed int64 `json:"seed,omitempty"`
-	// Lanes is the coverage batch vector width for this job (1, 2, 4, or
-	// 8 words); 0 means the engine default.
-	Lanes int `json:"lanes,omitempty"`
 }
 
 // Cover is the fault-coverage campaign body.
@@ -194,10 +186,6 @@ type Cover struct {
 	NoRetimeSolver bool `json:"no_retime_solver,omitempty"`
 	// Workers bounds the campaign pool; 0 means GOMAXPROCS.
 	Workers int `json:"workers,omitempty"`
-	// Lanes is the batch vector width in 64-bit words (1, 2, 4, or 8);
-	// 0 means the engine default. The rendered report is identical at
-	// every width; only throughput changes.
-	Lanes int `json:"lanes,omitempty"`
 	// MaxPatterns caps the per-fault pattern budget (-max-patterns).
 	MaxPatterns uint64 `json:"max_patterns,omitempty"`
 	// NoCollapse disables structural fault-equivalence collapsing.
@@ -314,16 +302,6 @@ func defaultCoords(lk, beta int, seed int64) (int, int, int64) {
 	return lk, beta, seed
 }
 
-// validLanes accepts the supported coverage batch widths (sim.LaneWordSizes)
-// plus 0, the engine-default sentinel on scalar fields.
-func validLanes(w int) bool {
-	switch w {
-	case 0, 1, 2, 4, 8:
-		return true
-	}
-	return false
-}
-
 // validFormats is the render formats shared with the CLI -format flag.
 var validFormats = map[string]bool{"text": true, "json": true, "csv": true}
 
@@ -373,9 +351,6 @@ func (s *Spec) validateBodies() error {
 		if c.Workers < 0 {
 			return fieldErrf("cover.workers", "must be >= 0 (got %d)", c.Workers)
 		}
-		if !validLanes(c.Lanes) {
-			return fieldErrf("cover.lanes", "must be 1, 2, 4, or 8 words (got %d)", c.Lanes)
-		}
 	case KindSweep:
 		return s.Sweep.validate()
 	}
@@ -413,11 +388,6 @@ func (sw *Sweep) validate() error {
 			return fieldErrf(fmt.Sprintf("sweep.betas[%d]", i), "must be >= 0 (got %d)", b)
 		}
 	}
-	for i, lanes := range sw.Lanes {
-		if lanes == 0 || !validLanes(lanes) {
-			return fieldErrf(fmt.Sprintf("sweep.lanes[%d]", i), "must be 1, 2, 4, or 8 words (got %d)", lanes)
-		}
-	}
 	for i, j := range sw.Jobs {
 		if j.Circuit == "" {
 			return fieldErrf(fmt.Sprintf("sweep.jobs[%d].circuit", i), "required")
@@ -427,9 +397,6 @@ func (sw *Sweep) validate() error {
 		}
 		if j.Beta < 0 {
 			return fieldErrf(fmt.Sprintf("sweep.jobs[%d].beta", i), "must be >= 0 (got %d)", j.Beta)
-		}
-		if !validLanes(j.Lanes) {
-			return fieldErrf(fmt.Sprintf("sweep.jobs[%d].lanes", i), "must be 1, 2, 4, or 8 words (got %d)", j.Lanes)
 		}
 	}
 	if sw.Workers < 0 {

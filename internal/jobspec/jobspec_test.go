@@ -97,8 +97,8 @@ func TestRoundTripStability(t *testing.T) {
 		`{"v":1,"kind":"sweep","timeout":"10m","sweep":{"circuits":["s27","s510"],"lks":[8],"workers":4,"job_timeout":"90s"},"output":{"format":"json","no_timing":true}}`,
 		`{"v":1,"kind":"cover","cover":{"circuit":"s510","lk":8,"max_patterns":4096,"no_collapse":true},"output":{"undetected":true}}`,
 		`{"v":1,"kind":"sweep","sweep":{"jobs":[{"circuit":"s27","lk":3,"seed":2}]}}`,
-		`{"v":1,"kind":"sweep","sweep":{"circuits":["s27"],"lks":[3],"coverage":true,"lanes":[1,4]}}`,
-		`{"v":1,"kind":"cover","cover":{"circuit":"s510","lk":8,"lanes":2}}`,
+		`{"v":1,"kind":"sweep","sweep":{"circuits":["s27"],"lks":[3],"coverage":true}}`,
+		`{"v":1,"kind":"cover","cover":{"circuit":"s510","lk":8,"workers":2}}`,
 	}
 	for _, src := range srcs {
 		s1, err := Parse(strings.NewReader(src))
@@ -138,9 +138,13 @@ func TestDurationJSON(t *testing.T) {
 }
 
 func TestValidateFieldPaths(t *testing.T) {
+	// The three "lanes" keys were removed within version 1 (DESIGN.md
+	// §13): a spec still carrying one must fail at decode as an unknown
+	// field, never be silently ignored. Those rows have no field path.
+	const removedLanes = `unknown field "lanes"`
 	cases := []struct {
 		src  string
-		path string
+		path string // "" when Decode itself must refuse with removedLanes
 	}{
 		{`{"v":2,"kind":"compile","compile":{"circuit":"s27"}}`, "v"},
 		{`{"v":1,"compile":{"circuit":"s27"}}`, "kind"},
@@ -156,10 +160,10 @@ func TestValidateFieldPaths(t *testing.T) {
 		{`{"v":1,"kind":"sweep","sweep":{"jobs":[{"circuit":"s27","lk":3},{"circuit":"","lk":3}]}}`, "sweep.jobs[1].circuit"},
 		{`{"v":1,"kind":"sweep","sweep":{"jobs":[{"circuit":"s27","lk":0}]}}`, "sweep.jobs[0].lk"},
 		{`{"v":1,"kind":"cover","cover":{"circuit":"s27","workers":-2}}`, "cover.workers"},
-		{`{"v":1,"kind":"cover","cover":{"circuit":"s27","lanes":3}}`, "cover.lanes"},
-		{`{"v":1,"kind":"sweep","sweep":{"lanes":[1,5]}}`, "sweep.lanes[1]"},
-		{`{"v":1,"kind":"sweep","sweep":{"lanes":[0]}}`, "sweep.lanes[0]"},
-		{`{"v":1,"kind":"sweep","sweep":{"jobs":[{"circuit":"s27","lk":3,"lanes":7}]}}`, "sweep.jobs[0].lanes"},
+		{`{"v":1,"kind":"cover","cover":{"circuit":"s27","lanes":3}}`, ""},
+		{`{"v":1,"kind":"sweep","sweep":{"lanes":[1,5]}}`, ""},
+		{`{"v":1,"kind":"sweep","sweep":{"lanes":[0]}}`, ""},
+		{`{"v":1,"kind":"sweep","sweep":{"jobs":[{"circuit":"s27","lk":3,"lanes":7}]}}`, ""},
 		{`{"v":1,"kind":"compile","compile":{"circuit":"s27"},"output":{"format":"json"}}`, "output.format"},
 		{`{"v":1,"kind":"sweep","sweep":{},"output":{"format":"yaml"}}`, "output.format"},
 		{`{"v":1,"kind":"cover","cover":{"circuit":"s27"},"output":{"cache_stats":true}}`, "output.cache_stats"},
@@ -168,7 +172,13 @@ func TestValidateFieldPaths(t *testing.T) {
 	for _, tc := range cases {
 		_, err := Parse(strings.NewReader(tc.src))
 		if err == nil {
-			t.Errorf("Parse(%s) succeeded; want error at %s", tc.src, tc.path)
+			t.Errorf("Parse(%s) succeeded; want error at %q", tc.src, tc.path)
+			continue
+		}
+		if tc.path == "" {
+			if _, derr := Decode(strings.NewReader(tc.src)); derr == nil || !strings.Contains(derr.Error(), removedLanes) {
+				t.Errorf("Decode(%s) error = %v; want %s", tc.src, derr, removedLanes)
+			}
 			continue
 		}
 		var fe *FieldError
@@ -194,7 +204,7 @@ func TestRunSweepMatchesSweepPackage(t *testing.T) {
 		t.Fatalf("Run: %v", err)
 	}
 
-	jobs := sweep.Matrix([]string{"s27"}, []int{3, 4}, []int{50}, []int64{1}, nil)
+	jobs := sweep.Matrix([]string{"s27"}, []int{3, 4}, []int{50}, []int64{1})
 	rep, err := sweep.Run(context.Background(), jobs, sweep.Config{Workers: 2})
 	if err != nil {
 		t.Fatalf("sweep.Run: %v", err)
@@ -205,35 +215,6 @@ func TestRunSweepMatchesSweepPackage(t *testing.T) {
 	}
 	if got.String() != want.String() {
 		t.Errorf("funnel output diverges from sweep package:\n got %s\nwant %s", got.String(), want.String())
-	}
-}
-
-// TestRunSweepCoverageLanesInvariant pins the sweep-level acceptance of the
-// wide-lane engine: a -coverage sweep renders byte-identical reports at
-// every lane width (the lanes axis exists for throughput, not results).
-func TestRunSweepCoverageLanesInvariant(t *testing.T) {
-	render := func(lanes string) string {
-		spec := parse(t, `{"v":1,"kind":"sweep",
-			"sweep":{"circuits":["s27"],"lks":[3,4],"coverage":true,"lanes":[`+lanes+`]},
-			"output":{"format":"json","no_timing":true}}`)
-		var out bytes.Buffer
-		if err := Run(context.Background(), spec, &out, Runtime{}); err != nil {
-			t.Fatalf("lanes=[%s]: %v", lanes, err)
-		}
-		return out.String()
-	}
-	w1 := render("1")
-	if w4 := render("4"); w4 != w1 {
-		t.Errorf("coverage sweep differs between lanes 1 and 4:\n--- 1\n%s\n--- 4\n%s", w1, w4)
-	}
-	// Two widths in one matrix: every coordinate runs twice with identical
-	// per-job blocks — and still matches the single-width report job for job.
-	both := render("1,4")
-	if !strings.Contains(both, `"coverage"`) {
-		t.Fatalf("coverage block missing:\n%s", both)
-	}
-	if strings.Contains(both, `"lanes"`) {
-		t.Errorf("lanes leaked into the sweep report:\n%s", both)
 	}
 }
 

@@ -97,9 +97,9 @@ func (sw *Sweep) ExpandJobs() ([]sweep.Job, error) {
 	if err != nil {
 		return nil, err
 	}
-	jobs := sweep.Matrix(circuits, sw.LKs, sw.Betas, sw.Seeds, sw.Lanes)
+	jobs := sweep.Matrix(circuits, sw.LKs, sw.Betas, sw.Seeds)
 	for _, j := range sw.Jobs {
-		jobs = append(jobs, sweep.Job{Circuit: j.Circuit, LK: j.LK, Beta: j.Beta, Seed: j.Seed, Lanes: j.Lanes})
+		jobs = append(jobs, sweep.Job{Circuit: j.Circuit, LK: j.LK, Beta: j.Beta, Seed: j.Seed})
 	}
 	if len(jobs) == 0 {
 		return nil, fieldErrf("sweep", "job matrix is empty")
@@ -190,7 +190,6 @@ func runCover(ctx context.Context, s *Spec, w io.Writer, rt Runtime, cache *swee
 		Seed:        cv.Seed,
 		Workers:     cv.Workers,
 		Collapse:    !cv.NoCollapse,
-		LaneWords:   cv.Lanes,
 		Progress:    rt.Progress,
 	}
 	rep, err := fault.Campaign(ctx, r.Circuit, r.Partition, copt)

@@ -62,7 +62,7 @@ type LaneEngine interface {
 }
 
 // NewLaneEngine returns a fresh engine for the segment at the given vector
-// width (1, 2, 4, or 8 words).
+// width (1, 2, or 4 words).
 func (sg *Segment) NewLaneEngine(words int) (LaneEngine, error) {
 	switch words {
 	case 1:
@@ -71,10 +71,8 @@ func (sg *Segment) NewLaneEngine(words int) (LaneEngine, error) {
 		return newLaneEngine[[2]uint64](sg), nil
 	case 4:
 		return newLaneEngine[[4]uint64](sg), nil
-	case 8:
-		return newLaneEngine[[8]uint64](sg), nil
 	}
-	return nil, fmt.Errorf("sim: lane width %d words not supported (want 1, 2, 4, or 8)", words)
+	return nil, fmt.Errorf("sim: lane width %d words not supported (want 1, 2, or 4)", words)
 }
 
 // GetLaneEngine returns a cleared engine at the given width, recycling a
@@ -103,7 +101,7 @@ func (sg *Segment) PutLaneEngine(e LaneEngine) {
 	sg.lanePools[laneWordsIndex(e.Words())].Put(e)
 }
 
-// laneWordsIndex maps a valid width {1,2,4,8} to its pool slot {0,1,2,3}.
+// laneWordsIndex maps a valid width {1,2,4} to its pool slot {0,1,2}.
 func laneWordsIndex(words int) int { return bits.TrailingZeros(uint(words)) }
 
 // laneEngine is the generic engine behind LaneEngine: the per-signal value
@@ -223,8 +221,6 @@ func (e *laneEngine[W]) cycle(pattern uint64, detect bool) {
 		cycle2(ee, pattern, detect)
 	case *laneEngine[[4]uint64]:
 		cycle4(ee, pattern, detect)
-	case *laneEngine[[8]uint64]:
-		cycle8(ee, pattern, detect)
 	}
 }
 

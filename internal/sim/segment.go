@@ -35,7 +35,7 @@ type Segment struct {
 
 	// lanePools recycle LaneEngines across batches and workers, one pool
 	// per supported vector width (index laneWordsIndex(words)).
-	lanePools [4]sync.Pool
+	lanePools [3]sync.Pool
 }
 
 // BuildSegment compiles the cluster given by nodes (cell node IDs of g,

@@ -19,19 +19,21 @@ package sim
 // machine.
 const LanesPerWord = 63
 
-// MaxLaneWords is the widest supported lane vector, in 64-bit words.
-const MaxLaneWords = 8
+// MaxLaneWords is the widest supported lane vector, in 64-bit words, and
+// the width every fault campaign packs its full batches at. Wider vectors
+// do not pay: an 8-word kernel cost 20.1 ns per lane per step against
+// 20.3 ns at 4 words and showed no end-to-end gain (EXPERIMENTS.md).
+const MaxLaneWords = 4
 
 // LaneWordSizes lists the supported lane-vector widths in words. Power-of-
 // two widths keep the generic kernel instantiations aligned with the
-// hardware vector registers (1 word scalar, 2 = 128-bit, 4 = 256-bit AVX2,
-// 8 = 512-bit).
-var LaneWordSizes = []int{1, 2, 4, 8}
+// hardware vector registers (1 word scalar, 2 = 128-bit, 4 = 256-bit AVX2).
+var LaneWordSizes = []int{1, 2, 4}
 
 // ValidLaneWords reports whether words is a supported lane-vector width.
 func ValidLaneWords(words int) bool {
 	switch words {
-	case 1, 2, 4, 8:
+	case 1, 2, 4:
 		return true
 	}
 	return false
@@ -62,5 +64,5 @@ func FitLaneWords(n, maxWords int) int {
 // types keep the element count a compile-time constant per instantiation,
 // and each shape has its hand-unrolled kernel in wide_unroll.go.
 type lanevec interface {
-	[1]uint64 | [2]uint64 | [4]uint64 | [8]uint64
+	[1]uint64 | [2]uint64 | [4]uint64
 }

@@ -3,7 +3,7 @@ package sim
 // Kernel microbenchmarks: one LaneEngine.Step per op on the whole s641
 // twin segment with a full batch of faults injected, the quantity the
 // repository benchmark reports as sim.step_ns.w*. The number to watch is
-// ns/op divided by the width's lane count (63/127/255/511): per-lane
+// ns/op divided by the width's lane count (63/127/255): per-lane
 // throughput is what the campaign's batch packing converts into wall
 // clock.
 
@@ -35,4 +35,3 @@ func benchLaneStep(b *testing.B, words int) {
 func BenchmarkLaneStep1(b *testing.B) { benchLaneStep(b, 1) }
 func BenchmarkLaneStep2(b *testing.B) { benchLaneStep(b, 2) }
 func BenchmarkLaneStep4(b *testing.B) { benchLaneStep(b, 4) }
-func BenchmarkLaneStep8(b *testing.B) { benchLaneStep(b, 8) }

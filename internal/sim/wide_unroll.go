@@ -12,7 +12,8 @@ package sim
 // interpreter overhead (operand index loads) is genuinely amortized over W
 // words. They store each result word straight into the signal plane: a
 // [W]uint64 composite literal with more than one element is built in a
-// zeroed stack temporary and then copied, which cost W=8 its whole gain.
+// zeroed stack temporary and then copied, which costs the wide widths
+// their gain.
 //
 // settleW evaluates the program over W-word lanes, run by run (see
 // program.go): one opcode dispatch per run, then a tight loop with no
@@ -21,7 +22,7 @@ package sim
 // run that computes them. Ops of one level never read each other, so no
 // op can see a forced signal's unforced value.
 //
-// The differential tests (lanes_test.go) pin all four widths, plane by
+// The differential tests (lanes_test.go) pin all three widths, plane by
 // plane, against the scalar evalFaulty oracle in program_test.go, which
 // folds the masks at every op; any edit here must keep them passing.
 
@@ -265,137 +266,6 @@ func settle4(p *program, v, f0, f1 [][4]uint64, forced []int32) {
 	}
 }
 
-func settle8(p *program, v, f0, f1 [][8]uint64, forced []int32) {
-	ops := p.ops
-	start := int32(0)
-	for _, end := range p.runEnds {
-		run := ops[start:end]
-		inv := run[0].kind.inv()
-		switch run[0].kind &^ 1 {
-		case opBuf:
-			for i := range run {
-				o := &run[i]
-				x, d := &v[o.a], &v[o.out]
-				d[0] = x[0] ^ inv
-				d[1] = x[1] ^ inv
-				d[2] = x[2] ^ inv
-				d[3] = x[3] ^ inv
-				d[4] = x[4] ^ inv
-				d[5] = x[5] ^ inv
-				d[6] = x[6] ^ inv
-				d[7] = x[7] ^ inv
-			}
-		case opAnd2:
-			for i := range run {
-				o := &run[i]
-				x, y, d := &v[o.a], &v[o.b], &v[o.out]
-				d[0] = x[0]&y[0] ^ inv
-				d[1] = x[1]&y[1] ^ inv
-				d[2] = x[2]&y[2] ^ inv
-				d[3] = x[3]&y[3] ^ inv
-				d[4] = x[4]&y[4] ^ inv
-				d[5] = x[5]&y[5] ^ inv
-				d[6] = x[6]&y[6] ^ inv
-				d[7] = x[7]&y[7] ^ inv
-			}
-		case opOr2:
-			for i := range run {
-				o := &run[i]
-				x, y, d := &v[o.a], &v[o.b], &v[o.out]
-				d[0] = (x[0] | y[0]) ^ inv
-				d[1] = (x[1] | y[1]) ^ inv
-				d[2] = (x[2] | y[2]) ^ inv
-				d[3] = (x[3] | y[3]) ^ inv
-				d[4] = (x[4] | y[4]) ^ inv
-				d[5] = (x[5] | y[5]) ^ inv
-				d[6] = (x[6] | y[6]) ^ inv
-				d[7] = (x[7] | y[7]) ^ inv
-			}
-		case opXor2:
-			for i := range run {
-				o := &run[i]
-				x, y, d := &v[o.a], &v[o.b], &v[o.out]
-				d[0] = x[0] ^ y[0] ^ inv
-				d[1] = x[1] ^ y[1] ^ inv
-				d[2] = x[2] ^ y[2] ^ inv
-				d[3] = x[3] ^ y[3] ^ inv
-				d[4] = x[4] ^ y[4] ^ inv
-				d[5] = x[5] ^ y[5] ^ inv
-				d[6] = x[6] ^ y[6] ^ inv
-				d[7] = x[7] ^ y[7] ^ inv
-			}
-		case opAnd3:
-			for i := range run {
-				o := &run[i]
-				x, y, z, d := &v[o.a], &v[o.b], &v[o.c], &v[o.out]
-				d[0] = x[0]&y[0]&z[0] ^ inv
-				d[1] = x[1]&y[1]&z[1] ^ inv
-				d[2] = x[2]&y[2]&z[2] ^ inv
-				d[3] = x[3]&y[3]&z[3] ^ inv
-				d[4] = x[4]&y[4]&z[4] ^ inv
-				d[5] = x[5]&y[5]&z[5] ^ inv
-				d[6] = x[6]&y[6]&z[6] ^ inv
-				d[7] = x[7]&y[7]&z[7] ^ inv
-			}
-		case opOr3:
-			for i := range run {
-				o := &run[i]
-				x, y, z, d := &v[o.a], &v[o.b], &v[o.c], &v[o.out]
-				d[0] = (x[0] | y[0] | z[0]) ^ inv
-				d[1] = (x[1] | y[1] | z[1]) ^ inv
-				d[2] = (x[2] | y[2] | z[2]) ^ inv
-				d[3] = (x[3] | y[3] | z[3]) ^ inv
-				d[4] = (x[4] | y[4] | z[4]) ^ inv
-				d[5] = (x[5] | y[5] | z[5]) ^ inv
-				d[6] = (x[6] | y[6] | z[6]) ^ inv
-				d[7] = (x[7] | y[7] | z[7]) ^ inv
-			}
-		case opXor3:
-			for i := range run {
-				o := &run[i]
-				x, y, z, d := &v[o.a], &v[o.b], &v[o.c], &v[o.out]
-				d[0] = x[0] ^ y[0] ^ z[0] ^ inv
-				d[1] = x[1] ^ y[1] ^ z[1] ^ inv
-				d[2] = x[2] ^ y[2] ^ z[2] ^ inv
-				d[3] = x[3] ^ y[3] ^ z[3] ^ inv
-				d[4] = x[4] ^ y[4] ^ z[4] ^ inv
-				d[5] = x[5] ^ y[5] ^ z[5] ^ inv
-				d[6] = x[6] ^ y[6] ^ z[6] ^ inv
-				d[7] = x[7] ^ y[7] ^ z[7] ^ inv
-			}
-		case opMux:
-			for i := range run {
-				o := &run[i]
-				s, lo, hi, d := &v[o.a], &v[o.b], &v[o.c], &v[o.out]
-				d[0] = lo[0]&^s[0] | hi[0]&s[0]
-				d[1] = lo[1]&^s[1] | hi[1]&s[1]
-				d[2] = lo[2]&^s[2] | hi[2]&s[2]
-				d[3] = lo[3]&^s[3] | hi[3]&s[3]
-				d[4] = lo[4]&^s[4] | hi[4]&s[4]
-				d[5] = lo[5]&^s[5] | hi[5]&s[5]
-				d[6] = lo[6]&^s[6] | hi[6]&s[6]
-				d[7] = lo[7]&^s[7] | hi[7]&s[7]
-			}
-		default:
-			settleN(p, run, v)
-		}
-		for len(forced) > 0 && forced[0] < end {
-			o := ops[forced[0]].out
-			x, g0, g1 := &v[o], &f0[o], &f1[o]
-			x[0] = x[0]&^g0[0] | g1[0]
-			x[1] = x[1]&^g0[1] | g1[1]
-			x[2] = x[2]&^g0[2] | g1[2]
-			x[3] = x[3]&^g0[3] | g1[3]
-			x[4] = x[4]&^g0[4] | g1[4]
-			x[5] = x[5]&^g0[5] | g1[5]
-			x[6] = x[6]&^g0[6] | g1[6]
-			x[7] = x[7]&^g0[7] | g1[7]
-			forced = forced[1:]
-		}
-		start = end
-	}
-}
-
 // settleN evaluates a run of gates with fanin >= 4 plane by plane. They
 // are rare enough in ISCAS89-style netlists that the generic word loop
 // costs nothing measurable.
@@ -525,58 +395,5 @@ func cycle4(e *laneEngine[[4]uint64], pattern uint64, detect bool) {
 		q[1] = x[1]&^g0[1] | g1[1]
 		q[2] = x[2]&^g0[2] | g1[2]
 		q[3] = x[3]&^g0[3] | g1[3]
-	}
-}
-
-func cycle8(e *laneEngine[[8]uint64], pattern uint64, detect bool) {
-	sg := e.sgmt
-	v, f0, f1 := e.v, e.force0, e.force1
-	for i, sig := range sg.inputs {
-		w := -(pattern >> uint(i) & 1)
-		d, g0, g1 := &v[sig], &f0[sig], &f1[sig]
-		d[0] = w&^g0[0] | g1[0]
-		d[1] = w&^g0[1] | g1[1]
-		d[2] = w&^g0[2] | g1[2]
-		d[3] = w&^g0[3] | g1[3]
-		d[4] = w&^g0[4] | g1[4]
-		d[5] = w&^g0[5] | g1[5]
-		d[6] = w&^g0[6] | g1[6]
-		d[7] = w&^g0[7] | g1[7]
-	}
-	settle8(sg.prog, v, f0, f1, e.forced)
-	if e.tap != nil {
-		e.sample()
-	}
-	if detect {
-		d0, d1, d2, d3 := e.det[0], e.det[1], e.det[2], e.det[3]
-		d4, d5, d6, d7 := e.det[4], e.det[5], e.det[6], e.det[7]
-		for _, sig := range sg.outputs {
-			o := &v[sig]
-			ref := -(o[0] & 1)
-			d0 |= o[0] ^ ref
-			d1 |= o[1] ^ ref
-			d2 |= o[2] ^ ref
-			d3 |= o[3] ^ ref
-			d4 |= o[4] ^ ref
-			d5 |= o[5] ^ ref
-			d6 |= o[6] ^ ref
-			d7 |= o[7] ^ ref
-		}
-		e.det = [8]uint64{
-			d0 & e.want[0], d1 & e.want[1], d2 & e.want[2], d3 & e.want[3],
-			d4 & e.want[4], d5 & e.want[5], d6 & e.want[6], d7 & e.want[7],
-		}
-	}
-	for i := range sg.dffs {
-		d := &sg.dffs[i]
-		x, q, g0, g1 := &v[d.in], &v[d.out], &f0[d.out], &f1[d.out]
-		q[0] = x[0]&^g0[0] | g1[0]
-		q[1] = x[1]&^g0[1] | g1[1]
-		q[2] = x[2]&^g0[2] | g1[2]
-		q[3] = x[3]&^g0[3] | g1[3]
-		q[4] = x[4]&^g0[4] | g1[4]
-		q[5] = x[5]&^g0[5] | g1[5]
-		q[6] = x[6]&^g0[6] | g1[6]
-		q[7] = x[7]&^g0[7] | g1[7]
 	}
 }

@@ -17,7 +17,7 @@ import (
 )
 
 func obsTestJobs() []Job {
-	return Matrix([]string{"s27", "s510"}, []int{16, 24}, []int{25, 100}, []int64{1, 2}, nil)
+	return Matrix([]string{"s27", "s510"}, []int{16, 24}, []int{25, 100}, []int64{1, 2})
 }
 
 // Tracing is a pure side channel: the same matrix swept with a live
@@ -100,7 +100,7 @@ func TestMetricsIdenticalAcrossWorkersAndCache(t *testing.T) {
 
 // The JSON metrics object round-trips and matches the table's counters.
 func TestMetricsJSONRendering(t *testing.T) {
-	jobs := Matrix([]string{"s27"}, []int{16}, []int{50}, []int64{1}, nil)
+	jobs := Matrix([]string{"s27"}, []int{16}, []int{50}, []int64{1})
 	rep, err := Run(context.Background(), jobs, Config{Coverage: true})
 	if err != nil {
 		t.Fatal(err)

@@ -54,8 +54,7 @@ type jobJSON struct {
 // coverageJSON is the compact per-job fault-coverage block: the campaign
 // aggregates without the per-cluster detail (`merced -cover` renders the
 // full report when that detail is wanted). Batch counts are deliberately
-// absent: they depend on the lane width, and the sweep report must stay
-// byte-identical across the lanes axis.
+// absent: they are a throughput figure, not a coverage result.
 type coverageJSON struct {
 	Faults    int     `json:"faults"`
 	Simulated int     `json:"simulated"`

@@ -28,8 +28,9 @@ import (
 )
 
 // ShardFormatVersion is the shard-report schema this build reads and
-// writes.
-const ShardFormatVersion = 1
+// writes. Version 2 dropped the campaign report's lane-width field, so a
+// version 1 document no longer decodes byte-for-byte.
+const ShardFormatVersion = 2
 
 // Shard names one 1-based slice of a job universe: shard Index of Count.
 type Shard struct {

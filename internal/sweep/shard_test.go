@@ -209,6 +209,26 @@ func TestMergeValidation(t *testing.T) {
 	}
 }
 
+// TestReadShardReportRejectsOtherVersion: a document written by a build
+// that speaks another shard format is refused at read, naming both
+// versions, before any merge sees it.
+func TestReadShardReportRejectsOtherVersion(t *testing.T) {
+	shards := runShards(t, shardUniverse()[:1], 1, ShardOutput{Format: "json", NoTiming: true})
+	old := *shards[0]
+	old.V = 1
+	var buf bytes.Buffer
+	if err := old.WriteJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(buf.String(), `"v": 1,`) {
+		t.Fatalf("fixture does not carry v 1:\n%s", buf.String())
+	}
+	_, err := ReadShardReport(&buf)
+	if err == nil || !strings.Contains(err.Error(), "shard report version 1 (this build speaks 2)") {
+		t.Fatalf("v1 document: err = %v, want the version mismatch", err)
+	}
+}
+
 // TestMergeRejectsBadUniverseJobs: the universe size a shard document
 // declares must be checked against its job entries before it sizes the
 // merge, so a negative or inflated count is an error, not a panic or a

@@ -12,22 +12,15 @@ import (
 	"repro/internal/bench89"
 )
 
-// Matrix crosses the axes into jobs, circuit-major then l_k, beta, seed,
-// lanes: the deterministic input order that Report.Jobs preserves. lanes
-// is the coverage batch-width axis; nil or empty means one pass at the
-// engine default (Job.Lanes 0).
-func Matrix(circuits []string, lks []int, betas []int, seeds []int64, lanes []int) []Job {
-	if len(lanes) == 0 {
-		lanes = []int{0}
-	}
-	jobs := make([]Job, 0, len(circuits)*len(lks)*len(betas)*len(seeds)*len(lanes))
+// Matrix crosses the axes into jobs, circuit-major then l_k, beta, seed:
+// the deterministic input order that Report.Jobs preserves.
+func Matrix(circuits []string, lks []int, betas []int, seeds []int64) []Job {
+	jobs := make([]Job, 0, len(circuits)*len(lks)*len(betas)*len(seeds))
 	for _, c := range circuits {
 		for _, lk := range lks {
 			for _, beta := range betas {
 				for _, seed := range seeds {
-					for _, lw := range lanes {
-						jobs = append(jobs, Job{Circuit: c, LK: lk, Beta: beta, Seed: seed, Lanes: lw})
-					}
+					jobs = append(jobs, Job{Circuit: c, LK: lk, Beta: beta, Seed: seed})
 				}
 			}
 		}

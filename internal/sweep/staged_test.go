@@ -30,7 +30,7 @@ func renderDeterministic(t *testing.T, rep *Report) (jsonOut, csvOut string) {
 // cost only. Cached and uncached sweeps of the same matrix render
 // byte-identical deterministic reports.
 func TestCachedMatchesNoCacheByteIdentical(t *testing.T) {
-	jobs := Matrix([]string{"s27", "s510"}, []int{16, 24}, []int{25, 100}, []int64{1, 2}, nil)
+	jobs := Matrix([]string{"s27", "s510"}, []int{16, 24}, []int{25, 100}, []int64{1, 2})
 	cached, err := Run(context.Background(), jobs, Config{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
@@ -54,7 +54,7 @@ func TestCachedMatchesNoCacheByteIdentical(t *testing.T) {
 // for saturate, hits for every other job, regardless of worker count.
 func TestCacheStatsReflectMatrixShape(t *testing.T) {
 	// 2 circuits × 2 lks × 2 betas × 2 seeds = 16 jobs.
-	jobs := Matrix([]string{"s27", "s510"}, []int{16, 24}, []int{25, 100}, []int64{1, 2}, nil)
+	jobs := Matrix([]string{"s27", "s510"}, []int{16, 24}, []int{25, 100}, []int64{1, 2})
 	for _, workers := range []int{1, 8} {
 		rep, err := Run(context.Background(), jobs, Config{Workers: workers})
 		if err != nil {
@@ -91,7 +91,7 @@ func TestCacheStatsReflectMatrixShape(t *testing.T) {
 // saturated stages never touch the cache. (Parsed counters still reflect
 // the circuit preload, which always deduplicates through the cache.)
 func TestNoCacheSkipsStagedArtifacts(t *testing.T) {
-	jobs := Matrix([]string{"s27"}, []int{16, 24}, []int{50}, []int64{1}, nil)
+	jobs := Matrix([]string{"s27"}, []int{16, 24}, []int{50}, []int64{1})
 	rep, err := Run(context.Background(), jobs, Config{NoCache: true})
 	if err != nil {
 		t.Fatal(err)
@@ -108,7 +108,7 @@ func TestNoCacheSkipsStagedArtifacts(t *testing.T) {
 // A tight cache still produces correct results — jobs just recompute
 // evicted prefixes. This exercises the eviction path end to end.
 func TestTinyCacheStillCorrect(t *testing.T) {
-	jobs := Matrix([]string{"s27", "s510"}, []int{16, 24}, []int{50}, []int64{1, 2}, nil)
+	jobs := Matrix([]string{"s27", "s510"}, []int{16, 24}, []int{50}, []int64{1, 2})
 	tiny, err := Run(context.Background(), jobs, Config{Workers: 2, CacheEntries: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -128,7 +128,7 @@ func TestTinyCacheStillCorrect(t *testing.T) {
 // its gates, and the memoized netlist lint is exercised concurrently
 // (a -race probe for Parsed.NetlistLint).
 func TestLintGatesWithSharedArtifacts(t *testing.T) {
-	jobs := Matrix([]string{"s27", "s510"}, []int{16, 24}, []int{50}, []int64{1}, nil)
+	jobs := Matrix([]string{"s27", "s510"}, []int{16, 24}, []int{50}, []int64{1})
 	rep, err := Run(context.Background(), jobs, Config{Workers: 4, Lint: true})
 	if err != nil {
 		t.Fatal(err)
@@ -144,7 +144,7 @@ func TestLintGatesWithSharedArtifacts(t *testing.T) {
 // coordinates, so the cached run saturates each prefix once instead of
 // six times.
 func benchmarkJobs() []Job {
-	return Matrix([]string{"s27", "s510", "s1423"}, []int{16, 24}, []int{25, 50, 100}, []int64{1}, nil)
+	return Matrix([]string{"s27", "s510", "s1423"}, []int{16, 24}, []int{25, 50, 100}, []int64{1})
 }
 
 func runSweepBenchmark(b *testing.B, cfg Config) {

@@ -51,11 +51,6 @@ type Job struct {
 	Beta int `json:"beta,omitempty"`
 	// Seed drives every stochastic step of the job.
 	Seed int64 `json:"seed"`
-	// Lanes is the coverage batch vector width in 64-bit words (1, 2, 4,
-	// or 8); 0 means the fault engine's default. Coverage results are
-	// identical at every width (the campaign's lane-width-invariance
-	// contract), so this axis varies throughput, not results.
-	Lanes int `json:"lanes,omitempty"`
 }
 
 // Options returns the core configuration for the job: the paper defaults
@@ -434,7 +429,6 @@ func runJob(ctx context.Context, j Job, master *core.Parsed, parsedHere bool, ca
 			MaxPatterns: cfg.CoverageMaxPatterns,
 			Seed:        j.Seed,
 			Workers:     1,
-			LaneWords:   j.Lanes,
 			Collapse:    true,
 		})
 		if err != nil {

@@ -13,7 +13,7 @@ import (
 )
 
 func testJobs() []Job {
-	return Matrix([]string{"s27", "s510"}, []int{16, 24}, []int{50}, []int64{1, 2}, nil)
+	return Matrix([]string{"s27", "s510"}, []int{16, 24}, []int{50}, []int64{1, 2})
 }
 
 // The determinism guarantee: the same job matrix produces byte-identical
@@ -152,7 +152,7 @@ func TestPanicRecovery(t *testing.T) {
 		}
 		return core.Compile(ctx, c, opt)
 	}
-	jobs := Matrix([]string{"s27"}, []int{16, 24}, []int{50}, []int64{1}, nil)
+	jobs := Matrix([]string{"s27"}, []int{16, 24}, []int{50}, []int64{1})
 	rep, err := Run(context.Background(), jobs, Config{Workers: 2, Compile: boom})
 	if err != nil {
 		t.Fatal(err)
@@ -178,7 +178,7 @@ func TestJobTimeout(t *testing.T) {
 		<-ctx.Done()
 		return nil, ctx.Err()
 	}
-	jobs := Matrix([]string{"s27"}, []int{16}, []int{50}, []int64{1}, nil)
+	jobs := Matrix([]string{"s27"}, []int{16}, []int{50}, []int64{1})
 	rep, err := Run(context.Background(), jobs, Config{Workers: 1, JobTimeout: 10 * time.Millisecond, Compile: slow})
 	if err != nil {
 		t.Fatal(err)
@@ -207,7 +207,7 @@ func TestSetupFailures(t *testing.T) {
 // depends on.
 func TestSharedCacheAcrossRuns(t *testing.T) {
 	cache := NewCache(0)
-	jobs := Matrix([]string{"s27"}, []int{3, 4}, []int{50}, []int64{1}, nil)
+	jobs := Matrix([]string{"s27"}, []int{3, 4}, []int{50}, []int64{1})
 	run := func() *Report {
 		t.Helper()
 		rep, err := Run(context.Background(), jobs, Config{Workers: 2, Cache: cache})
@@ -269,7 +269,7 @@ func TestCacheCompileMatchesCoreCompile(t *testing.T) {
 		t.Errorf("cached compile priced differently:\ncache:  %+v\ndirect: %+v", viaCache.Areas, direct.Areas)
 	}
 	// A sweep job over the same prefix must hit all three stages.
-	rep, err := Run(context.Background(), Matrix([]string{"s27"}, []int{3}, []int{50}, []int64{1}, nil), Config{Cache: cache})
+	rep, err := Run(context.Background(), Matrix([]string{"s27"}, []int{3}, []int{50}, []int64{1}), Config{Cache: cache})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -350,7 +350,7 @@ func TestParseAttributedToFirstJobOfCircuit(t *testing.T) {
 }
 
 func TestKeepResults(t *testing.T) {
-	jobs := Matrix([]string{"s27"}, []int{3}, []int{50}, []int64{1}, nil)
+	jobs := Matrix([]string{"s27"}, []int{3}, []int{50}, []int64{1})
 	rep, err := Run(context.Background(), jobs, Config{Workers: 1, KeepResults: true})
 	if err != nil {
 		t.Fatal(err)
@@ -371,7 +371,7 @@ func TestKeepResults(t *testing.T) {
 // so a coverage-enabled sweep stays byte-identical across pool sizes and
 // plain sweeps stay free of the coverage column.
 func TestCoverageDeterministicAcrossWorkers(t *testing.T) {
-	jobs := Matrix([]string{"s27", "s510"}, []int{4, 8}, []int{50}, []int64{1}, nil)
+	jobs := Matrix([]string{"s27", "s510"}, []int{4, 8}, []int{50}, []int64{1})
 	render := func(workers int) (jsonOut, csvOut string) {
 		t.Helper()
 		rep, err := Run(context.Background(), jobs, Config{Workers: workers, Coverage: true})
@@ -412,7 +412,7 @@ func TestCoverageDeterministicAcrossWorkers(t *testing.T) {
 }
 
 func TestNoCoverageWithoutFlag(t *testing.T) {
-	jobs := Matrix([]string{"s27"}, []int{4}, []int{50}, []int64{1}, nil)
+	jobs := Matrix([]string{"s27"}, []int{4}, []int{50}, []int64{1})
 	rep, err := Run(context.Background(), jobs, Config{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
