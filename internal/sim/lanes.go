@@ -109,13 +109,15 @@ func laneWordsIndex(words int) int { return bits.TrailingZeros(uint(words)) }
 // word, and the detection accumulator and armed-lane mask are single
 // vector words compared by value. forced lists, ascending, the program ops
 // whose output carries an injected fault; the settle folds force masks
-// there only. tap, non-nil only during a StepSample, receives lane
-// tapLane's boundary outputs.
+// there only. next is the latch scratch, one D value per flip-flop. tap,
+// non-nil only during a StepSample, receives lane tapLane's boundary
+// outputs.
 type laneEngine[W lanevec] struct {
 	sgmt           *Segment
 	force0, force1 []W
 	forced         []int32
 	v              []W
+	next           []W
 	det, want      W
 	tap            []uint64
 	tapLane        int
@@ -128,6 +130,7 @@ func newLaneEngine[W lanevec](sg *Segment) *laneEngine[W] {
 		force0: make([]W, n),
 		force1: make([]W, n),
 		v:      make([]W, n),
+		next:   make([]W, len(sg.dffs)),
 	}
 }
 

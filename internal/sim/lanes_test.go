@@ -176,7 +176,8 @@ func TestLaneEngineWidthInvariant(t *testing.T) {
 
 // refClock is the scalar reference for one engine clock over 64 lanes:
 // drive the inputs, settle through the evalFaulty oracle, sample the
-// boundary outputs, then latch the flip-flops.
+// boundary outputs, then latch the flip-flops (every D read before any Q
+// is written).
 type refClock struct {
 	sg        *Segment
 	v, f0, f1 []uint64
@@ -197,8 +198,12 @@ func (r *refClock) step(pattern uint64, out []uint64) {
 	for i, sig := range sg.outputs {
 		out[i] = v[sig]
 	}
-	for _, d := range sg.dffs {
-		v[d.out] = (v[d.in] &^ r.f0[d.out]) | r.f1[d.out]
+	next := make([]uint64, len(sg.dffs))
+	for i, d := range sg.dffs {
+		next[i] = v[d.in]
+	}
+	for i, d := range sg.dffs {
+		v[d.out] = (next[i] &^ r.f0[d.out]) | r.f1[d.out]
 	}
 }
 
@@ -457,4 +462,83 @@ func TestLaneEnginePoolHygiene(t *testing.T) {
 	}
 	sg.PutLaneEngine(oe) // silently dropped
 	sg.PutLaneEngine(nil)
+}
+
+// The lane engine latches in two phases like Evaluator.ClockDFFs: on the
+// shift register a one moves one stage per clock, on every lane plane of
+// every width.
+func TestLaneEngineShiftRegister(t *testing.T) {
+	_, _, sg := segmentFixture(t, shiftRegister)
+	for _, words := range LaneWordSizes {
+		e, err := sg.NewLaneEngine(words)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for clock := 1; clock <= 3; clock++ {
+			e.Step(1)
+			for i, name := range []string{"q1", "q2", "q3"} {
+				want := uint64(0)
+				if i < clock {
+					want = ^uint64(0)
+				}
+				if got := lanePlanes(e, sg.index[name]); !allWords(got, want) {
+					t.Fatalf("W=%d clock %d: %s = %x, want %x in every word", words, clock, name, got, want)
+				}
+			}
+		}
+	}
+}
+
+// On the two-flip-flop ring the engine swaps the values every clock.
+func TestLaneEngineRing(t *testing.T) {
+	_, _, sg := segmentFixture(t, dffRing)
+	q1, q2 := sg.index["q1"], sg.index["q2"]
+	for _, words := range LaneWordSizes {
+		e, err := sg.NewLaneEngine(words)
+		if err != nil {
+			t.Fatal(err)
+		}
+		setLanePlanes(e, q1, 0xF0)
+		setLanePlanes(e, q2, 0x0F)
+		for clock := 1; clock <= 4; clock++ {
+			e.Step(0)
+			want1, want2 := uint64(0x0F), uint64(0xF0)
+			if clock%2 == 0 {
+				want1, want2 = want2, want1
+			}
+			if !allWords(lanePlanes(e, q1), want1) || !allWords(lanePlanes(e, q2), want2) {
+				t.Fatalf("W=%d clock %d: q1 %x q2 %x, want %x %x", words, clock,
+					lanePlanes(e, q1), lanePlanes(e, q2), want1, want2)
+			}
+		}
+	}
+}
+
+// lanePlanes returns every word of signal sig's value vector.
+func lanePlanes(e LaneEngine, sig int) []uint64 {
+	switch ee := e.(type) {
+	case *laneEngine[[1]uint64]:
+		return ee.v[sig][:]
+	case *laneEngine[[2]uint64]:
+		return ee.v[sig][:]
+	case *laneEngine[[4]uint64]:
+		return ee.v[sig][:]
+	}
+	panic("unknown lane width")
+}
+
+// setLanePlanes writes w into every word of signal sig's value vector.
+func setLanePlanes(e LaneEngine, sig int, w uint64) {
+	for j := range lanePlanes(e, sig) {
+		lanePlanes(e, sig)[j] = w
+	}
+}
+
+func allWords(ws []uint64, w uint64) bool {
+	for _, x := range ws {
+		if x != w {
+			return false
+		}
+	}
+	return true
 }

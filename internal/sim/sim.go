@@ -136,10 +136,14 @@ func (ev *Evaluator) NumDFFs() int { return len(ev.dffs) }
 // State is one simulation state: a word per signal (64 parallel patterns).
 type State struct {
 	V []uint64
+
+	next []uint64 // ClockDFFs scratch: every D value, read before any Q is written
 }
 
 // NewState allocates an all-zero state for the evaluator.
-func (ev *Evaluator) NewState() *State { return &State{V: make([]uint64, len(ev.Names))} }
+func (ev *Evaluator) NewState() *State {
+	return &State{V: make([]uint64, len(ev.Names)), next: make([]uint64, len(ev.dffs))}
+}
 
 // SetInput sets primary input i (by position in Circuit.Inputs).
 func (ev *Evaluator) SetInput(s *State, i int, w uint64) { s.V[ev.inputs[i]] = w }
@@ -160,10 +164,19 @@ func (ev *Evaluator) EvalComb(s *State) {
 }
 
 // ClockDFFs latches every flip-flop's data input into its output
-// (call after EvalComb to advance one cycle).
+// (call after EvalComb to advance one cycle). The latch is two-phase, as
+// in hardware: every D is read before any Q is written, so a flip-flop fed
+// by another flip-flop takes that one's old value (a shift register moves
+// one stage per clock, a ring rotates).
 func (ev *Evaluator) ClockDFFs(s *State) {
+	if len(s.next) != len(ev.dffs) {
+		s.next = make([]uint64, len(ev.dffs))
+	}
 	for i := range ev.dffs {
-		s.V[ev.dffs[i].out] = s.V[ev.dffs[i].in]
+		s.next[i] = s.V[ev.dffs[i].in]
+	}
+	for i := range ev.dffs {
+		s.V[ev.dffs[i].out] = s.next[i]
 	}
 }
 

@@ -240,3 +240,60 @@ q = DFF(a)
 		t.Fatal("index accessors")
 	}
 }
+
+// shiftRegister and dffRing are the flip-flop-to-flip-flop fixtures of the
+// two-phase latch tests: every D must be read before any Q is written.
+const shiftRegister = `
+INPUT(a)
+OUTPUT(q3)
+q1 = DFF(a)
+q2 = DFF(q1)
+q3 = DFF(q2)
+`
+
+const dffRing = `
+INPUT(a)
+OUTPUT(q2)
+q1 = DFF(q2)
+q2 = DFF(q1)
+`
+
+// A one moves one stage per clock; a latch that wrote Q in place would
+// push it through the whole register on the first clock.
+func TestClockDFFsShiftRegister(t *testing.T) {
+	ev := compile(t, shiftRegister)
+	s := ev.NewState()
+	q := []int{ev.Signals["q1"], ev.Signals["q2"], ev.Signals["q3"]}
+	for clock := 1; clock <= 3; clock++ {
+		ev.SetInput(s, 0, ^uint64(0))
+		ev.Step(s)
+		for i, sig := range q {
+			want := uint64(0)
+			if i < clock {
+				want = ^uint64(0)
+			}
+			if s.V[sig] != want {
+				t.Fatalf("clock %d: q%d = %x, want %x", clock, i+1, s.V[sig], want)
+			}
+		}
+	}
+}
+
+// Two flip-flops feeding each other swap their values every clock; an
+// in-place latch would copy one into both.
+func TestClockDFFsRing(t *testing.T) {
+	ev := compile(t, dffRing)
+	s := ev.NewState()
+	q1, q2 := ev.Signals["q1"], ev.Signals["q2"]
+	s.V[q1], s.V[q2] = 0xF0, 0x0F
+	for clock := 1; clock <= 4; clock++ {
+		ev.Step(s)
+		want1, want2 := uint64(0x0F), uint64(0xF0)
+		if clock%2 == 0 {
+			want1, want2 = want2, want1
+		}
+		if s.V[q1] != want1 || s.V[q2] != want2 {
+			t.Fatalf("clock %d: q1 q2 = %x %x, want %x %x", clock, s.V[q1], s.V[q2], want1, want2)
+		}
+	}
+}

@@ -300,7 +300,9 @@ func settleN[W lanevec](p *program, run []op, v []W) {
 // The cycle specializations below are one clock each, in the order
 // laneEngine.cycle documents, with the same constant-index treatment as
 // the eval kernels: the drive/detect/latch loops run once per clock and,
-// written generically, cost more than the settle they wrap.
+// written generically, cost more than the settle they wrap. The latch is
+// two-phase: every D is copied into e.next before any Q is written, so a
+// flip-flop fed by another flip-flop's Q takes its pre-clock value.
 
 func cycle1(e *laneEngine[[1]uint64], pattern uint64, detect bool) {
 	sg := e.sgmt
@@ -323,9 +325,13 @@ func cycle1(e *laneEngine[[1]uint64], pattern uint64, detect bool) {
 		}
 		e.det = [1]uint64{d0 & e.want[0]}
 	}
+	next := e.next
 	for i := range sg.dffs {
-		d := &sg.dffs[i]
-		x, q, g0, g1 := &v[d.in], &v[d.out], &f0[d.out], &f1[d.out]
+		next[i] = v[sg.dffs[i].in]
+	}
+	for i := range sg.dffs {
+		o := sg.dffs[i].out
+		x, q, g0, g1 := &next[i], &v[o], &f0[o], &f1[o]
 		q[0] = x[0]&^g0[0] | g1[0]
 	}
 }
@@ -353,9 +359,13 @@ func cycle2(e *laneEngine[[2]uint64], pattern uint64, detect bool) {
 		}
 		e.det = [2]uint64{d0 & e.want[0], d1 & e.want[1]}
 	}
+	next := e.next
 	for i := range sg.dffs {
-		d := &sg.dffs[i]
-		x, q, g0, g1 := &v[d.in], &v[d.out], &f0[d.out], &f1[d.out]
+		next[i] = v[sg.dffs[i].in]
+	}
+	for i := range sg.dffs {
+		o := sg.dffs[i].out
+		x, q, g0, g1 := &next[i], &v[o], &f0[o], &f1[o]
 		q[0] = x[0]&^g0[0] | g1[0]
 		q[1] = x[1]&^g0[1] | g1[1]
 	}
@@ -388,9 +398,13 @@ func cycle4(e *laneEngine[[4]uint64], pattern uint64, detect bool) {
 		}
 		e.det = [4]uint64{d0 & e.want[0], d1 & e.want[1], d2 & e.want[2], d3 & e.want[3]}
 	}
+	next := e.next
 	for i := range sg.dffs {
-		d := &sg.dffs[i]
-		x, q, g0, g1 := &v[d.in], &v[d.out], &f0[d.out], &f1[d.out]
+		next[i] = v[sg.dffs[i].in]
+	}
+	for i := range sg.dffs {
+		o := sg.dffs[i].out
+		x, q, g0, g1 := &next[i], &v[o], &f0[o], &f1[o]
 		q[0] = x[0]&^g0[0] | g1[0]
 		q[1] = x[1]&^g0[1] | g1[1]
 		q[2] = x[2]&^g0[2] | g1[2]
