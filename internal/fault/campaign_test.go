@@ -289,8 +289,8 @@ func TestCancellationMidBatch(t *testing.T) {
 	if _, err := env.engine(1); err != nil {
 		t.Fatal(err)
 	}
-	err := env.runBatch(ctx, []sim.Fault{{Signal: "y", Stuck1: true}}, 1<<20, 0,
-		func() uint64 { return seed }, false)
+	sched := newSchedule(sg, 1<<20, 0, func() uint64 { return seed })
+	err := env.runBatch(ctx, []sim.Fault{{Signal: "y", Stuck1: true}}, sched, false)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}

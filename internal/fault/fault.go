@@ -109,13 +109,9 @@ func Simulate(sg *sim.Segment, faults []sim.Fault, opt Options) (Coverage, error
 	patterns := patternBudget(sg.NumInputs(), sg.NumDFFs(), opt.MaxPatterns)
 	cov.Patterns = patterns
 
-	// One seed per session index, shared by every batch: verdicts stay
-	// invariant under repacking at a different width.
-	rng := rand.New(rand.NewSource(opt.Seed))
-	var seeds [maxBatchSessions]uint64
-	for i := range seeds {
-		seeds[i] = rng.Uint64()
-	}
+	// One schedule, so one seed per session index, shared by every batch:
+	// verdicts stay invariant under repacking at a different width.
+	sched := newSchedule(sg, patterns, 0, rand.New(rand.NewSource(opt.Seed)).Uint64)
 	// Session cutoff is a batch-level decision; it is width-invariant only
 	// when the whole list is one batch at every width.
 	sole := len(faults) <= sim.LanesPerWord
@@ -137,8 +133,7 @@ func Simulate(sg *sim.Segment, faults []sim.Fault, opt Options) (Coverage, error
 			return cov, err
 		}
 		cov.Batches++
-		next := sessionSeeds(seeds)
-		if err := env.runBatch(context.Background(), batch, patterns, 0, next, sole); err != nil {
+		if err := env.runBatch(context.Background(), batch, sched, sole); err != nil {
 			return cov, err
 		}
 		for i, f := range batch {
@@ -150,17 +145,6 @@ func Simulate(sg *sim.Segment, faults []sim.Fault, opt Options) (Coverage, error
 		}
 	}
 	return cov, nil
-}
-
-// sessionSeeds returns a nextSeed func replaying the fixed per-session
-// seed table from the top.
-func sessionSeeds(seeds [maxBatchSessions]uint64) func() uint64 {
-	i := 0
-	return func() uint64 {
-		s := seeds[i%len(seeds)]
-		i++
-		return s
-	}
 }
 
 // batchEnv bundles the per-worker scratch a batch simulation needs: the
@@ -207,25 +191,69 @@ func (e *batchEnv) release() {
 // the hot path measurably.
 const ctxCheckMask = 8192 - 1
 
+// schedule is the pattern schedule of one batch set: every batch of a
+// campaign's (stage, segment) pair runs it, and so does the escalation
+// stage's excitation pre-pass, so the two cannot drift apart. Sequential
+// segments run sessions scan-re-initialised LFSR sessions (fresh seed,
+// cleared state) splitting the budget; a single maximal-length orbit
+// correlates pattern order with state and can systematically miss
+// state-dependent faults.
+type schedule struct {
+	sessions   int      // re-seeded sessions, each from the reset state
+	perSession uint64   // clocks per session
+	width      int      // TPG width
+	seeds      []uint64 // one nonzero LFSR state per session
+}
+
+// newSchedule lays a per-fault budget out on sg: maxBatchSessions sessions
+// on a sequential segment (capped at maxSessions when that is > 0; the
+// campaign's triage stage runs one — its survivors get the full treatment
+// on escalation), one otherwise, with seeds drawn from nextSeed in session
+// order.
+func newSchedule(sg *sim.Segment, budget uint64, maxSessions int, nextSeed func() uint64) *schedule {
+	sc := &schedule{sessions: 1, width: min(max(sg.NumInputs(), cbit.MinWidth), cbit.MaxWidth)}
+	if sg.NumDFFs() > 0 {
+		sc.sessions = maxBatchSessions
+	}
+	if maxSessions > 0 && sc.sessions > maxSessions {
+		sc.sessions = maxSessions
+	}
+	sc.perSession = max(budget/uint64(sc.sessions), 1)
+	sc.seeds = make([]uint64, sc.sessions)
+	for i := range sc.seeds {
+		seed := nextSeed()
+		if seed&tpgMask(sc.width) == 0 {
+			seed = 1
+		}
+		sc.seeds[i] = seed
+	}
+	return sc
+}
+
+// tpg returns session s's pattern generator, loaded with its seed.
+func (sc *schedule) tpg(s int) (*cbit.CBIT, error) {
+	tpg, err := cbit.New(sc.width)
+	if err != nil {
+		return nil, err
+	}
+	if err := tpg.SetState(sc.seeds[s]); err != nil {
+		return nil, err
+	}
+	return tpg, nil
+}
+
 // runBatch simulates one batch of up to engine-capacity faults (lane 0
-// fault-free, lane i+1 carrying batch[i]) for up to `budget` patterns per
-// fault; per-lane verdicts are read back through eng.Detected. Sequential
-// segments run 4 scan-re-initialised sessions (fresh LFSR seed from
-// nextSeed, cleared state) splitting the budget; a single maximal-length
-// orbit correlates pattern order with state and can systematically miss
-// state-dependent faults. maxSessions > 0 caps that session count (the
-// campaign's triage stage runs one session — its survivors get the full
-// treatment on escalation). The batch stops cycling as soon as every lane
-// has diverged from lane 0 (fault dropping), and returns ctx.Err()
-// promptly when cancelled.
+// fault-free, lane i+1 carrying batch[i]) on the schedule; per-lane
+// verdicts are read back through eng.Detected. The batch stops cycling as
+// soon as every lane has diverged from lane 0 (fault dropping), and
+// returns ctx.Err() promptly when cancelled.
 //
 // soleBatch marks a batch known to be the only one of its fault set at
 // every lane width (the set fits sim.LanesPerWord lanes). Only then may a
 // no-progress session end the batch early: the cutoff is a batch-level
 // decision, and taking it on multi-batch sets would make verdicts depend
 // on how faults were packed — i.e. on the width.
-func (e *batchEnv) runBatch(ctx context.Context, batch []sim.Fault, budget uint64, maxSessions int, nextSeed func() uint64, soleBatch bool) error {
-	sg := e.sg
+func (e *batchEnv) runBatch(ctx context.Context, batch []sim.Fault, sched *schedule, soleBatch bool) error {
 	eng := e.eng
 	eng.ClearFaults()
 	for i, f := range batch {
@@ -234,42 +262,17 @@ func (e *batchEnv) runBatch(ctx context.Context, batch []sim.Fault, budget uint6
 		}
 	}
 	eng.Arm(len(batch))
-	width := sg.NumInputs()
-	if width < cbit.MinWidth {
-		width = cbit.MinWidth
-	}
-	if width > cbit.MaxWidth {
-		width = cbit.MaxWidth
-	}
-	sessions := 1
-	if sg.NumDFFs() > 0 {
-		sessions = maxBatchSessions
-	}
-	if maxSessions > 0 && sessions > maxSessions {
-		sessions = maxSessions
-	}
-	perSession := budget / uint64(sessions)
-	if perSession == 0 {
-		perSession = 1
-	}
-	for s := 0; s < sessions && !eng.AllDetected(); s++ {
+	for s := 0; s < sched.sessions && !eng.AllDetected(); s++ {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
 		atSessionStart := eng.DetectedMask()
-		tpg, err := cbit.New(width)
+		tpg, err := sched.tpg(s)
 		if err != nil {
 			return err
 		}
-		seed := nextSeed()
-		if seed&tpgMask(width) == 0 {
-			seed = 1
-		}
-		if err := tpg.SetState(seed); err != nil {
-			return err
-		}
 		eng.ResetState()
-		for p := uint64(0); p < perSession; p++ {
+		for p := uint64(0); p < sched.perSession; p++ {
 			if p&ctxCheckMask == ctxCheckMask {
 				if err := ctx.Err(); err != nil {
 					return err

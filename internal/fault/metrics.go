@@ -6,7 +6,9 @@ import "repro/internal/obs"
 // prefix. Every value is a pure function of the report, which is itself
 // deterministic for fixed options, so the resulting table is identical for
 // any Workers value. The batch counters do depend on the packing width
-// (wider batches → fewer of them); the fault/detection counters do not.
+// (wider batches → fewer of them), and so does campaign.unexcited (the
+// pre-pass gives up when pruning could not lower the packing); the
+// fault/detection counters do not.
 func (r *CampaignReport) AddMetrics(m *obs.Metrics) {
 	m.Add("campaign.segments", int64(len(r.Segments)))
 	m.Add("campaign.faults", int64(r.Total))
@@ -17,6 +19,7 @@ func (r *CampaignReport) AddMetrics(m *obs.Metrics) {
 	m.Add("campaign.escalation_batches", int64(r.Batches-r.TriageBatches))
 	m.Add("campaign.triage_detected", int64(r.TriageDetected))
 	m.Add("campaign.survivors", int64(r.Survivors))
+	m.Add("campaign.unexcited", int64(r.Unexcited))
 }
 
 // Metrics returns a fresh registry holding only this campaign's counters.

@@ -87,12 +87,18 @@ func TestCampaignMetricsAcrossWorkers(t *testing.T) {
 	if rep.Survivors == 0 && rep.Batches > rep.TriageBatches {
 		t.Error("escalation batches exist but Survivors == 0")
 	}
+	if rep.Unexcited == 0 || rep.Unexcited > rep.Survivors {
+		t.Errorf("Unexcited %d, want in 1..Survivors (%d)", rep.Unexcited, rep.Survivors)
+	}
 	m := rep.Metrics()
 	if m.Counters["campaign.batches"] != int64(rep.Batches) {
 		t.Errorf("campaign.batches = %d, want %d", m.Counters["campaign.batches"], rep.Batches)
 	}
 	if m.Counters["campaign.triage_detected"] != int64(rep.TriageDetected) {
 		t.Errorf("campaign.triage_detected = %d, want %d", m.Counters["campaign.triage_detected"], rep.TriageDetected)
+	}
+	if m.Counters["campaign.unexcited"] != int64(rep.Unexcited) {
+		t.Errorf("campaign.unexcited = %d, want %d", m.Counters["campaign.unexcited"], rep.Unexcited)
 	}
 }
 

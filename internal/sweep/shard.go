@@ -29,8 +29,9 @@ import (
 
 // ShardFormatVersion is the shard-report schema this build reads and
 // writes. Version 2 dropped the campaign report's lane-width field, so a
-// version 1 document no longer decodes byte-for-byte.
-const ShardFormatVersion = 2
+// version 1 document no longer decodes byte-for-byte; version 3 added its
+// Unexcited counter, which a version 2 reader refuses as an unknown field.
+const ShardFormatVersion = 3
 
 // Shard names one 1-based slice of a job universe: shard Index of Count.
 type Shard struct {

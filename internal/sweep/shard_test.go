@@ -215,17 +215,17 @@ func TestMergeValidation(t *testing.T) {
 func TestReadShardReportRejectsOtherVersion(t *testing.T) {
 	shards := runShards(t, shardUniverse()[:1], 1, ShardOutput{Format: "json", NoTiming: true})
 	old := *shards[0]
-	old.V = 1
+	old.V = 2
 	var buf bytes.Buffer
 	if err := old.WriteJSON(&buf); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(buf.String(), `"v": 1,`) {
-		t.Fatalf("fixture does not carry v 1:\n%s", buf.String())
+	if !strings.Contains(buf.String(), `"v": 2,`) {
+		t.Fatalf("fixture does not carry v 2:\n%s", buf.String())
 	}
 	_, err := ReadShardReport(&buf)
-	if err == nil || !strings.Contains(err.Error(), "shard report version 1 (this build speaks 2)") {
-		t.Fatalf("v1 document: err = %v, want the version mismatch", err)
+	if err == nil || !strings.Contains(err.Error(), "shard report version 2 (this build speaks 3)") {
+		t.Fatalf("v2 document: err = %v, want the version mismatch", err)
 	}
 }
 
