@@ -36,7 +36,9 @@ type refOp struct {
 type refDFF struct{ out, in int }
 
 // refSeg mirrors the seed Segment: gate list walked through a per-gate
-// type switch, mutable force masks living on the segment itself.
+// type switch, mutable force masks living on the segment itself. Its
+// flip-flops latch in two phases like the engine's (next holds every D
+// before any Q is written), so it simulates the same machine.
 type refSeg struct {
 	names          []string
 	index          map[string]int
@@ -45,6 +47,7 @@ type refSeg struct {
 	ops            []refOp
 	dffs           []refDFF
 	force0, force1 []uint64
+	next           []uint64
 }
 
 func buildRefSeg(c *netlist.Circuit, g *graph.G, nodes []int, inputNets []int) (*refSeg, error) {
@@ -158,6 +161,7 @@ func buildRefSeg(c *netlist.Circuit, g *graph.G, nodes []int, inputNets []int) (
 	sort.Ints(sg.outputs)
 	sg.force0 = make([]uint64, len(sg.names))
 	sg.force1 = make([]uint64, len(sg.names))
+	sg.next = make([]uint64, len(sg.dffs))
 	return sg, nil
 }
 
@@ -250,9 +254,11 @@ func (sg *refSeg) cycle(v []uint64, pattern uint64, out []uint64) {
 		out[i] = v[sig]
 	}
 	for i := range sg.dffs {
+		sg.next[i] = v[sg.dffs[i].in]
+	}
+	for i := range sg.dffs {
 		d := &sg.dffs[i]
-		nv := v[d.in]
-		v[d.out] = (nv &^ sg.force0[d.out]) | sg.force1[d.out]
+		v[d.out] = (sg.next[i] &^ sg.force0[d.out]) | sg.force1[d.out]
 	}
 }
 
