@@ -46,15 +46,6 @@
 //	merced -cover -circuit s1423 -lk 12 -workers 8 -format json -no-timing
 //	merced -cover -circuit s27 -lk 3 -max-patterns 4096 -undetected
 //
-// Serve mode runs the compiler as an HTTP daemon: POST a v1 jobspec
-// document (the same shape -spec reads) to /v1/jobs, stream progress from
-// /v1/jobs/{id}/events, fetch the byte-identical report from
-// /v1/jobs/{id}/result. A process-lifetime artifact cache is shared
-// across requests; SIGTERM drains in-flight jobs before exiting.
-//
-//	merced serve -addr localhost:8080 -workers 4
-//	merced serve -addr :0 -queue-depth 16 -log-level info
-//
 // The profiling flags `-cpuprofile` and `-memprofile` write pprof profiles
 // covering whichever mode ran:
 //
@@ -95,12 +86,10 @@ import (
 )
 
 func main() {
-	// `merced serve`, `merced merge`, and `merced cas` are subcommands with
-	// their own flag sets, dispatched before the classic flag modes parse.
+	// `merced merge` and `merced cas` are subcommands with their own flag
+	// sets, dispatched before the classic flag modes parse.
 	if len(os.Args) > 1 {
 		switch os.Args[1] {
-		case "serve":
-			os.Exit(runServe(os.Args[2:], os.Stdout, os.Stderr))
 		case "merge":
 			os.Exit(runMerge(os.Args[2:], os.Stdout, os.Stderr))
 		case "cas":
@@ -172,7 +161,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, "merced:", err)
 			os.Exit(1)
 		}
-		cache = sweep.NewCacheWithStore(0, st)
+		cache = sweep.NewCacheWithStore(st)
 	}
 
 	// The rule catalog sits inside the profiled region like every other

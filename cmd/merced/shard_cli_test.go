@@ -91,7 +91,7 @@ func TestCacheDirWarmRunHasZeroMisses(t *testing.T) {
 	}
 	run := func() (string, sweep.CacheStats) {
 		// A fresh Cache per call models a fresh process on a shared dir.
-		cache := sweep.NewCacheWithStore(0, store)
+		cache := sweep.NewCacheWithStore(store)
 		cfg := sweepRun{
 			circuits: "s27,s1423", lks: "3,4", betas: "50", seeds: "1",
 			format: "json", noTiming: true, cacheStats: true, cache: cache,
@@ -144,7 +144,7 @@ func TestCASSubcommandStatsAndGC(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cache := sweep.NewCacheWithStore(0, store)
+	cache := sweep.NewCacheWithStore(store)
 	cfg := sweepRun{circuits: "s27", lks: "3,4", betas: "50", seeds: "1", cache: cache}
 	var out, errb bytes.Buffer
 	if code := runSweep(context.Background(), cfg, &out, &errb); code != 0 {

@@ -1,8 +1,8 @@
 package main
 
 // Tests for the -spec flag's v1 jobspec handling: the file is decoded by
-// the same funnel the serve daemon uses, typo'd keys fail loudly, and
-// explicitly set command-line flags override the file's settings.
+// the jobspec decoder, typo'd keys fail loudly, and explicitly set
+// command-line flags override the file's settings.
 
 import (
 	"bytes"

@@ -48,8 +48,8 @@ type sweepRun struct {
 // runSweep executes the batch mode and returns the process exit code: 0
 // when every job succeeded, 1 on a setup failure or any failed job. It is
 // a thin adapter: the flags become a jobspec sweep request and the shared
-// jobspec.Run funnel does everything else, so `merced -sweep` and a job
-// POSTed to `merced serve` are the same code path.
+// jobspec.Run funnel does everything else, so `merced -sweep` and
+// `merced -sweep -spec` are the same code path.
 func runSweep(ctx context.Context, cfg sweepRun, stdout, stderr io.Writer) int {
 	s, err := sweepSpec(cfg)
 	if err != nil {
@@ -124,7 +124,7 @@ func sweepSpecFile(cfg sweepRun) (*jobspec.Spec, error) {
 		return nil, err
 	}
 	if s.Kind != jobspec.KindSweep {
-		return nil, fmt.Errorf("-spec: kind %q is not %q (only sweep specs run under -sweep; use `merced serve` for the rest)", s.Kind, jobspec.KindSweep)
+		return nil, fmt.Errorf("-spec: kind %q is not %q (only sweep specs run under -sweep)", s.Kind, jobspec.KindSweep)
 	}
 	if s.Sweep == nil {
 		s.Sweep = &jobspec.Sweep{}

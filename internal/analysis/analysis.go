@@ -162,7 +162,6 @@ var entryPackages = map[string]bool{
 	"sweep":   true,
 	"fault":   true,
 	"jobspec": true,
-	"serve":   true,
 	"cas":     true,
 	"sim":     true,
 }

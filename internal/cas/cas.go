@@ -24,7 +24,7 @@
 //
 // Writes are atomic: payloads land in a temp file in the store root and
 // rename into place, so concurrent writers (shards of one sweep sharing a
-// cache directory, a serve daemon racing a CLI run) at worst both do the
+// cache directory, two CLI runs racing on one store) at worst both do the
 // work and one rename wins — never a torn entry. The store itself holds no
 // locks and no in-memory state beyond the root path; any number of
 // processes may share a directory.

@@ -19,7 +19,7 @@ func FuzzDecodeEntry(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	cache := sweep.NewCacheWithStore(0, st)
+	cache := sweep.NewCacheWithStore(st)
 	jobs := sweep.Matrix([]string{"s27"}, []int{3, 4}, []int{50}, []int64{1})
 	if _, err := sweep.Run(context.Background(), jobs, sweep.Config{Workers: 1, Cache: cache}); err != nil {
 		f.Fatal(err)

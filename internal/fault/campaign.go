@@ -140,7 +140,9 @@ type CampaignReport struct {
 	Workers        int
 	Elapsed        time.Duration
 	// Latency holds the per-batch wall-time histograms of the two stages
-	// (latency.campaign.batch.triage / .escalation). Like Elapsed it is
+	// (latency.campaign.batch.triage / .escalation) and the per-segment
+	// wall times of the excitation pre-pass (latency.campaign.excite,
+	// filled only when escalation has work). Like Elapsed it is
 	// observability metadata: timing-gated at render time and excluded
 	// from every serialized encoding (shard documents keep their byte
 	// determinism and DisallowUnknownFields round-trip).

@@ -1,5 +1,5 @@
-// Package jobspec is the versioned job request model shared by the merced
-// CLI and the `merced serve` daemon. What used to be three divergent
+// Package jobspec is the versioned job request model behind every merced
+// CLI mode that runs the compiler. What used to be three divergent
 // ad-hoc shapes — the `-sweep` flag matrix / `-spec` JSON file, the
 // `-cover` flag bundle, and the single-compile flags — is one JSON
 // document:
@@ -15,16 +15,17 @@
 // speaks Version. The versioning policy (DESIGN.md §13): adding an
 // optional field is a compatible change within a version, while renaming,
 // removing, or changing the meaning of a field bumps the version — except
-// for the three "lanes" keys, removed within version 1 because they never
-// changed a report byte. The decoder rejects unknown fields, so a typo'd
-// key — a removed "lanes" key, or a field from a future version — fails
-// loudly instead of silently shrinking an experiment.
+// for the three "lanes" keys (they never changed a report byte) and
+// "output.trace" (no CLI run read it), removed within version 1. The
+// decoder rejects unknown fields, so a typo'd key — a removed key, or a
+// field from a future version — fails loudly instead of silently
+// shrinking an experiment.
 //
 // Defaulting (Normalize) reproduces the CLI flag defaults exactly: an
 // absent lk is 16, an absent beta 50, an absent seed 1, an absent sweep
 // matrix the paper's full Tables 10-12 crossing. Validation returns
 // *FieldError values whose Path names the offending field in JSON dotted
-// form ("sweep.lks[1]"), precise enough for an HTTP 400 body to act on.
+// form ("sweep.lks[1]"), precise enough for a caller to act on.
 package jobspec
 
 import (
@@ -205,10 +206,6 @@ type Output struct {
 	Metrics bool `json:"metrics,omitempty"`
 	// Undetected lists surviving faults in the cover text report.
 	Undetected bool `json:"undetected,omitempty"`
-	// Trace records a Chrome trace_event file of the run. The CLI writes
-	// it to the -trace path; the serve daemon stores it per job and serves
-	// it at GET /v1/jobs/{id}/trace.
-	Trace bool `json:"trace,omitempty"`
 }
 
 // FieldError is a validation failure naming the offending field by its
@@ -240,8 +237,7 @@ func Decode(r io.Reader) (*Spec, error) {
 	return &s, nil
 }
 
-// Parse is Decode followed by Normalize and Validate: the one funnel every
-// consumer (CLI -spec files, the serve daemon's POST bodies) goes through.
+// Parse is Decode followed by Normalize and Validate in one call.
 func Parse(r io.Reader) (*Spec, error) {
 	s, err := Decode(r)
 	if err != nil {

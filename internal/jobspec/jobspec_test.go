@@ -138,13 +138,9 @@ func TestDurationJSON(t *testing.T) {
 }
 
 func TestValidateFieldPaths(t *testing.T) {
-	// The three "lanes" keys were removed within version 1 (DESIGN.md
-	// §13): a spec still carrying one must fail at decode as an unknown
-	// field, never be silently ignored. Those rows have no field path.
-	const removedLanes = `unknown field "lanes"`
 	cases := []struct {
 		src  string
-		path string // "" when Decode itself must refuse with removedLanes
+		path string
 	}{
 		{`{"v":2,"kind":"compile","compile":{"circuit":"s27"}}`, "v"},
 		{`{"v":1,"compile":{"circuit":"s27"}}`, "kind"},
@@ -160,10 +156,6 @@ func TestValidateFieldPaths(t *testing.T) {
 		{`{"v":1,"kind":"sweep","sweep":{"jobs":[{"circuit":"s27","lk":3},{"circuit":"","lk":3}]}}`, "sweep.jobs[1].circuit"},
 		{`{"v":1,"kind":"sweep","sweep":{"jobs":[{"circuit":"s27","lk":0}]}}`, "sweep.jobs[0].lk"},
 		{`{"v":1,"kind":"cover","cover":{"circuit":"s27","workers":-2}}`, "cover.workers"},
-		{`{"v":1,"kind":"cover","cover":{"circuit":"s27","lanes":3}}`, ""},
-		{`{"v":1,"kind":"sweep","sweep":{"lanes":[1,5]}}`, ""},
-		{`{"v":1,"kind":"sweep","sweep":{"lanes":[0]}}`, ""},
-		{`{"v":1,"kind":"sweep","sweep":{"jobs":[{"circuit":"s27","lk":3,"lanes":7}]}}`, ""},
 		{`{"v":1,"kind":"compile","compile":{"circuit":"s27"},"output":{"format":"json"}}`, "output.format"},
 		{`{"v":1,"kind":"sweep","sweep":{},"output":{"format":"yaml"}}`, "output.format"},
 		{`{"v":1,"kind":"cover","cover":{"circuit":"s27"},"output":{"cache_stats":true}}`, "output.cache_stats"},
@@ -175,12 +167,6 @@ func TestValidateFieldPaths(t *testing.T) {
 			t.Errorf("Parse(%s) succeeded; want error at %q", tc.src, tc.path)
 			continue
 		}
-		if tc.path == "" {
-			if _, derr := Decode(strings.NewReader(tc.src)); derr == nil || !strings.Contains(derr.Error(), removedLanes) {
-				t.Errorf("Decode(%s) error = %v; want %s", tc.src, derr, removedLanes)
-			}
-			continue
-		}
 		var fe *FieldError
 		if !errors.As(err, &fe) {
 			t.Errorf("Parse(%s) error %T is not a *FieldError", tc.src, err)
@@ -188,6 +174,23 @@ func TestValidateFieldPaths(t *testing.T) {
 		}
 		if fe.Path != tc.path {
 			t.Errorf("Parse(%s) error path = %q; want %q", tc.src, fe.Path, tc.path)
+		}
+	}
+
+	// The three "lanes" keys and "output.trace" were removed within
+	// version 1 (DESIGN.md §13): a spec still carrying one must fail at
+	// decode as an unknown field, never be silently ignored.
+	removed := []struct{ src, key string }{
+		{`{"v":1,"kind":"cover","cover":{"circuit":"s27","lanes":3}}`, "lanes"},
+		{`{"v":1,"kind":"sweep","sweep":{"lanes":[1,5]}}`, "lanes"},
+		{`{"v":1,"kind":"sweep","sweep":{"lanes":[0]}}`, "lanes"},
+		{`{"v":1,"kind":"sweep","sweep":{"jobs":[{"circuit":"s27","lk":3,"lanes":7}]}}`, "lanes"},
+		{`{"v":1,"kind":"sweep","sweep":{},"output":{"format":"csv","trace":true}}`, "trace"},
+	}
+	for _, tc := range removed {
+		want := `unknown field "` + tc.key + `"`
+		if _, err := Parse(strings.NewReader(tc.src)); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("Parse(%s) error = %v; want %s", tc.src, err, want)
 		}
 	}
 }
@@ -250,7 +253,7 @@ func TestRunCompileMatchesCoreCompile(t *testing.T) {
 // TestRunSharedCache checks that two Runs through one Runtime.Cache share
 // the saturate prefix: the second run's compile is all hits.
 func TestRunSharedCache(t *testing.T) {
-	cache := sweep.NewCache(0)
+	cache := sweep.NewCache()
 	rt := Runtime{Cache: cache}
 	spec := parse(t, `{"v":1,"kind":"compile","compile":{"circuit":"s27","lk":3}}`)
 	for i := 0; i < 2; i++ {

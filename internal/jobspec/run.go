@@ -1,11 +1,11 @@
 package jobspec
 
 // This file is the execution funnel: one Run function that takes a
-// validated Spec and produces the report, shared verbatim by the merced
-// CLI (which adapts flags into a Spec) and the serve daemon (which decodes
-// one from a POST body). Whatever the transport, a given Spec renders the
-// same bytes — the byte-identity guarantee between `merced -sweep` and
-// `POST /v1/jobs` rests on this file being the only renderer.
+// validated Spec and produces the report. The merced CLI adapts its flags
+// (or a -spec file) into a Spec, so a given Spec renders the same bytes
+// whichever way it was written — the byte-identity guarantee between
+// `merced -sweep` flags and `-sweep -spec` rests on this file being the
+// only renderer.
 
 import (
 	"context"
@@ -29,8 +29,8 @@ import (
 // private cache, the built-in circuit loader, no progress reporting.
 type Runtime struct {
 	// Cache is the shared-prefix artifact cache. Nil means a fresh
-	// run-private cache; the serve daemon passes its process-lifetime one
-	// so repeat circuits skip straight to partitioning.
+	// run-private cache; the CLI passes a store-backed one under
+	// -cache-dir so repeat circuits skip straight to partitioning.
 	Cache *sweep.Cache
 	// Load resolves a circuit name; nil means sweep.LoadCircuit.
 	Load func(name string) (*netlist.Circuit, error)
@@ -67,7 +67,7 @@ func Run(ctx context.Context, s *Spec, w io.Writer, rt Runtime) error {
 	}
 	cache := rt.Cache
 	if cache == nil {
-		cache = sweep.NewCache(0)
+		cache = sweep.NewCache()
 	}
 	switch s.Kind {
 	case KindCompile:
@@ -89,10 +89,9 @@ func compileOptions(lk, beta int, seed int64, noRetime bool) core.Options {
 	return opt
 }
 
-// ExpandJobs expands a sweep body into its ordered job list: the matrix
-// crossing first, then the explicit jobs. It is exported so the serve
-// daemon can size admission decisions without running anything.
-func (sw *Sweep) ExpandJobs() ([]sweep.Job, error) {
+// expandJobs expands a sweep body into its ordered job list: the matrix
+// crossing first, then the explicit jobs.
+func (sw *Sweep) expandJobs() ([]sweep.Job, error) {
 	circuits, err := sweep.ExpandCircuits(sw.Circuits)
 	if err != nil {
 		return nil, err
@@ -109,7 +108,7 @@ func (sw *Sweep) ExpandJobs() ([]sweep.Job, error) {
 
 func runSweep(ctx context.Context, s *Spec, w io.Writer, rt Runtime, cache *sweep.Cache) error {
 	sw := s.Sweep
-	jobs, err := sw.ExpandJobs()
+	jobs, err := sw.expandJobs()
 	if err != nil {
 		return err
 	}

@@ -67,9 +67,6 @@ func (h *Histogram) Observe(d time.Duration) {
 	h.count++
 }
 
-// Count returns the number of observations.
-func (h *Histogram) Count() uint64 { return h.count }
-
 // Sum returns the total observed nanoseconds.
 func (h *Histogram) Sum() int64 { return h.sum }
 

@@ -58,8 +58,8 @@ func TestHistogramQuantiles(t *testing.T) {
 	if got := h.Quantile(0.99); got != BucketUpper(21) {
 		t.Errorf("p99 = %d, want %d", got, BucketUpper(21))
 	}
-	if h.Count() != 100 {
-		t.Errorf("count = %d", h.Count())
+	if h.count != 100 {
+		t.Errorf("count = %d", h.count)
 	}
 	wantSum := int64(90*1500 + 10*(1<<20))
 	if h.Sum() != wantSum {
@@ -211,7 +211,7 @@ func TestHistogramSetMerge(t *testing.T) {
 	b.Observe("x", 100)
 	b.Observe("y", 5000)
 	a.Merge(b)
-	if a.Get("x").Count() != 2 || a.Get("y").Count() != 1 {
+	if a.Get("x").count != 2 || a.Get("y").count != 1 {
 		t.Fatalf("merge miscounted: %v", a.Summaries())
 	}
 	if got := a.Names(); len(got) != 2 || got[0] != "x" || got[1] != "y" {

@@ -9,17 +9,15 @@ package sweep
 //
 //   - singleflight: the first job to request a key computes it while every
 //     concurrent requester blocks on the same entry, so a stage is computed
-//     exactly once no matter how many workers (or server requests) race for
-//     it;
+//     exactly once no matter how many workers race for it;
 //   - bounded: least-recently-used ready entries are evicted once the entry
 //     count exceeds the capacity (in-flight computations are never evicted);
 //   - error-transparent: a failed computation is handed to its waiters but
 //     never cached, so a job cancelled mid-saturate cannot poison later
 //     jobs that share the key.
 //
-// A Cache used to be private to one sweep.Run; the serve daemon promotes it
-// to process lifetime by constructing one with NewCache and passing it to
-// every run via Config.Cache (and to single compilations via
+// A Cache can outlive one sweep.Run: construct one with NewCache and pass
+// it to every run via Config.Cache (and to single compilations via
 // Cache.Compile). Cumulative counters are read with Stats; each run
 // additionally tracks its own hit/miss/eviction deltas so Report.Cache
 // describes only that run's traffic.
@@ -27,8 +25,8 @@ package sweep
 // With NewCacheWithStore the cache becomes two-tier: the memory LRU reads
 // through to a persistent ArtifactStore (internal/cas) and writes behind to
 // it, so artifacts survive process restarts and are shared between
-// concurrent processes (shards of one sweep, a serve daemon next to CLI
-// runs). The singleflight guarantee spans both tiers — concurrent
+// concurrent processes (shards of one sweep, CLI runs sharing one
+// -cache-dir). The singleflight guarantee spans both tiers — concurrent
 // requesters of one key share a single disk read or compute. Errors are
 // never persisted, exactly as they are never memory-cached; a corrupt or
 // unreadable disk entry counts as a disk error and falls through to
@@ -71,8 +69,7 @@ type StageStats struct {
 }
 
 // CacheStats reports a cache's per-stage effectiveness; `merced -sweep
-// -cache-stats` surfaces a run's deltas and the serve daemon's /metrics
-// endpoint the process-lifetime totals.
+// -cache-stats` surfaces a run's deltas.
 type CacheStats struct {
 	Parsed    StageStats `json:"parsed"`
 	Analyzed  StageStats `json:"analyzed"`
@@ -87,9 +84,9 @@ type CacheStats struct {
 	DiskErrors int64 `json:"disk_errors,omitempty"`
 }
 
-// DefaultCacheEntries bounds the artifact cache when the capacity is unset:
-// comfortably above the distinct (circuit, seed) prefixes of a Tables 10-12
-// sweep, small enough that pathological matrices stay bounded.
+// DefaultCacheEntries bounds every artifact cache: comfortably above the
+// distinct (circuit, seed) prefixes of a Tables 10-12 sweep, small enough
+// that pathological matrices stay bounded.
 const DefaultCacheEntries = 256
 
 type cacheEntry struct {
@@ -151,9 +148,7 @@ func saturatedCodec(a *core.Analyzed) *stageCodec {
 }
 
 // Cache is the bounded singleflight artifact store. The zero value is not
-// usable; call NewCache. A Cache outlives any single run: the serve daemon
-// keeps one for the whole process so repeat circuits hit the Saturated
-// prefix instantly, across requests.
+// usable; call NewCache.
 type Cache struct {
 	mu      sync.Mutex
 	cap     int
@@ -169,20 +164,21 @@ type Cache struct {
 	diskErrors atomic.Int64
 }
 
-// NewCache returns an empty memory-only cache bounded to capacity entries
-// (DefaultCacheEntries when capacity <= 0).
-func NewCache(capacity int) *Cache {
-	if capacity <= 0 {
-		capacity = DefaultCacheEntries
-	}
+// NewCache returns an empty memory-only cache bounded to
+// DefaultCacheEntries entries.
+func NewCache() *Cache { return newCache(DefaultCacheEntries) }
+
+// newCache returns an empty memory-only cache bounded to capacity entries;
+// the package's tests use it to reach eviction with a tiny bound.
+func newCache(capacity int) *Cache {
 	return &Cache{cap: capacity, entries: make(map[string]*cacheEntry)}
 }
 
 // NewCacheWithStore returns a two-tier cache: the memory LRU reads through
 // to store and writes freshly computed artifacts behind to it. A nil store
 // is equivalent to NewCache.
-func NewCacheWithStore(capacity int, store ArtifactStore) *Cache {
-	c := NewCache(capacity)
+func NewCacheWithStore(store ArtifactStore) *Cache {
+	c := NewCache()
 	c.store = store
 	return c
 }
@@ -347,8 +343,8 @@ func (c *Cache) statsFor(per *[3]StageStats) CacheStats {
 // parse/analyze/saturate stages hit (or fill) the cache exactly as sweep
 // jobs do, and core.CompileFrom finishes the per-job suffix. name resolves
 // through load (LoadCircuit when nil). It is the single-job funnel the
-// jobspec runner uses for compile and cover jobs, so a serve daemon's
-// one-off compilations share prefixes with its sweeps.
+// jobspec runner uses for compile and cover jobs, so under -cache-dir a
+// one-off compilation shares prefixes with earlier sweeps.
 //
 // Result.Elapsed covers the whole call — load included on a cold cache —
 // matching core.Compile's accounting for the uncached case.

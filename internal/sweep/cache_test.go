@@ -18,7 +18,7 @@ import (
 // miss to the computing caller and a hit to everyone else.
 func TestCacheSingleflight(t *testing.T) {
 	const goroutines = 16
-	cache := NewCache(0)
+	cache := NewCache()
 	var calls atomic.Int64
 	var wg sync.WaitGroup
 	values := make([]any, goroutines)
@@ -65,7 +65,7 @@ func TestCacheSingleflight(t *testing.T) {
 // Failed computations must never be cached: the next request for the key
 // recomputes, so one job's cancellation cannot poison its siblings.
 func TestCacheErrorsNotCached(t *testing.T) {
-	cache := NewCache(0)
+	cache := NewCache()
 	boom := errors.New("transient")
 	var calls int
 	fn := func() (any, error) {
@@ -94,7 +94,7 @@ func TestCacheErrorsNotCached(t *testing.T) {
 // The LRU bound: with capacity 2, inserting a third key evicts the least
 // recently used entry — and touching an entry refreshes its recency.
 func TestCacheEvictionLRU(t *testing.T) {
-	cache := NewCache(2)
+	cache := newCache(2)
 	get := func(key string) (any, bool) {
 		v, computed, err := cache.getOrCompute(stageParsed, key, nil, nil, func() (any, error) { return key, nil })
 		if err != nil {
@@ -126,7 +126,7 @@ func TestCacheEvictionLRU(t *testing.T) {
 // the bound once the dust settles. Run under -race this is the cache's
 // main data-race probe.
 func TestCacheConcurrentChurn(t *testing.T) {
-	cache := NewCache(4)
+	cache := newCache(4)
 	keys := []string{"k0", "k1", "k2", "k3", "k4", "k5", "k6", "k7"}
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
@@ -161,14 +161,16 @@ func TestCacheConcurrentChurn(t *testing.T) {
 	}
 }
 
-// Zero and negative capacities fall back to the default bound.
+// Both public constructors bound the cache to the default; the test-only
+// constructor honours its explicit bound.
 func TestCacheDefaultCapacity(t *testing.T) {
-	for _, capacity := range []int{0, -5} {
-		if got := NewCache(capacity).Stats().Capacity; got != DefaultCacheEntries {
-			t.Errorf("NewCache(%d).Capacity = %d, want %d", capacity, got, DefaultCacheEntries)
-		}
+	if got := NewCache().Stats().Capacity; got != DefaultCacheEntries {
+		t.Errorf("NewCache().Capacity = %d, want %d", got, DefaultCacheEntries)
 	}
-	if got := NewCache(7).Stats().Capacity; got != 7 {
+	if got := NewCacheWithStore(nil).Stats().Capacity; got != DefaultCacheEntries {
+		t.Errorf("NewCacheWithStore(nil).Capacity = %d, want %d", got, DefaultCacheEntries)
+	}
+	if got := newCache(7).Stats().Capacity; got != 7 {
 		t.Errorf("explicit capacity not honoured: got %d, want 7", got)
 	}
 }

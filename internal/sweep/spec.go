@@ -3,8 +3,8 @@ package sweep
 // This file builds job matrices: the cross product of circuits × l_k ×
 // beta × seed that reproduces the paper's Tables 10-12. The JSON request
 // shape that used to live here (the `-spec` file) moved to
-// internal/jobspec, the versioned job model shared by the CLI and the
-// serve daemon; jobspec expands its sweep bodies through these helpers.
+// internal/jobspec, the CLI's versioned job model; jobspec expands its
+// sweep bodies through these helpers.
 
 import (
 	"fmt"

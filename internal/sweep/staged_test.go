@@ -109,7 +109,7 @@ func TestNoCacheSkipsStagedArtifacts(t *testing.T) {
 // evicted prefixes. This exercises the eviction path end to end.
 func TestTinyCacheStillCorrect(t *testing.T) {
 	jobs := Matrix([]string{"s27", "s510"}, []int{16, 24}, []int{50}, []int64{1, 2})
-	tiny, err := Run(context.Background(), jobs, Config{Workers: 2, CacheEntries: 1})
+	tiny, err := Run(context.Background(), jobs, Config{Workers: 2, Cache: newCache(1)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +120,7 @@ func TestTinyCacheStillCorrect(t *testing.T) {
 	tj, _ := renderDeterministic(t, tiny)
 	rj, _ := renderDeterministic(t, roomy)
 	if tj != rj {
-		t.Errorf("reports differ between CacheEntries=1 and default:\n--- tiny\n%s\n--- roomy\n%s", tj, rj)
+		t.Errorf("reports differ between a 1-entry cache and the default:\n--- tiny\n%s\n--- roomy\n%s", tj, rj)
 	}
 }
 

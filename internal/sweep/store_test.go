@@ -57,7 +57,7 @@ func renderAll(t *testing.T, rep *Report) (string, string) {
 
 func runWithStore(t *testing.T, st *cas.Store) (*Report, *Cache) {
 	t.Helper()
-	cache := NewCacheWithStore(0, st)
+	cache := NewCacheWithStore(st)
 	rep, err := Run(context.Background(), twoTierMatrix(), Config{Workers: 2, Cache: cache})
 	if err != nil {
 		t.Fatal(err)
@@ -166,7 +166,7 @@ func (f *failingStore) Put(stage, key string, schema int, payload []byte) error 
 }
 
 func TestFailingStoreDegradesGracefully(t *testing.T) {
-	cache := NewCacheWithStore(0, &failingStore{})
+	cache := NewCacheWithStore(&failingStore{})
 	rep, err := Run(context.Background(), twoTierMatrix()[:2], Config{Workers: 1, Cache: cache})
 	if err != nil {
 		t.Fatal(err)
@@ -216,7 +216,7 @@ func TestSaturatedEntryFromOlderSchemaMisses(t *testing.T) {
 	}
 	st, _ := storeDir(t)
 	rec := &recordingStore{Store: st, keys: map[string][]string{}}
-	cache := NewCacheWithStore(0, rec)
+	cache := NewCacheWithStore(rec)
 	cold, err := Run(context.Background(), twoTierMatrix(), Config{Workers: 2, Cache: cache})
 	if err != nil {
 		t.Fatal(err)

@@ -100,16 +100,12 @@ type Config struct {
 	// identical either way (a test and a CI step pin that); the switch
 	// exists for A/B benchmarking and as an escape hatch.
 	NoCache bool
-	// CacheEntries bounds the artifact cache; <= 0 means
-	// DefaultCacheEntries. Ignored when Cache is set.
-	CacheEntries int
 	// Cache, when non-nil, is an externally owned artifact cache shared
-	// across runs — the serve daemon passes one process-lifetime Cache to
-	// every request so repeat circuits hit the Saturated prefix instantly.
+	// across runs — the CLI passes a store-backed one under -cache-dir.
 	// Report.Cache then counts only this run's hits/misses/evictions (the
 	// deltas); Cache.Stats accumulates across every run. When nil, Run
-	// constructs a private cache bounded by CacheEntries, which makes the
-	// deltas and the totals coincide.
+	// constructs a private cache bounded by DefaultCacheEntries, which
+	// makes the deltas and the totals coincide.
 	Cache *Cache
 	// Coverage runs a fault-coverage campaign (internal/fault.Campaign)
 	// over each successfully compiled job's partition and attaches the
@@ -300,7 +296,7 @@ func Run(ctx context.Context, jobs []Job, cfg Config) (*Report, error) {
 	start := time.Now()
 	cache := cfg.Cache
 	if cache == nil {
-		cache = NewCache(cfg.CacheEntries)
+		cache = NewCache()
 	}
 	// per tracks this run's own cache traffic; it is written only under the
 	// cache mutex and read after the pool has drained.

@@ -203,10 +203,9 @@ func TestSetupFailures(t *testing.T) {
 // A Cache handed in via Config.Cache survives across runs: the second run
 // over the same (circuit, seed, flow) prefix reuses every stage, its
 // Report.Cache shows only its own traffic (all hits), and Cache.Stats
-// accumulates the totals — the process-lifetime behavior the serve daemon
-// depends on.
+// accumulates the totals.
 func TestSharedCacheAcrossRuns(t *testing.T) {
-	cache := NewCache(0)
+	cache := NewCache()
 	jobs := Matrix([]string{"s27"}, []int{3, 4}, []int{50}, []int64{1})
 	run := func() *Report {
 		t.Helper()
@@ -251,7 +250,7 @@ func TestSharedCacheAcrossRuns(t *testing.T) {
 // Cache.Compile is the single-job funnel: it must price exactly like
 // core.Compile and share the prefix with sweep jobs in the same cache.
 func TestCacheCompileMatchesCoreCompile(t *testing.T) {
-	cache := NewCache(0)
+	cache := NewCache()
 	opt := core.DefaultOptions(3, 1)
 	viaCache, err := cache.Compile(context.Background(), "s27", nil, opt)
 	if err != nil {
