@@ -5,8 +5,7 @@ import (
 	"fmt"
 	"io"
 
-	"repro/internal/jobspec"
-	"repro/internal/netlist"
+	"repro/internal/fault"
 	"repro/internal/sweep"
 )
 
@@ -25,56 +24,60 @@ type coverRun struct {
 	metrics       bool   // append the campaign.* counter table/object
 	progress      bool   // live done/total batch line on stderr
 
-	// cache, when non-nil, is the two-tier cache backed by -cache-dir;
+	// cache is the process artifact cache (store-backed under -cache-dir);
 	// main owns it and flushes pending disk writes after the mode returns.
 	cache *sweep.Cache
 }
 
-// runCover is the whole of `merced -cover`, adapted onto the jobspec
-// funnel: compile through the artifact cache, fault-simulate the partition,
-// render. The exit code is 0 on success, 1 on any failure (an unloadable
-// circuit always reaches stderr and exits 1, whatever -format or stdout
-// redirection is in play).
+// coverWriters maps -format to the campaign report renderer.
+var coverWriters = map[string]func(*fault.CampaignReport, io.Writer, fault.RenderOptions) error{
+	"text": (*fault.CampaignReport).WriteText,
+	"json": (*fault.CampaignReport).WriteJSON,
+	"csv":  (*fault.CampaignReport).WriteCSV,
+}
+
+// runCover is the whole of `merced -cover`: compile through the artifact
+// cache, fault-simulate the partition, render. The exit code is 0 on
+// success, 1 on any failure (an unloadable circuit always reaches stderr
+// and exits 1, whatever -format or stdout redirection is in play).
 func runCover(ctx context.Context, cr coverRun, stdout, stderr io.Writer) int {
-	if cr.file == "" && cr.circuit == "" {
-		fmt.Fprintln(stderr, "merced:", fmt.Errorf("one of -file or -circuit is required"))
+	fail := func(err error) int {
+		fmt.Fprintln(stderr, "merced:", err)
 		return 1
 	}
-	name := cr.file
-	if name == "" {
-		name = cr.circuit
+	write := coverWriters[cr.format]
+	switch {
+	case cr.file == "" && cr.circuit == "":
+		return fail(fmt.Errorf("one of -file or -circuit is required"))
+	case write == nil:
+		return fail(fmt.Errorf("-format: unknown format %q (want text, json, or csv)", cr.format))
+	case cr.workers < 0:
+		return fail(fmt.Errorf("-workers: must be >= 0 (got %d)", cr.workers))
 	}
-	s := &jobspec.Spec{
-		V:    jobspec.Version,
-		Kind: jobspec.KindCover,
-		Cover: &jobspec.Cover{
-			Circuit: name, LK: cr.lk, Beta: cr.beta, Seed: cr.seed,
-			NoRetimeSolver: cr.noRetime, Workers: cr.workers,
-			MaxPatterns: cr.maxPatterns, NoCollapse: cr.noCollapse,
-		},
-		Output: &jobspec.Output{
-			Format: cr.format, NoTiming: cr.noTiming,
-			Undetected: cr.undetected, Metrics: cr.metrics,
-		},
+	r, err := compileOne(ctx, cr.cache, cr.file, cr.circuit, cr.lk, cr.beta, cr.seed, cr.noRetime)
+	if err != nil {
+		return fail(err)
 	}
-	rt := jobspec.Runtime{
-		Cache: cr.cache,
-		// -file opens exactly the named path (no .bench suffix heuristics),
-		// preserving the historical flag behavior.
-		Load: func(string) (*netlist.Circuit, error) { return loadCircuit(cr.file, cr.circuit) },
+	copt := fault.CampaignOptions{
+		MaxPatterns: cr.maxPatterns,
+		Seed:        cr.seed,
+		Workers:     cr.workers,
+		Collapse:    !cr.noCollapse,
 	}
 	var prog *progressLine
 	if cr.progress {
 		prog = newProgressLine(stderr, "batches")
-		rt.Progress = prog.update
+		copt.Progress = prog.update
 	}
-	err := jobspec.Run(ctx, s, stdout, rt)
+	rep, err := fault.Campaign(ctx, r.Circuit, r.Partition, copt)
 	if prog != nil {
 		prog.finish()
 	}
 	if err != nil {
-		fmt.Fprintln(stderr, "merced:", err)
-		return 1
+		return fail(err)
+	}
+	if err := write(rep, stdout, fault.RenderOptions{Timing: !cr.noTiming, Undetected: cr.undetected, Metrics: cr.metrics}); err != nil {
+		return fail(err)
 	}
 	return 0
 }

@@ -5,12 +5,15 @@ import (
 	"context"
 	"strings"
 	"testing"
+
+	"repro/internal/sweep"
 )
 
-// runCoverOut runs cover mode and returns stdout, failing the test on a
-// non-zero exit.
+// runCoverOut runs cover mode over a fresh cache and returns stdout,
+// failing the test on a non-zero exit.
 func runCoverOut(t *testing.T, cr coverRun) string {
 	t.Helper()
+	cr.cache = sweep.NewCache()
 	var out, errb bytes.Buffer
 	if code := runCover(context.Background(), cr, &out, &errb); code != 0 {
 		t.Fatalf("runCover exit %d: %s", code, errb.String())
@@ -39,7 +42,7 @@ func TestCoverDeterministicAcrossWorkers(t *testing.T) {
 }
 
 func TestCoverTextReport(t *testing.T) {
-	out := runCoverOut(t, coverRun{circuit: "s27", lk: 3, beta: 50, seed: 1, noTiming: true, undetected: true})
+	out := runCoverOut(t, coverRun{circuit: "s27", lk: 3, beta: 50, seed: 1, format: "text", noTiming: true, undetected: true})
 	for _, want := range []string{"Fault coverage", "cluster", "total:", "faults detected"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("text report missing %q:\n%s", want, out)
@@ -72,7 +75,7 @@ func TestCoverMissingFileExitsNonzero(t *testing.T) {
 	var out, errb bytes.Buffer
 	code := runCover(context.Background(), coverRun{
 		file: "/does/not/exist.bench", lk: 8, beta: 50, seed: 1,
-		format: "json", noTiming: true,
+		format: "json", noTiming: true, cache: sweep.NewCache(),
 	}, &out, &errb)
 	if code != 1 {
 		t.Fatalf("exit code = %d; want 1", code)
@@ -94,5 +97,10 @@ func TestCoverBadFlags(t *testing.T) {
 	errb.Reset()
 	if code := runCover(context.Background(), coverRun{lk: 3, beta: 50, seed: 1}, &out, &errb); code == 0 {
 		t.Fatal("missing circuit accepted")
+	}
+	out.Reset()
+	errb.Reset()
+	if code := runCover(context.Background(), coverRun{circuit: "s27", lk: 3, beta: 50, seed: 1, format: "text", workers: -1}, &out, &errb); code != 1 || !strings.Contains(errb.String(), "-workers") {
+		t.Fatalf("negative -workers: exit %d, stderr %q; want 1 naming -workers", code, errb.String())
 	}
 }

@@ -9,6 +9,13 @@
 //	merced -circuit s27 -lk 3
 //	merced -file design.bench -lk 16 -beta 50 -seed 1 -v
 //
+// The report and -cover modes take -lk, -beta and -seed as given, with
+// -beta 0 meaning the paper's 50, exactly as a sweep job does: -lk 0 is
+// an error and -seed 0 is seed 0. With -min-period and -emit FILE the
+// report is followed by the min-period retiming line and the emitted
+// self-testable netlist. A stray argument, or -spec without -sweep, is a
+// usage error (exit status 2).
+//
 // Lint mode runs the internal/lint design-rule analyzer instead of the
 // report: netlist rules always, partition/retiming and BIST rules when the
 // circuit compiles. Exit status is 2 when findings reach the
@@ -67,6 +74,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -77,100 +85,123 @@ import (
 
 	"repro/internal/bench89"
 	"repro/internal/cas"
-	"repro/internal/core"
-	"repro/internal/emit"
-	"repro/internal/jobspec"
 	"repro/internal/netlist"
 	"repro/internal/obs"
 	"repro/internal/sweep"
 )
 
-func main() {
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is the whole command over the given arguments (without the program
+// name), returning the process exit code: 2 for a usage error, otherwise
+// the selected mode's code.
+func run(args []string, stdout, stderr io.Writer) int {
 	// `merced merge` and `merced cas` are subcommands with their own flag
 	// sets, dispatched before the classic flag modes parse.
-	if len(os.Args) > 1 {
-		switch os.Args[1] {
+	if len(args) > 0 {
+		switch args[0] {
 		case "merge":
-			os.Exit(runMerge(os.Args[2:], os.Stdout, os.Stderr))
+			return runMerge(args[1:], stdout, stderr)
 		case "cas":
-			os.Exit(runCAS(os.Args[2:], os.Stdout, os.Stderr))
+			return runCAS(args[1:], stdout, stderr)
 		}
 	}
+	fs := flag.NewFlagSet("merced", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 
-	file := flag.String("file", "", "path to a .bench netlist")
-	circuit := flag.String("circuit", "", "built-in benchmark name (s27 or a Table 9 circuit)")
-	lk := flag.Int("lk", 16, "input-size constraint l_k")
-	beta := flag.Int("beta", 50, "Eq. (6) SCC cut-budget multiplier")
-	seed := flag.Int64("seed", 1, "random seed for Saturate_Network")
-	verbose := flag.Bool("v", false, "print per-cluster details")
-	noRetime := flag.Bool("no-retime-solver", false, "skip the Leiserson-Saxe solver (per-SCC accounting only)")
-	minPeriod := flag.Bool("min-period", false, "also report the minimum clock period achievable by retiming (unit delays)")
-	emitPath := flag.String("emit", "", "write the self-testable netlist (retimed + A_CELLs + scan chain) to this .bench file")
-	doLint := flag.Bool("lint", false, "run the design-rule analyzer instead of compiling a report")
-	lintRules := flag.Bool("rules", false, "with -lint: print the rule catalog and exit")
-	jsonOut := flag.Bool("json", false, "with -lint: machine-readable JSON output")
-	lintSeverity := flag.String("lint-severity", "error", "with -lint: lowest severity that makes the exit status 2 (info, warning, error)")
-	doSweep := flag.Bool("sweep", false, "batch-compile a job matrix across a worker pool instead of a single report")
-	sweepSpec := flag.String("spec", "", "with -sweep: JSON job-matrix spec file (overrides -circuits/-lks/-betas/-seeds)")
-	circuits := flag.String("circuits", "all", "with -sweep: comma-separated circuit names, .bench paths, or the aliases all/small")
-	lks := flag.String("lks", "16,24", "with -sweep: comma-separated l_k values")
-	betas := flag.String("betas", "50", "with -sweep: comma-separated beta values")
-	seeds := flag.String("seeds", "1", "with -sweep: comma-separated seeds")
-	workers := flag.Int("workers", 0, "with -sweep/-cover: worker pool size (0: NumCPU)")
-	timeout := flag.Duration("timeout", 0, "with -sweep: whole-sweep deadline (0: none)")
-	jobTimeout := flag.Duration("job-timeout", 0, "with -sweep: per-job deadline (0: none)")
-	format := flag.String("format", "text", "with -sweep/-cover: output format (text, json, csv)")
-	noTiming := flag.Bool("no-timing", false, "with -sweep/-cover: omit wall-clock fields for byte-reproducible output")
-	cacheStats := flag.Bool("cache-stats", false, "with -sweep: report artifact-cache memory/disk hits, misses, and evictions per stage")
-	noCache := flag.Bool("no-cache", false, "with -sweep: disable shared-prefix artifact reuse (every job compiles from scratch)")
-	cacheDir := flag.String("cache-dir", "", "persistent content-addressed artifact store backing the cache (shared across runs; maintain with `merced cas`)")
-	shardFlag := flag.String("shard", "", "with -sweep: run slice i/N of the job matrix and emit a shard document (reassemble with `merced merge`)")
-	sweepCoverage := flag.Bool("coverage", false, "with -sweep: fault-simulate each job's partition and report coverage")
-	doCover := flag.Bool("cover", false, "run the parallel fault-coverage campaign instead of a single report")
-	maxPatterns := flag.Uint64("max-patterns", 0, "with -cover/-sweep -coverage: per-fault pattern cap (0: full pseudo-exhaustive budget)")
-	noCollapse := flag.Bool("no-collapse", false, "with -cover: disable structural fault-equivalence collapsing")
-	undetected := flag.Bool("undetected", false, "with -cover: list surviving faults in the text report")
-	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
-	memProfile := flag.String("memprofile", "", "write a heap profile to this file at exit")
-	tracePath := flag.String("trace", "", "write a Chrome trace_event JSON file of the run to this path (open in chrome://tracing or Perfetto)")
-	withMetrics := flag.Bool("metrics", false, "append the deterministic kernel-counter table to the report (JSON: a \"metrics\" object)")
-	progress := flag.Bool("progress", false, "with -sweep/-cover: live progress line on stderr (stdout is untouched)")
-	logLevel := flag.String("log-level", "off", "structured-log threshold on stderr (off, debug, info, warn, error)")
-	logFormat := flag.String("log-format", "text", "structured-log encoding (text, json)")
-	flag.Parse()
-
-	logger, err := obs.NewLogger(os.Stderr, *logLevel, *logFormat)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "merced:", err)
-		os.Exit(1)
+	file := fs.String("file", "", "path to a .bench netlist")
+	circuit := fs.String("circuit", "", "built-in benchmark name (s27 or a Table 9 circuit)")
+	lk := fs.Int("lk", 16, "input-size constraint l_k")
+	beta := fs.Int("beta", 50, "Eq. (6) SCC cut-budget multiplier")
+	seed := fs.Int64("seed", 1, "random seed for Saturate_Network")
+	verbose := fs.Bool("v", false, "print per-cluster details")
+	noRetime := fs.Bool("no-retime-solver", false, "skip the Leiserson-Saxe solver (per-SCC accounting only)")
+	minPeriod := fs.Bool("min-period", false, "also report the minimum clock period achievable by retiming (unit delays)")
+	emitPath := fs.String("emit", "", "write the self-testable netlist (retimed + A_CELLs + scan chain) to this .bench file")
+	doLint := fs.Bool("lint", false, "run the design-rule analyzer instead of compiling a report")
+	lintRules := fs.Bool("rules", false, "with -lint: print the rule catalog and exit")
+	jsonOut := fs.Bool("json", false, "with -lint: machine-readable JSON output")
+	lintSeverity := fs.String("lint-severity", "error", "with -lint: lowest severity that makes the exit status 2 (info, warning, error)")
+	doSweep := fs.Bool("sweep", false, "batch-compile a job matrix across a worker pool instead of a single report")
+	sweepSpec := fs.String("spec", "", "with -sweep: JSON job-matrix spec file (overrides -circuits/-lks/-betas/-seeds)")
+	circuits := fs.String("circuits", "all", "with -sweep: comma-separated circuit names, .bench paths, or the aliases all/small")
+	lks := fs.String("lks", "16,24", "with -sweep: comma-separated l_k values")
+	betas := fs.String("betas", "50", "with -sweep: comma-separated beta values")
+	seeds := fs.String("seeds", "1", "with -sweep: comma-separated seeds")
+	workers := fs.Int("workers", 0, "with -sweep/-cover: worker pool size (0: NumCPU)")
+	timeout := fs.Duration("timeout", 0, "with -sweep: whole-sweep deadline (0: none)")
+	jobTimeout := fs.Duration("job-timeout", 0, "with -sweep: per-job deadline (0: none)")
+	format := fs.String("format", "text", "with -sweep/-cover: output format (text, json, csv)")
+	noTiming := fs.Bool("no-timing", false, "with -sweep/-cover: omit wall-clock fields for byte-reproducible output")
+	cacheStats := fs.Bool("cache-stats", false, "with -sweep: report artifact-cache memory/disk hits, misses, and evictions per stage")
+	noCache := fs.Bool("no-cache", false, "with -sweep: disable shared-prefix artifact reuse (every job compiles from scratch)")
+	cacheDir := fs.String("cache-dir", "", "persistent content-addressed artifact store backing the cache (shared across runs; maintain with `merced cas`)")
+	shardFlag := fs.String("shard", "", "with -sweep: run slice i/N of the job matrix and emit a shard document (reassemble with `merced merge`)")
+	sweepCoverage := fs.Bool("coverage", false, "with -sweep: fault-simulate each job's partition and report coverage")
+	doCover := fs.Bool("cover", false, "run the parallel fault-coverage campaign instead of a single report")
+	maxPatterns := fs.Uint64("max-patterns", 0, "with -cover/-sweep -coverage: per-fault pattern cap (0: full pseudo-exhaustive budget)")
+	noCollapse := fs.Bool("no-collapse", false, "with -cover: disable structural fault-equivalence collapsing")
+	undetected := fs.Bool("undetected", false, "with -cover: list surviving faults in the text report")
+	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile of the run to this file")
+	memProfile := fs.String("memprofile", "", "write a heap profile to this file at exit")
+	tracePath := fs.String("trace", "", "write a Chrome trace_event JSON file of the run to this path (open in chrome://tracing or Perfetto)")
+	withMetrics := fs.Bool("metrics", false, "append the deterministic kernel-counter table to the report (JSON: a \"metrics\" object)")
+	progress := fs.Bool("progress", false, "with -sweep/-cover: live progress line on stderr (stdout is untouched)")
+	logLevel := fs.String("log-level", "off", "structured-log threshold on stderr (off, debug, info, warn, error)")
+	logFormat := fs.String("log-format", "text", "structured-log encoding (text, json)")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	// A word the flag parser stopped at (a stray argument, a mistyped
+	// subcommand) would silently drop every flag after it.
+	if fs.NArg() > 0 {
+		fmt.Fprintf(stderr, "merced: unexpected argument %q\n", fs.Arg(0))
+		return 2
+	}
+	if *sweepSpec != "" && !*doSweep {
+		fmt.Fprintln(stderr, "merced: -spec is only valid with -sweep")
+		return 2
+	}
+	fail := func(err error) int {
+		fmt.Fprintln(stderr, "merced:", err)
+		return 1
 	}
 
-	stopProfiles, err := startProfiles(*cpuProfile, *memProfile)
+	logger, err := obs.NewLogger(stderr, *logLevel, *logFormat)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "merced:", err)
-		os.Exit(1)
+		return fail(err)
 	}
 
 	// -cache-dir backs the artifact cache with a persistent content-
 	// addressed store: hits survive process restarts, and concurrent
 	// sharded runs can share one directory (writes are atomic renames).
-	var cache *sweep.Cache
+	// store stays an untyped nil without it: a nil *cas.Store inside the
+	// interface would read as a present store.
+	var store sweep.ArtifactStore
 	if *cacheDir != "" {
 		st, err := cas.Open(*cacheDir)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "merced:", err)
-			os.Exit(1)
+			return fail(err)
 		}
-		cache = sweep.NewCacheWithStore(st)
+		store = st
+	}
+	cache := sweep.NewCacheWithStore(store)
+
+	stopProfiles, err := startProfiles(*cpuProfile, *memProfile)
+	if err != nil {
+		return fail(err)
 	}
 
 	// The rule catalog sits inside the profiled region like every other
 	// mode, so `-lint -rules -cpuprofile` composes instead of silently
 	// dropping the profile.
 	if *lintRules {
-		printRuleCatalog(*jsonOut, os.Stdout)
+		printRuleCatalog(*jsonOut, stdout)
 		stopProfiles()
-		return
+		return 0
 	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
@@ -193,13 +224,13 @@ func main() {
 			cacheStats: *cacheStats, noCache: *noCache, shard: *shardFlag, cache: cache,
 			coverage: *sweepCoverage, coverageMaxPatterns: *maxPatterns,
 			metrics: *withMetrics, progress: *progress,
-		}, os.Stdout, os.Stderr)
+		}, stdout, stderr)
 	case *doLint:
 		code = runLint(lintRun{
 			file: *file, circuit: *circuit,
 			lk: *lk, beta: *beta, seed: *seed, noRetime: *noRetime,
 			jsonOut: *jsonOut, threshold: *lintSeverity,
-		}, os.Stdout, os.Stderr)
+		}, stdout, stderr)
 	case *doCover:
 		code = runCover(ctx, coverRun{
 			file: *file, circuit: *circuit,
@@ -208,29 +239,27 @@ func main() {
 			noCollapse: *noCollapse, undetected: *undetected,
 			format: *format, noTiming: *noTiming,
 			metrics: *withMetrics, progress: *progress, cache: cache,
-		}, os.Stdout, os.Stderr)
+		}, stdout, stderr)
 	default:
 		code = runReport(ctx, reportRun{
 			file: *file, circuit: *circuit,
 			lk: *lk, beta: *beta, seed: *seed,
 			verbose: *verbose, noRetime: *noRetime, minPeriod: *minPeriod,
 			emitPath: *emitPath, metrics: *withMetrics, cache: cache,
-		}, os.Stdout, os.Stderr)
+		}, stdout, stderr)
 	}
 	stop()
-	if cache != nil {
-		cache.Flush() // write-behind persists must land before exit
-	}
+	cache.Flush() // write-behind persists must land before exit
 	stopProfiles()
 	if rec != nil {
 		if err := rec.WriteTraceFile(*tracePath); err != nil {
-			fmt.Fprintln(os.Stderr, "merced:", err)
+			fmt.Fprintln(stderr, "merced:", err)
 			if code == 0 {
 				code = 1
 			}
 		}
 	}
-	os.Exit(code)
+	return code
 }
 
 // startProfiles turns on the requested pprof collection and returns the
@@ -267,81 +296,6 @@ func startProfiles(cpuPath, memPath string) (stop func(), err error) {
 			f.Close()
 		}
 	}, nil
-}
-
-// reportRun bundles the flag values the default report mode consumes.
-type reportRun struct {
-	file, circuit string
-	lk, beta      int
-	seed          int64
-	verbose       bool
-	noRetime      bool
-	minPeriod     bool
-	emitPath      string
-	metrics       bool
-
-	// cache, when non-nil, is the two-tier cache backed by -cache-dir;
-	// main owns it and flushes pending disk writes after the mode returns.
-	cache *sweep.Cache
-}
-
-// runReport is the default single-compilation mode, adapted onto the
-// jobspec funnel (which owns the report rendering); only the -emit extra
-// stays here, hung off the Runtime hook so jobspec does not know about
-// netlist emission.
-func runReport(ctx context.Context, rr reportRun, stdout, stderr io.Writer) int {
-	fail := func(err error) int {
-		fmt.Fprintln(stderr, "merced:", err)
-		return 1
-	}
-	if rr.file == "" && rr.circuit == "" {
-		return fail(fmt.Errorf("one of -file or -circuit is required"))
-	}
-	name := rr.file
-	if name == "" {
-		name = rr.circuit
-	}
-	s := &jobspec.Spec{
-		V:    jobspec.Version,
-		Kind: jobspec.KindCompile,
-		Compile: &jobspec.Compile{
-			Circuit: name, LK: rr.lk, Beta: rr.beta, Seed: rr.seed,
-			NoRetimeSolver: rr.noRetime, MinPeriod: rr.minPeriod, Verbose: rr.verbose,
-		},
-		Output: &jobspec.Output{Metrics: rr.metrics},
-	}
-	rt := jobspec.Runtime{
-		Cache: rr.cache,
-		// -file opens exactly the named path, preserving the historical
-		// flag behavior (no .bench suffix heuristics).
-		Load: func(string) (*netlist.Circuit, error) { return loadCircuit(rr.file, rr.circuit) },
-	}
-	if rr.emitPath != "" {
-		rt.OnCompileResult = func(r *core.Result) error {
-			tc, info, err := emit.Testable(r)
-			if err != nil {
-				return err
-			}
-			f, err := os.Create(rr.emitPath)
-			if err != nil {
-				return err
-			}
-			if err := tc.WriteBench(f); err != nil {
-				f.Close()
-				return err
-			}
-			if err := f.Close(); err != nil {
-				return err
-			}
-			fmt.Fprintf(stdout, "emitted %s: %d converted registers, %d multiplexed cells, %d boundary cells, scan chain of %d, +%.0f area units\n",
-				rr.emitPath, info.Converted, info.Multiplexed-info.Boundary, info.Boundary, len(info.ScanOrder), info.AddedArea)
-			return nil
-		}
-	}
-	if err := jobspec.Run(ctx, s, stdout, rt); err != nil {
-		return fail(err)
-	}
-	return 0
 }
 
 func loadCircuit(file, name string) (*netlist.Circuit, error) {

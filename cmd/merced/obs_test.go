@@ -17,6 +17,7 @@ import (
 	"testing"
 
 	"repro/internal/obs"
+	"repro/internal/sweep"
 )
 
 func readGolden(t *testing.T, name string) []byte {
@@ -145,7 +146,7 @@ func TestTraceFileSchema(t *testing.T) {
 	out.Reset()
 	code = runCover(ctx, coverRun{
 		circuit: "s510", lk: 8, beta: 50, seed: 1, workers: 4,
-		format: "csv", noTiming: true,
+		format: "csv", noTiming: true, cache: sweep.NewCache(),
 	}, &out, &errBuf)
 	if code != 0 {
 		t.Fatalf("runCover exit %d: %s", code, errBuf.String())
@@ -213,7 +214,7 @@ func TestTraceFileSchemaWideLanes(t *testing.T) {
 	var out, errBuf bytes.Buffer
 	code := runCover(ctx, coverRun{
 		circuit: "s510", lk: 8, beta: 50, seed: 1, workers: 4,
-		format: "csv", noTiming: true,
+		format: "csv", noTiming: true, cache: sweep.NewCache(),
 	}, &out, &errBuf)
 	if code != 0 {
 		t.Fatalf("runCover exit %d: %s", code, errBuf.String())

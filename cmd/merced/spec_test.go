@@ -52,14 +52,21 @@ func TestSweepSpecFileRejectsTypo(t *testing.T) {
 	}
 }
 
+// Only sweep specs run: a bare foreign kind fails validation, and a
+// document carrying a removed compile/cover body fails at decode.
 func TestSweepSpecFileRejectsWrongKind(t *testing.T) {
-	path := writeSpec(t, `{"v":1,"kind":"cover","cover":{"circuit":"s27"}}`)
-	var out, errb bytes.Buffer
-	if code := runSweep(context.Background(), sweepRun{spec: path}, &out, &errb); code != 1 {
-		t.Fatalf("exit code = %d; want 1", code)
-	}
-	if !strings.Contains(errb.String(), "kind") {
-		t.Errorf("stderr does not mention the kind mismatch: %q", errb.String())
+	for _, tc := range []struct{ src, want string }{
+		{`{"v":1,"kind":"cover"}`, `kind "cover"`},
+		{`{"v":1,"kind":"compile"}`, `kind "compile"`},
+		{`{"v":1,"kind":"cover","cover":{"circuit":"s27"}}`, `unknown field "cover"`},
+	} {
+		var out, errb bytes.Buffer
+		if code := runSweep(context.Background(), sweepRun{spec: writeSpec(t, tc.src)}, &out, &errb); code != 1 {
+			t.Fatalf("%s: exit code = %d; want 1", tc.src, code)
+		}
+		if !strings.Contains(errb.String(), tc.want) {
+			t.Errorf("%s: stderr %q does not contain %q", tc.src, errb.String(), tc.want)
+		}
 	}
 }
 

@@ -31,8 +31,9 @@ type sweepRun struct {
 	noCache    bool   // disable shared-prefix artifact reuse
 	shard      string // "i/N": run one slice of the matrix, emit a shard document
 
-	// cache, when non-nil, is the two-tier cache backed by -cache-dir;
-	// main owns it and flushes pending disk writes after the mode returns.
+	// cache is the process artifact cache (store-backed under -cache-dir;
+	// nil means a run-private one); main owns it and flushes pending disk
+	// writes after the mode returns.
 	cache *sweep.Cache
 
 	// coverage runs a fault-coverage campaign per compiled job and adds a
@@ -109,10 +110,10 @@ func sweepSpec(cfg sweepRun) (*jobspec.Spec, error) {
 	return s, nil
 }
 
-// sweepSpecFile loads a v1 jobspec document for -spec. The file must be a
-// sweep request; explicitly set command-line flags override its fields, so
-// `-spec jobs.json -workers 8 -format csv` works the way the flag-only
-// form does.
+// sweepSpecFile loads a v1 jobspec document for -spec. Explicitly set
+// command-line flags override its fields, so `-spec jobs.json -workers 8
+// -format csv` works the way the flag-only form does; jobspec.Run then
+// validates the result (a kind other than sweep fails there).
 func sweepSpecFile(cfg sweepRun) (*jobspec.Spec, error) {
 	f, err := os.Open(cfg.spec)
 	if err != nil {
@@ -122,9 +123,6 @@ func sweepSpecFile(cfg sweepRun) (*jobspec.Spec, error) {
 	s, err := jobspec.Decode(f)
 	if err != nil {
 		return nil, err
-	}
-	if s.Kind != jobspec.KindSweep {
-		return nil, fmt.Errorf("-spec: kind %q is not %q (only sweep specs run under -sweep)", s.Kind, jobspec.KindSweep)
 	}
 	if s.Sweep == nil {
 		s.Sweep = &jobspec.Sweep{}

@@ -6,9 +6,11 @@ import (
 	"testing"
 )
 
-// FuzzParseSpec drives arbitrary bytes through Parse, the decoder behind
-// -spec files. Parse must never panic, and an accepted spec must re-encode
-// to a document that parses back to a spec with the same encoding.
+// FuzzParseSpec drives arbitrary bytes down the path -spec files take:
+// Decode, then Normalize, then Validate. None may panic, and an accepted
+// spec must re-encode to a document that parses back to a spec with the
+// same encoding. The compile and cover seeds carry bodies removed within
+// version 1, so they must be rejected.
 func FuzzParseSpec(f *testing.F) {
 	seeds := []string{
 		``,
@@ -28,15 +30,18 @@ func FuzzParseSpec(f *testing.F) {
 		f.Add([]byte(s))
 	}
 	f.Fuzz(func(t *testing.T, doc []byte) {
-		s1, err := Parse(bytes.NewReader(doc))
+		s1, err := parseSpec(bytes.NewReader(doc))
 		if err != nil {
 			return
+		}
+		if s1.Kind != KindSweep {
+			t.Fatalf("accepted kind %q", s1.Kind)
 		}
 		enc1, err := json.Marshal(s1)
 		if err != nil {
 			t.Fatalf("accepted spec does not encode: %v", err)
 		}
-		s2, err := Parse(bytes.NewReader(enc1))
+		s2, err := parseSpec(bytes.NewReader(enc1))
 		if err != nil {
 			t.Fatalf("re-encoded spec rejected: %v\n%s", err, enc1)
 		}

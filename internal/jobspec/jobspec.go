@@ -1,8 +1,6 @@
-// Package jobspec is the versioned job request model behind every merced
-// CLI mode that runs the compiler. What used to be three divergent
-// ad-hoc shapes — the `-sweep` flag matrix / `-spec` JSON file, the
-// `-cover` flag bundle, and the single-compile flags — is one JSON
-// document:
+// Package jobspec is the versioned request model of a merced sweep: the
+// document `merced -sweep -spec` reads, and the shape the `-sweep` flag
+// matrix is adapted into, so both forms run through one funnel (Run):
 //
 //	{
 //	  "v": 1,
@@ -15,17 +13,18 @@
 // speaks Version. The versioning policy (DESIGN.md §13): adding an
 // optional field is a compatible change within a version, while renaming,
 // removing, or changing the meaning of a field bumps the version — except
-// for the three "lanes" keys (they never changed a report byte) and
-// "output.trace" (no CLI run read it), removed within version 1. The
-// decoder rejects unknown fields, so a typo'd key — a removed key, or a
-// field from a future version — fails loudly instead of silently
-// shrinking an experiment.
+// for three removals within version 1: the "lanes" keys (they never
+// changed a report byte), "output.trace" (no CLI run read it), and the
+// "compile"/"cover" bodies with "output.undetected" (no entry point
+// accepted a document carrying them). The decoder rejects unknown fields,
+// so a typo'd key — a removed key, or a field from a future version —
+// fails loudly instead of silently shrinking an experiment.
 //
 // Defaulting (Normalize) reproduces the CLI flag defaults exactly: an
-// absent lk is 16, an absent beta 50, an absent seed 1, an absent sweep
-// matrix the paper's full Tables 10-12 crossing. Validation returns
-// *FieldError values whose Path names the offending field in JSON dotted
-// form ("sweep.lks[1]"), precise enough for a caller to act on.
+// absent sweep matrix is the paper's full Tables 10-12 crossing, an absent
+// format is text. Validation returns *FieldError values whose Path names
+// the offending field in JSON dotted form ("sweep.lks[1]"), precise enough
+// for a caller to act on.
 package jobspec
 
 import (
@@ -40,17 +39,12 @@ import (
 // Version is the jobspec schema version this build reads and writes.
 const Version = 1
 
-// Kind selects which job body a Spec carries.
+// Kind names the job body a Spec carries.
 type Kind string
 
-const (
-	// KindCompile is a single compilation — the CLI's default report mode.
-	KindCompile Kind = "compile"
-	// KindSweep is a batch job matrix over the bounded worker pool.
-	KindSweep Kind = "sweep"
-	// KindCover is a fault-coverage campaign over one circuit's partition.
-	KindCover Kind = "cover"
-)
+// KindSweep is a batch job matrix over the bounded worker pool, the only
+// kind this version speaks.
+const KindSweep Kind = "sweep"
 
 // Duration is a time.Duration that marshals as a parseable string
 // ("90s", "10m"). JSON numbers are rejected: a bare number is ambiguous
@@ -77,45 +71,21 @@ func (d *Duration) UnmarshalJSON(b []byte) error {
 	return nil
 }
 
-// Spec is one versioned job request. Exactly one of Compile, Sweep, or
-// Cover is set, matching Kind.
+// Spec is one versioned job request.
 type Spec struct {
 	// V is the schema version; this build requires Version (1).
 	V int `json:"v"`
-	// Kind selects the job body: compile, sweep, or cover.
+	// Kind names the job body; this build requires KindSweep.
 	Kind Kind `json:"kind"`
 	// Timeout, when positive, deadlines the whole job; the deadline
 	// propagates as context cancellation into every pipeline phase
 	// (the CLI's -timeout).
 	Timeout Duration `json:"timeout,omitempty"`
 
-	Compile *Compile `json:"compile,omitempty"`
-	Sweep   *Sweep   `json:"sweep,omitempty"`
-	Cover   *Cover   `json:"cover,omitempty"`
+	Sweep *Sweep `json:"sweep,omitempty"`
 
 	// Output selects the report rendering; Normalize materializes it.
 	Output *Output `json:"output,omitempty"`
-}
-
-// Compile is the single-compilation body (the CLI's default mode).
-type Compile struct {
-	// Circuit names a built-in benchmark (s27 or a Table 9 circuit) or a
-	// .bench netlist path.
-	Circuit string `json:"circuit"`
-	// LK is the input-size constraint l_k; 0 means the CLI default 16.
-	LK int `json:"lk,omitempty"`
-	// Beta is the Eq. (6) SCC cut-budget multiplier; 0 means the paper's 50.
-	Beta int `json:"beta,omitempty"`
-	// Seed drives every stochastic step; 0 means the CLI default 1.
-	Seed int64 `json:"seed,omitempty"`
-	// NoRetimeSolver skips the Leiserson-Saxe solver (per-SCC accounting
-	// only), mirroring -no-retime-solver.
-	NoRetimeSolver bool `json:"no_retime_solver,omitempty"`
-	// MinPeriod also reports the minimum clock period achievable by
-	// retiming (unit delays), mirroring -min-period.
-	MinPeriod bool `json:"min_period,omitempty"`
-	// Verbose adds the per-cluster table to the report, mirroring -v.
-	Verbose bool `json:"verbose,omitempty"`
 }
 
 // Sweep is the batch body: a job matrix plus pool configuration.
@@ -175,37 +145,16 @@ type Job struct {
 	Seed int64 `json:"seed,omitempty"`
 }
 
-// Cover is the fault-coverage campaign body.
-type Cover struct {
-	// Circuit names a built-in benchmark or a .bench netlist path.
-	Circuit string `json:"circuit"`
-	// LK, Beta, Seed follow the compile defaults (16, 50, 1).
-	LK   int   `json:"lk,omitempty"`
-	Beta int   `json:"beta,omitempty"`
-	Seed int64 `json:"seed,omitempty"`
-	// NoRetimeSolver mirrors -no-retime-solver for the compilation.
-	NoRetimeSolver bool `json:"no_retime_solver,omitempty"`
-	// Workers bounds the campaign pool; 0 means GOMAXPROCS.
-	Workers int `json:"workers,omitempty"`
-	// MaxPatterns caps the per-fault pattern budget (-max-patterns).
-	MaxPatterns uint64 `json:"max_patterns,omitempty"`
-	// NoCollapse disables structural fault-equivalence collapsing.
-	NoCollapse bool `json:"no_collapse,omitempty"`
-}
-
 // Output selects the report rendering, mirroring the CLI output flags.
 type Output struct {
-	// Format is text, json, or csv; empty means text. Compile jobs render
-	// only text.
+	// Format is text, json, or csv; empty means text.
 	Format string `json:"format,omitempty"`
 	// NoTiming omits wall-clock fields for byte-reproducible output.
 	NoTiming bool `json:"no_timing,omitempty"`
-	// CacheStats reports the run's artifact-cache counters (sweep only).
+	// CacheStats reports the run's artifact-cache counters.
 	CacheStats bool `json:"cache_stats,omitempty"`
 	// Metrics appends the deterministic kernel-counter table/object.
 	Metrics bool `json:"metrics,omitempty"`
-	// Undetected lists surviving faults in the cover text report.
-	Undetected bool `json:"undetected,omitempty"`
 }
 
 // FieldError is a validation failure naming the offending field by its
@@ -222,7 +171,8 @@ func fieldErrf(path, format string, args ...any) error {
 }
 
 // Decode reads one spec document, rejecting unknown fields and trailing
-// data. It does not normalize or validate; Parse does all three.
+// data. It does not normalize or validate: a caller first applies its own
+// overrides (the CLI's flags), and Run then normalizes and validates.
 func Decode(r io.Reader) (*Spec, error) {
 	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()
@@ -237,19 +187,6 @@ func Decode(r io.Reader) (*Spec, error) {
 	return &s, nil
 }
 
-// Parse is Decode followed by Normalize and Validate in one call.
-func Parse(r io.Reader) (*Spec, error) {
-	s, err := Decode(r)
-	if err != nil {
-		return nil, err
-	}
-	s.Normalize()
-	if err := s.Validate(); err != nil {
-		return nil, err
-	}
-	return s, nil
-}
-
 // Normalize fills absent fields with the CLI flag defaults, in place. It
 // is idempotent, and a normalized spec round-trips through encode/decode
 // unchanged (the stability property the tests pin).
@@ -259,12 +196,6 @@ func (s *Spec) Normalize() {
 	}
 	if s.Output.Format == "" {
 		s.Output.Format = "text"
-	}
-	if c := s.Compile; c != nil {
-		c.LK, c.Beta, c.Seed = defaultCoords(c.LK, c.Beta, c.Seed)
-	}
-	if c := s.Cover; c != nil {
-		c.LK, c.Beta, c.Seed = defaultCoords(c.LK, c.Beta, c.Seed)
 	}
 	if sw := s.Sweep; sw != nil {
 		if len(sw.Circuits) == 0 {
@@ -282,88 +213,34 @@ func (s *Spec) Normalize() {
 	}
 }
 
-// defaultCoords applies the single-job CLI defaults: -lk 16, -beta 50,
-// -seed 1. A zero beta selecting the paper's 50 matches the sweep matrix
-// semantics (sweep.Job documents the same rule).
-func defaultCoords(lk, beta int, seed int64) (int, int, int64) {
-	if lk == 0 {
-		lk = 16
-	}
-	if beta == 0 {
-		beta = 50
-	}
-	if seed == 0 {
-		seed = 1
-	}
-	return lk, beta, seed
-}
-
 // validFormats is the render formats shared with the CLI -format flag.
 var validFormats = map[string]bool{"text": true, "json": true, "csv": true}
 
 // Validate checks a normalized spec and returns the first problem as a
-// *FieldError. Call Normalize first (Parse does); unnormalized zero
-// values are reported as errors, not defaulted.
+// *FieldError. Call Normalize first; unnormalized zero values are
+// reported as errors, not defaulted.
 func (s *Spec) Validate() error {
 	if s.V != Version {
 		return fieldErrf("v", "unsupported version %d (this build speaks %d)", s.V, Version)
 	}
 	switch s.Kind {
-	case KindCompile, KindSweep, KindCover:
+	case KindSweep:
 	case "":
-		return fieldErrf("kind", "required (compile, sweep, or cover)")
+		return fieldErrf("kind", "required (%s)", KindSweep)
 	default:
-		return fieldErrf("kind", "unknown kind %q (want compile, sweep, or cover)", s.Kind)
+		return fieldErrf("kind", "unknown kind %q (want %s)", s.Kind, KindSweep)
 	}
 	if s.Timeout < 0 {
 		return fieldErrf("timeout", "must be >= 0 (got %v)", time.Duration(s.Timeout))
 	}
-	if err := s.validateBodies(); err != nil {
+	if s.Sweep == nil {
+		return fieldErrf("sweep", "body required for kind %q", s.Kind)
+	}
+	if err := s.Sweep.validate(); err != nil {
 		return err
 	}
-	return s.validateOutput()
-}
-
-// validateBodies checks that exactly the body matching Kind is present and
-// well-formed.
-func (s *Spec) validateBodies() error {
-	bodies := map[Kind]bool{KindCompile: s.Compile != nil, KindSweep: s.Sweep != nil, KindCover: s.Cover != nil}
-	for _, kind := range []Kind{KindCompile, KindSweep, KindCover} {
-		switch {
-		case kind == s.Kind && !bodies[kind]:
-			return fieldErrf(string(kind), "body required for kind %q", s.Kind)
-		case kind != s.Kind && bodies[kind]:
-			return fieldErrf(string(kind), "body present but kind is %q", s.Kind)
-		}
-	}
-	switch s.Kind {
-	case KindCompile:
-		return validateCoords("compile", s.Compile.Circuit, s.Compile.LK, s.Compile.Beta)
-	case KindCover:
-		c := s.Cover
-		if err := validateCoords("cover", c.Circuit, c.LK, c.Beta); err != nil {
-			return err
-		}
-		if c.Workers < 0 {
-			return fieldErrf("cover.workers", "must be >= 0 (got %d)", c.Workers)
-		}
-	case KindSweep:
-		return s.Sweep.validate()
-	}
-	return nil
-}
-
-// validateCoords checks the shared (circuit, lk, beta) rules of the
-// single-job bodies under the given path prefix.
-func validateCoords(prefix, circuit string, lk, beta int) error {
-	if circuit == "" {
-		return fieldErrf(prefix+".circuit", "required (a built-in benchmark name or a .bench path)")
-	}
-	if lk < 1 {
-		return fieldErrf(prefix+".lk", "must be >= 1 (got %d)", lk)
-	}
-	if beta < 0 {
-		return fieldErrf(prefix+".beta", "must be >= 0 (got %d)", beta)
+	if !validFormats[s.Output.Format] {
+		return fieldErrf("output.format", "unknown format %q (want text, json, or csv)", s.Output.Format)
 	}
 	return nil
 }
@@ -408,23 +285,6 @@ func (sw *Sweep) validate() error {
 		if sh.Index < 1 || sh.Index > sh.Count {
 			return fieldErrf("sweep.shard.index", "must be in 1..%d (got %d)", sh.Count, sh.Index)
 		}
-	}
-	return nil
-}
-
-func (s *Spec) validateOutput() error {
-	out := s.Output
-	if !validFormats[out.Format] {
-		return fieldErrf("output.format", "unknown format %q (want text, json, or csv)", out.Format)
-	}
-	if s.Kind == KindCompile && out.Format != "text" {
-		return fieldErrf("output.format", "kind %q renders only text", s.Kind)
-	}
-	if out.CacheStats && s.Kind != KindSweep {
-		return fieldErrf("output.cache_stats", "only valid for kind %q", KindSweep)
-	}
-	if out.Undetected && s.Kind != KindCover {
-		return fieldErrf("output.undetected", "only valid for kind %q", KindCover)
 	}
 	return nil
 }

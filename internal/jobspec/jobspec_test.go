@@ -5,19 +5,33 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"io"
 	"strings"
 	"testing"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/sweep"
 )
 
+// parseSpec takes a document down the path `merced -sweep -spec` takes
+// (without flag overrides): Decode, then Normalize, then Validate.
+func parseSpec(r io.Reader) (*Spec, error) {
+	s, err := Decode(r)
+	if err != nil {
+		return nil, err
+	}
+	s.Normalize()
+	if err := s.Validate(); err != nil {
+		return nil, err
+	}
+	return s, nil
+}
+
 func parse(t *testing.T, src string) *Spec {
 	t.Helper()
-	s, err := Parse(strings.NewReader(src))
+	s, err := parseSpec(strings.NewReader(src))
 	if err != nil {
-		t.Fatalf("Parse(%s): %v", src, err)
+		t.Fatalf("parseSpec(%s): %v", src, err)
 	}
 	return s
 }
@@ -25,9 +39,9 @@ func parse(t *testing.T, src string) *Spec {
 func TestDecodeRejectsUnknownFields(t *testing.T) {
 	// A typo'd key must fail loudly, not silently shrink the experiment.
 	cases := []string{
-		`{"v":1,"kind":"sweep","sweep":{"circutis":["s27"]}}`,          // typo inside a body
-		`{"v":1,"kind":"compile","compile":{"circuit":"s27","lkk":3}}`, // typo'd knob
-		`{"v":1,"kind":"sweep","sewep":{}}`,                            // typo'd body name
+		`{"v":1,"kind":"sweep","sweep":{"circutis":["s27"]}}`,            // typo inside a body
+		`{"v":1,"kind":"sweep","sweep":{"circuits":["s27"],"lkss":[3]}}`, // typo'd knob
+		`{"v":1,"kind":"sweep","sewep":{}}`,                              // typo'd body name
 	}
 	for _, src := range cases {
 		if _, err := Decode(strings.NewReader(src)); err == nil {
@@ -39,23 +53,17 @@ func TestDecodeRejectsUnknownFields(t *testing.T) {
 }
 
 func TestDecodeRejectsTrailingData(t *testing.T) {
-	src := `{"v":1,"kind":"compile","compile":{"circuit":"s27"}} {"second":"doc"}`
+	src := `{"v":1,"kind":"sweep","sweep":{"circuits":["s27"]}} {"second":"doc"}`
 	if _, err := Decode(strings.NewReader(src)); err == nil {
 		t.Fatal("Decode accepted trailing data after the spec document")
 	}
 }
 
 func TestNormalizeAppliesCLIDefaults(t *testing.T) {
-	s := parse(t, `{"v":1,"kind":"compile","compile":{"circuit":"s27"}}`)
-	c := s.Compile
-	if c.LK != 16 || c.Beta != 50 || c.Seed != 1 {
-		t.Errorf("compile defaults = lk %d, beta %d, seed %d; want 16, 50, 1", c.LK, c.Beta, c.Seed)
-	}
+	s := parse(t, `{"v":1,"kind":"sweep","sweep":{}}`)
 	if s.Output == nil || s.Output.Format != "text" {
 		t.Errorf("output = %+v; want materialized with format text", s.Output)
 	}
-
-	s = parse(t, `{"v":1,"kind":"sweep","sweep":{}}`)
 	sw := s.Sweep
 	if got, want := sw.Circuits, []string{"all"}; !equalStr(got, want) {
 		t.Errorf("sweep.circuits = %v; want %v", got, want)
@@ -68,11 +76,6 @@ func TestNormalizeAppliesCLIDefaults(t *testing.T) {
 	}
 	if len(sw.Seeds) != 1 || sw.Seeds[0] != 1 {
 		t.Errorf("sweep.seeds = %v; want [1]", sw.Seeds)
-	}
-
-	s = parse(t, `{"v":1,"kind":"cover","cover":{"circuit":"s27"}}`)
-	if s.Cover.LK != 16 || s.Cover.Beta != 50 || s.Cover.Seed != 1 {
-		t.Errorf("cover defaults = %+v; want lk 16, beta 50, seed 1", s.Cover)
 	}
 }
 
@@ -90,29 +93,21 @@ func equalStr(a, b []string) bool {
 
 // TestRoundTripStability pins the decode→normalize→encode→decode cycle: a
 // normalized spec re-encodes to a document that decodes back identical, so
-// a server can echo a job's effective spec without drift.
+// the effective spec can be written back out without drift.
 func TestRoundTripStability(t *testing.T) {
 	srcs := []string{
-		`{"v":1,"kind":"compile","compile":{"circuit":"s27","lk":3},"output":{"metrics":true}}`,
+		`{"v":1,"kind":"sweep","sweep":{"circuits":["s27"],"lks":[3]},"output":{"metrics":true,"cache_stats":true}}`,
 		`{"v":1,"kind":"sweep","timeout":"10m","sweep":{"circuits":["s27","s510"],"lks":[8],"workers":4,"job_timeout":"90s"},"output":{"format":"json","no_timing":true}}`,
-		`{"v":1,"kind":"cover","cover":{"circuit":"s510","lk":8,"max_patterns":4096,"no_collapse":true},"output":{"undetected":true}}`,
 		`{"v":1,"kind":"sweep","sweep":{"jobs":[{"circuit":"s27","lk":3,"seed":2}]}}`,
 		`{"v":1,"kind":"sweep","sweep":{"circuits":["s27"],"lks":[3],"coverage":true}}`,
-		`{"v":1,"kind":"cover","cover":{"circuit":"s510","lk":8,"workers":2}}`,
 	}
 	for _, src := range srcs {
-		s1, err := Parse(strings.NewReader(src))
-		if err != nil {
-			t.Fatalf("Parse(%s): %v", src, err)
-		}
+		s1 := parse(t, src)
 		enc1, err := json.Marshal(s1)
 		if err != nil {
 			t.Fatalf("Marshal: %v", err)
 		}
-		s2, err := Parse(bytes.NewReader(enc1))
-		if err != nil {
-			t.Fatalf("re-Parse(%s): %v", enc1, err)
-		}
+		s2 := parse(t, string(enc1))
 		enc2, err := json.Marshal(s2)
 		if err != nil {
 			t.Fatalf("re-Marshal: %v", err)
@@ -142,55 +137,55 @@ func TestValidateFieldPaths(t *testing.T) {
 		src  string
 		path string
 	}{
-		{`{"v":2,"kind":"compile","compile":{"circuit":"s27"}}`, "v"},
-		{`{"v":1,"compile":{"circuit":"s27"}}`, "kind"},
+		{`{"v":2,"kind":"sweep","sweep":{}}`, "v"},
+		{`{"v":1,"sweep":{}}`, "kind"},
 		{`{"v":1,"kind":"anneal"}`, "kind"},
-		{`{"v":1,"kind":"compile"}`, "compile"},
-		{`{"v":1,"kind":"compile","compile":{"circuit":"s27"},"cover":{"circuit":"s27"}}`, "cover"},
-		{`{"v":1,"kind":"compile","compile":{"circuit":""}}`, "compile.circuit"},
-		{`{"v":1,"kind":"compile","compile":{"circuit":"s27","lk":-1}}`, "compile.lk"},
-		{`{"v":1,"kind":"compile","compile":{"circuit":"s27","beta":-5}}`, "compile.beta"},
+		{`{"v":1,"kind":"compile"}`, "kind"},
+		{`{"v":1,"kind":"cover"}`, "kind"},
+		{`{"v":1,"kind":"sweep"}`, "sweep"},
+		{`{"v":1,"kind":"sweep","timeout":"-1s","sweep":{}}`, "timeout"},
+		{`{"v":1,"kind":"sweep","sweep":{"circuits":["s27",""]}}`, "sweep.circuits[1]"},
 		{`{"v":1,"kind":"sweep","sweep":{"lks":[8,-2]}}`, "sweep.lks[1]"},
 		{`{"v":1,"kind":"sweep","sweep":{"betas":[50,-1]}}`, "sweep.betas[1]"},
 		{`{"v":1,"kind":"sweep","sweep":{"workers":-1}}`, "sweep.workers"},
 		{`{"v":1,"kind":"sweep","sweep":{"jobs":[{"circuit":"s27","lk":3},{"circuit":"","lk":3}]}}`, "sweep.jobs[1].circuit"},
 		{`{"v":1,"kind":"sweep","sweep":{"jobs":[{"circuit":"s27","lk":0}]}}`, "sweep.jobs[0].lk"},
-		{`{"v":1,"kind":"cover","cover":{"circuit":"s27","workers":-2}}`, "cover.workers"},
-		{`{"v":1,"kind":"compile","compile":{"circuit":"s27"},"output":{"format":"json"}}`, "output.format"},
+		{`{"v":1,"kind":"sweep","sweep":{"job_timeout":"-1s"}}`, "sweep.job_timeout"},
 		{`{"v":1,"kind":"sweep","sweep":{},"output":{"format":"yaml"}}`, "output.format"},
-		{`{"v":1,"kind":"cover","cover":{"circuit":"s27"},"output":{"cache_stats":true}}`, "output.cache_stats"},
-		{`{"v":1,"kind":"sweep","sweep":{},"output":{"undetected":true}}`, "output.undetected"},
 	}
 	for _, tc := range cases {
-		_, err := Parse(strings.NewReader(tc.src))
+		_, err := parseSpec(strings.NewReader(tc.src))
 		if err == nil {
-			t.Errorf("Parse(%s) succeeded; want error at %q", tc.src, tc.path)
+			t.Errorf("parseSpec(%s) succeeded; want error at %q", tc.src, tc.path)
 			continue
 		}
 		var fe *FieldError
 		if !errors.As(err, &fe) {
-			t.Errorf("Parse(%s) error %T is not a *FieldError", tc.src, err)
+			t.Errorf("parseSpec(%s) error %T is not a *FieldError", tc.src, err)
 			continue
 		}
 		if fe.Path != tc.path {
-			t.Errorf("Parse(%s) error path = %q; want %q", tc.src, fe.Path, tc.path)
+			t.Errorf("parseSpec(%s) error path = %q; want %q", tc.src, fe.Path, tc.path)
 		}
 	}
 
-	// The three "lanes" keys and "output.trace" were removed within
-	// version 1 (DESIGN.md §13): a spec still carrying one must fail at
-	// decode as an unknown field, never be silently ignored.
+	// Keys removed within version 1 (DESIGN.md §13) — the "lanes" keys,
+	// "output.trace", the "compile" and "cover" bodies and
+	// "output.undetected": a spec still carrying one must fail at decode
+	// as an unknown field, never be silently ignored.
 	removed := []struct{ src, key string }{
-		{`{"v":1,"kind":"cover","cover":{"circuit":"s27","lanes":3}}`, "lanes"},
 		{`{"v":1,"kind":"sweep","sweep":{"lanes":[1,5]}}`, "lanes"},
 		{`{"v":1,"kind":"sweep","sweep":{"lanes":[0]}}`, "lanes"},
 		{`{"v":1,"kind":"sweep","sweep":{"jobs":[{"circuit":"s27","lk":3,"lanes":7}]}}`, "lanes"},
 		{`{"v":1,"kind":"sweep","sweep":{},"output":{"format":"csv","trace":true}}`, "trace"},
+		{`{"v":1,"kind":"compile","compile":{"circuit":"s27","lk":3}}`, "compile"},
+		{`{"v":1,"kind":"cover","cover":{"circuit":"s27","lk":3}}`, "cover"},
+		{`{"v":1,"kind":"sweep","sweep":{},"output":{"undetected":true}}`, "undetected"},
 	}
 	for _, tc := range removed {
 		want := `unknown field "` + tc.key + `"`
-		if _, err := Parse(strings.NewReader(tc.src)); err == nil || !strings.Contains(err.Error(), want) {
-			t.Errorf("Parse(%s) error = %v; want %s", tc.src, err, want)
+		if _, err := parseSpec(strings.NewReader(tc.src)); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("parseSpec(%s) error = %v; want %s", tc.src, err, want)
 		}
 	}
 }
@@ -218,53 +213,6 @@ func TestRunSweepMatchesSweepPackage(t *testing.T) {
 	}
 	if got.String() != want.String() {
 		t.Errorf("funnel output diverges from sweep package:\n got %s\nwant %s", got.String(), want.String())
-	}
-}
-
-// TestRunCompileMatchesCoreCompile checks the compile funnel against a
-// direct core.Compile of the same coordinates.
-func TestRunCompileMatchesCoreCompile(t *testing.T) {
-	spec := parse(t, `{"v":1,"kind":"compile","compile":{"circuit":"s27","lk":3}}`)
-	var hooked *core.Result
-	rt := Runtime{OnCompileResult: func(r *core.Result) error { hooked = r; return nil }}
-	var out bytes.Buffer
-	if err := Run(context.Background(), spec, &out, rt); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	if hooked == nil {
-		t.Fatal("OnCompileResult hook never ran")
-	}
-	c, err := sweep.LoadCircuit("s27")
-	if err != nil {
-		t.Fatal(err)
-	}
-	direct, err := core.Compile(context.Background(), c, core.DefaultOptions(3, 1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if hooked.Areas != direct.Areas {
-		t.Errorf("funnel areas %+v != direct compile areas %+v", hooked.Areas, direct.Areas)
-	}
-	if !strings.Contains(out.String(), "Merced BIST compiler") {
-		t.Errorf("report missing header:\n%s", out.String())
-	}
-}
-
-// TestRunSharedCache checks that two Runs through one Runtime.Cache share
-// the saturate prefix: the second run's compile is all hits.
-func TestRunSharedCache(t *testing.T) {
-	cache := sweep.NewCache()
-	rt := Runtime{Cache: cache}
-	spec := parse(t, `{"v":1,"kind":"compile","compile":{"circuit":"s27","lk":3}}`)
-	for i := 0; i < 2; i++ {
-		var out bytes.Buffer
-		if err := Run(context.Background(), spec, &out, rt); err != nil {
-			t.Fatalf("Run %d: %v", i, err)
-		}
-	}
-	st := cache.Stats()
-	if st.Saturated.Misses != 1 || st.Saturated.Hits != 1 {
-		t.Errorf("saturated stats = %+v; want exactly 1 miss then 1 hit", st.Saturated)
 	}
 }
 

@@ -29,22 +29,22 @@ func TestShardValidateFieldPaths(t *testing.T) {
 	}
 	for _, tc := range cases {
 		src := fmt.Sprintf(`{"v":1,"kind":"sweep","sweep":{"circuits":["s27"],"shard":%s}}`, tc.shard)
-		_, err := Parse(strings.NewReader(src))
+		_, err := parseSpec(strings.NewReader(src))
 		if err == nil {
-			t.Errorf("Parse(shard=%s) succeeded; want error at %s", tc.shard, tc.path)
+			t.Errorf("parseSpec(shard=%s) succeeded; want error at %s", tc.shard, tc.path)
 			continue
 		}
 		var fe *FieldError
 		if !errors.As(err, &fe) {
-			t.Errorf("Parse(shard=%s) error %T is not a *FieldError", tc.shard, err)
+			t.Errorf("parseSpec(shard=%s) error %T is not a *FieldError", tc.shard, err)
 			continue
 		}
 		if fe.Path != tc.path {
-			t.Errorf("Parse(shard=%s) error path = %q; want %q", tc.shard, fe.Path, tc.path)
+			t.Errorf("parseSpec(shard=%s) error path = %q; want %q", tc.shard, fe.Path, tc.path)
 		}
 	}
 	// A valid shard passes.
-	if _, err := Parse(strings.NewReader(
+	if _, err := parseSpec(strings.NewReader(
 		`{"v":1,"kind":"sweep","sweep":{"circuits":["s27"],"shard":{"index":4,"count":4}}}`)); err != nil {
 		t.Errorf("valid shard rejected: %v", err)
 	}
@@ -108,7 +108,7 @@ func TestShardSpecRoundTrips(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	spec2, err := Parse(bytes.NewReader(enc))
+	spec2, err := parseSpec(bytes.NewReader(enc))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,11 +16,10 @@ package sweep
 //     never cached, so a job cancelled mid-saturate cannot poison later
 //     jobs that share the key.
 //
-// A Cache can outlive one sweep.Run: construct one with NewCache and pass
-// it to every run via Config.Cache (and to single compilations via
-// Cache.Compile). Cumulative counters are read with Stats; each run
-// additionally tracks its own hit/miss/eviction deltas so Report.Cache
-// describes only that run's traffic.
+// A process holds one Cache: construct it with NewCache (or
+// NewCacheWithStore) and hand it to the run via Config.Cache, or to a
+// single compilation via Cache.Compile. Stats reads its counters, which
+// Report.Cache reproduces; reuse across processes is the disk tier's job.
 //
 // With NewCacheWithStore the cache becomes two-tier: the memory LRU reads
 // through to a persistent ArtifactStore (internal/cas) and writes behind to
@@ -69,7 +68,7 @@ type StageStats struct {
 }
 
 // CacheStats reports a cache's per-stage effectiveness; `merced -sweep
-// -cache-stats` surfaces a run's deltas.
+// -cache-stats` surfaces it.
 type CacheStats struct {
 	Parsed    StageStats `json:"parsed"`
 	Analyzed  StageStats `json:"analyzed"`
@@ -79,8 +78,7 @@ type CacheStats struct {
 	Capacity int `json:"capacity"`
 	// DiskErrors counts persistent-tier failures the cache absorbed —
 	// quarantined corrupt entries, undecodable payloads, failed
-	// write-behinds. Always the cache's cumulative total (not a run delta):
-	// a disk problem is a store health signal, not a property of one run.
+	// write-behinds.
 	DiskErrors int64 `json:"disk_errors,omitempty"`
 }
 
@@ -194,19 +192,13 @@ func (c *Cache) Flush() { c.writes.Wait() }
 // spans disk reads and computes alike. computed reports whether fn ran —
 // callers use it to attribute the stage's cost to exactly one job; a disk
 // hit is not a compute, so phase timings are never attributed to it. On
-// error the entry is dropped so a later request recomputes. When per is
-// non-nil, the outcome is counted there as well as in the cumulative
-// stats; per is written only under the cache mutex, so one tracker may be
-// shared by every worker of a run.
-func (c *Cache) getOrCompute(st cacheStage, key string, per *[3]StageStats, codec *stageCodec, fn func() (any, error)) (val any, computed bool, err error) {
+// error the entry is dropped so a later request recomputes.
+func (c *Cache) getOrCompute(st cacheStage, key string, codec *stageCodec, fn func() (any, error)) (val any, computed bool, err error) {
 	c.mu.Lock()
 	c.gen++
 	if e, ok := c.entries[key]; ok {
 		e.lastUse = c.gen
 		c.stats[st].Hits++
-		if per != nil {
-			per[st].Hits++
-		}
 		c.mu.Unlock()
 		<-e.ready
 		return e.val, false, e.err
@@ -239,14 +231,8 @@ func (c *Cache) getOrCompute(st cacheStage, key string, per *[3]StageStats, code
 	c.mu.Lock()
 	if fromDisk {
 		c.stats[st].DiskHits++
-		if per != nil {
-			per[st].DiskHits++
-		}
 	} else {
 		c.stats[st].Misses++
-		if per != nil {
-			per[st].Misses++
-		}
 	}
 	if e.err != nil {
 		// Never cache failures: a context-cancelled computation must not
@@ -255,7 +241,7 @@ func (c *Cache) getOrCompute(st cacheStage, key string, per *[3]StageStats, code
 			delete(c.entries, key)
 		}
 	} else {
-		c.evictLocked(per)
+		c.evictLocked()
 	}
 	c.mu.Unlock()
 
@@ -280,9 +266,9 @@ func (c *Cache) getOrCompute(st cacheStage, key string, per *[3]StageStats, code
 }
 
 // evictLocked drops least-recently-used ready entries until the bound
-// holds, attributing the evictions to the run that inserted past it.
-// In-flight entries are skipped — evicting one would strand waiters.
-func (c *Cache) evictLocked(per *[3]StageStats) {
+// holds. In-flight entries are skipped — evicting one would strand
+// waiters.
+func (c *Cache) evictLocked() {
 	for len(c.entries) > c.cap {
 		var victimKey string
 		var victim *cacheEntry
@@ -302,14 +288,11 @@ func (c *Cache) evictLocked(per *[3]StageStats) {
 		}
 		delete(c.entries, victimKey)
 		c.stats[victim.stage].Evictions++
-		if per != nil {
-			per[victim.stage].Evictions++
-		}
 	}
 }
 
-// Stats snapshots the cumulative counters — every hit, miss, and eviction
-// since the cache was constructed, across all runs that shared it.
+// Stats snapshots the counters — every hit, miss, and eviction since the
+// cache was constructed.
 func (c *Cache) Stats() CacheStats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -323,28 +306,12 @@ func (c *Cache) Stats() CacheStats {
 	}
 }
 
-// statsFor assembles a run-scoped CacheStats: the run's own per-stage
-// deltas over the cache's current occupancy. With a run-private cache the
-// result equals Stats().
-func (c *Cache) statsFor(per *[3]StageStats) CacheStats {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return CacheStats{
-		Parsed:     per[stageParsed],
-		Analyzed:   per[stageAnalyzed],
-		Saturated:  per[stageSaturated],
-		Entries:    len(c.entries),
-		Capacity:   c.cap,
-		DiskErrors: c.diskErrors.Load(),
-	}
-}
-
 // Compile runs one compilation through the shared-prefix cache: the
 // parse/analyze/saturate stages hit (or fill) the cache exactly as sweep
 // jobs do, and core.CompileFrom finishes the per-job suffix. name resolves
 // through load (LoadCircuit when nil). It is the single-job funnel the
-// jobspec runner uses for compile and cover jobs, so under -cache-dir a
-// one-off compilation shares prefixes with earlier sweeps.
+// merced report and cover modes use, so under -cache-dir a one-off
+// compilation shares prefixes with earlier sweeps.
 //
 // Result.Elapsed covers the whole call — load included on a cold cache —
 // matching core.Compile's accounting for the uncached case.
@@ -359,14 +326,14 @@ func (c *Cache) Compile(ctx context.Context, name string, load func(string) (*ne
 		return nil, err
 	}
 	start := time.Now()
-	pv, computed, err := cacheStagedArtifact(ctx, c, stageParsed, "parsed:"+name, nil, parsedCodec, func() (any, error) {
+	pv, computed, err := cacheStagedArtifact(ctx, c, stageParsed, "parsed:"+name, parsedCodec, func() (any, error) {
 		return core.Parse(ctx, name, load)
 	})
 	if err != nil {
 		return nil, err
 	}
 	p := pv.(*core.Parsed)
-	r, err := compileStaged(ctx, p, c, nil, opt)
+	r, err := compileStaged(ctx, p, c, opt)
 	if r != nil && err == nil {
 		if computed {
 			r.Phases.Add(p.Phases())

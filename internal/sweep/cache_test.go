@@ -27,7 +27,7 @@ func TestCacheSingleflight(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			v, computed, err := cache.getOrCompute(stageSaturated, "k", nil, nil, func() (any, error) {
+			v, computed, err := cache.getOrCompute(stageSaturated, "k", nil, func() (any, error) {
 				calls.Add(1)
 				time.Sleep(10 * time.Millisecond) // widen the race window
 				return "artifact", nil
@@ -75,10 +75,10 @@ func TestCacheErrorsNotCached(t *testing.T) {
 		}
 		return "ok", nil
 	}
-	if _, _, err := cache.getOrCompute(stageAnalyzed, "k", nil, nil, fn); !errors.Is(err, boom) {
+	if _, _, err := cache.getOrCompute(stageAnalyzed, "k", nil, fn); !errors.Is(err, boom) {
 		t.Fatalf("first call: err = %v, want %v", err, boom)
 	}
-	v, computed, err := cache.getOrCompute(stageAnalyzed, "k", nil, nil, fn)
+	v, computed, err := cache.getOrCompute(stageAnalyzed, "k", nil, fn)
 	if err != nil || v != "ok" {
 		t.Fatalf("second call: v=%v err=%v, want ok/nil", v, err)
 	}
@@ -96,7 +96,7 @@ func TestCacheErrorsNotCached(t *testing.T) {
 func TestCacheEvictionLRU(t *testing.T) {
 	cache := newCache(2)
 	get := func(key string) (any, bool) {
-		v, computed, err := cache.getOrCompute(stageParsed, key, nil, nil, func() (any, error) { return key, nil })
+		v, computed, err := cache.getOrCompute(stageParsed, key, nil, func() (any, error) { return key, nil })
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -135,7 +135,7 @@ func TestCacheConcurrentChurn(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
 				key := keys[(g+i)%len(keys)]
-				v, _, err := cache.getOrCompute(cacheStage(i%3), key, nil, nil, func() (any, error) {
+				v, _, err := cache.getOrCompute(cacheStage(i%3), key, nil, func() (any, error) {
 					return "v:" + key, nil
 				})
 				if err != nil {

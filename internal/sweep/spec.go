@@ -1,10 +1,9 @@
 package sweep
 
 // This file builds job matrices: the cross product of circuits × l_k ×
-// beta × seed that reproduces the paper's Tables 10-12. The JSON request
-// shape that used to live here (the `-spec` file) moved to
-// internal/jobspec, the CLI's versioned job model; jobspec expands its
-// sweep bodies through these helpers.
+// beta × seed that reproduces the paper's Tables 10-12. The `-spec` file
+// that describes such a matrix is internal/jobspec's sweep document;
+// jobspec expands it through these helpers.
 
 import (
 	"fmt"

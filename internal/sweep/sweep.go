@@ -70,8 +70,7 @@ func (j Job) String() string {
 }
 
 // CompileFunc is the per-job compilation hook. Config.Compile overrides it
-// for tests (fault injection) and future result caches; the default is
-// core.Compile.
+// for tests (fault injection); the default is core.Compile.
 type CompileFunc func(ctx context.Context, c *netlist.Circuit, opt core.Options) (*core.Result, error)
 
 // Config tunes a sweep run. The zero value runs core.Compile with
@@ -88,24 +87,14 @@ type Config struct {
 	NoRetimeSolver bool
 	// Lint turns on the per-job design-rule gates.
 	Lint bool
-	// KeepResults retains each job's full *core.Result (graphs, partitions,
-	// retiming labels). Off by default: a Table 10-12 sweep only needs the
-	// summary, and full results for thousands of jobs would pin memory.
-	// Retained results share the immutable prefix artifacts (circuit,
-	// graph, SCC, flow) with other jobs of the same (circuit, seed) —
-	// treat them as read-only.
-	KeepResults bool
 	// NoCache disables shared-prefix artifact reuse: every job runs the
 	// whole pipeline itself via core.Compile. The reports are byte-
 	// identical either way (a test and a CI step pin that); the switch
 	// exists for A/B benchmarking and as an escape hatch.
 	NoCache bool
-	// Cache, when non-nil, is an externally owned artifact cache shared
-	// across runs — the CLI passes a store-backed one under -cache-dir.
-	// Report.Cache then counts only this run's hits/misses/evictions (the
-	// deltas); Cache.Stats accumulates across every run. When nil, Run
-	// constructs a private cache bounded by DefaultCacheEntries, which
-	// makes the deltas and the totals coincide.
+	// Cache, when non-nil, is the caller's artifact cache — the CLI
+	// passes its process cache, store-backed under -cache-dir. When nil,
+	// Run constructs a private cache bounded by DefaultCacheEntries.
 	Cache *Cache
 	// Coverage runs a fault-coverage campaign (internal/fault.Campaign)
 	// over each successfully compiled job's partition and attaches the
@@ -153,9 +142,6 @@ type JobResult struct {
 	// Coverage is the job's fault-coverage campaign report, present only
 	// under Config.Coverage.
 	Coverage *fault.CampaignReport
-	// Result is the full compilation, retained only under
-	// Config.KeepResults.
-	Result *core.Result
 }
 
 // PanicError is a recovered per-job panic, downgraded to an error so one
@@ -197,10 +183,10 @@ func (s Stats) Speedup() float64 {
 type Report struct {
 	Jobs  []JobResult
 	Stats Stats
-	// Cache reports this run's shared-prefix artifact cache traffic:
-	// per-stage hits, misses, and evictions attributed to this run's jobs
-	// (with a shared Config.Cache that is a delta against the process
-	// totals; with a private cache it is everything). Under Config.NoCache
+	// Cache is the artifact cache's Stats after the run: per-stage hits,
+	// misses, and evictions. A process runs at most one sweep per cache,
+	// so that is this run's traffic plus whatever the caller compiled
+	// through the cache beforehand. Under Config.NoCache
 	// the analyzed and saturated counters stay zero; the parsed counters
 	// always reflect the circuit preload, which deduplicates through the
 	// cache.
@@ -298,13 +284,10 @@ func Run(ctx context.Context, jobs []Job, cfg Config) (*Report, error) {
 	if cache == nil {
 		cache = NewCache()
 	}
-	// per tracks this run's own cache traffic; it is written only under the
-	// cache mutex and read after the pool has drained.
-	per := new([3]StageStats)
 	masters := make(map[string]*core.Parsed, len(jobs))
 	parsedBy := make([]bool, len(jobs))
 	for i, j := range jobs {
-		v, computed, err := cache.getOrCompute(stageParsed, "parsed:"+j.Circuit, per, parsedCodec, func() (any, error) {
+		v, computed, err := cache.getOrCompute(stageParsed, "parsed:"+j.Circuit, parsedCodec, func() (any, error) {
 			return core.Parse(ctx, j.Circuit, load)
 		})
 		if err != nil {
@@ -332,7 +315,7 @@ func Run(ctx context.Context, jobs []Job, cfg Config) (*Report, error) {
 				if traced {
 					sp = obs.Start(wctx, "sweep", "job "+jobs[i].String())
 				}
-				results[i] = runJob(wctx, jobs[i], masters[jobs[i].Circuit], parsedBy[i], cache, per, cfg)
+				results[i] = runJob(wctx, jobs[i], masters[jobs[i].Circuit], parsedBy[i], cache, cfg)
 				sp.End()
 				if err := results[i].Err; err != nil {
 					log.Warn("sweep job failed", "job", jobs[i].String(), "err", err)
@@ -356,7 +339,7 @@ func Run(ctx context.Context, jobs []Job, cfg Config) (*Report, error) {
 
 	rep := &Report{Jobs: results}
 	rep.Stats = aggregate(results, workers, time.Since(start))
-	rep.Cache = cache.statsFor(per)
+	rep.Cache = cache.Stats()
 	obs.L(ctx).Info("sweep done", "jobs", rep.Stats.Jobs,
 		"failed", rep.Stats.Failed, "workers", rep.Stats.Workers,
 		"wall", rep.Stats.Wall)
@@ -365,7 +348,7 @@ func Run(ctx context.Context, jobs []Job, cfg Config) (*Report, error) {
 
 // runJob compiles one job. When parsedHere, the job triggered the preload's
 // parse of master, whose time joins both its Phases and its Elapsed.
-func runJob(ctx context.Context, j Job, master *core.Parsed, parsedHere bool, cache *Cache, per *[3]StageStats, cfg Config) (res JobResult) {
+func runJob(ctx context.Context, j Job, master *core.Parsed, parsedHere bool, cache *Cache, cfg Config) (res JobResult) {
 	res.Job = j
 	defer func() {
 		if r := recover(); r != nil {
@@ -400,7 +383,7 @@ func runJob(ctx context.Context, j Job, master *core.Parsed, parsedHere bool, ca
 		// before the staged pipeline existed).
 		r, err = core.Compile(ctx, master.Circuit().Clone(), opt)
 	default:
-		r, err = compileStaged(ctx, master, cache, per, opt)
+		r, err = compileStaged(ctx, master, cache, opt)
 	}
 	res.Elapsed = time.Since(begin)
 	if err != nil {
@@ -433,9 +416,6 @@ func runJob(ctx context.Context, j Job, master *core.Parsed, parsedHere bool, ca
 		}
 		res.Coverage = cov
 	}
-	if cfg.KeepResults {
-		res.Result = r
-	}
 	return res
 }
 
@@ -444,8 +424,8 @@ func runJob(ctx context.Context, j Job, master *core.Parsed, parsedHere bool, ca
 // branching at partitioning via core.CompileFrom. The shared-stage phase
 // timings are attributed only to the job that actually computed the stage,
 // so aggregated phase totals measure real work, not double-counted reuse.
-func compileStaged(ctx context.Context, p *core.Parsed, cache *Cache, per *[3]StageStats, opt core.Options) (*core.Result, error) {
-	av, computedA, err := cacheStagedArtifact(ctx, cache, stageAnalyzed, p.AnalyzeKey(), per, analyzedCodec(p), func() (any, error) {
+func compileStaged(ctx context.Context, p *core.Parsed, cache *Cache, opt core.Options) (*core.Result, error) {
+	av, computedA, err := cacheStagedArtifact(ctx, cache, stageAnalyzed, p.AnalyzeKey(), analyzedCodec(p), func() (any, error) {
 		return core.Analyze(ctx, p)
 	})
 	if err != nil {
@@ -454,7 +434,7 @@ func compileStaged(ctx context.Context, p *core.Parsed, cache *Cache, per *[3]St
 	a := av.(*core.Analyzed)
 
 	fcfg := opt.FlowConfig()
-	sv, computedS, err := cacheStagedArtifact(ctx, cache, stageSaturated, a.SaturateKey(fcfg), per, saturatedCodec(a), func() (any, error) {
+	sv, computedS, err := cacheStagedArtifact(ctx, cache, stageSaturated, a.SaturateKey(fcfg), saturatedCodec(a), func() (any, error) {
 		return core.SaturateNetwork(ctx, a, fcfg)
 	})
 	if err != nil {
@@ -478,9 +458,9 @@ func compileStaged(ctx context.Context, p *core.Parsed, cache *Cache, per *[3]St
 // when a *shared* computation fails with another job's cancellation while
 // this job's own context is still live, request again (the failed entry was
 // dropped, so the retry recomputes under this job's context).
-func cacheStagedArtifact(ctx context.Context, cache *Cache, st cacheStage, key string, per *[3]StageStats, codec *stageCodec, fn func() (any, error)) (any, bool, error) {
+func cacheStagedArtifact(ctx context.Context, cache *Cache, st cacheStage, key string, codec *stageCodec, fn func() (any, error)) (any, bool, error) {
 	for {
-		v, computed, err := cache.getOrCompute(st, key, per, codec, fn)
+		v, computed, err := cache.getOrCompute(st, key, codec, fn)
 		if err == nil || computed || ctx.Err() != nil ||
 			!(errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)) {
 			return v, computed, err
