@@ -12,6 +12,7 @@ import (
 	"repro/internal/emit"
 	"repro/internal/lint"
 	"repro/internal/netlist"
+	"repro/internal/sweep"
 )
 
 // Exit codes of lint mode: 0 clean (or findings below the threshold),
@@ -54,8 +55,7 @@ func runLint(cfg lintRun, stdout, stderr io.Writer) int {
 
 	// Deeper layers only make sense on a structurally sound netlist.
 	if ctx.Circuit != nil && !lint.HasAtLeast(diags, lint.Error) {
-		opt := core.DefaultOptions(cfg.lk, cfg.seed)
-		opt.Beta = cfg.beta
+		opt := sweep.Job{LK: cfg.lk, Beta: cfg.beta, Seed: cfg.seed}.Options()
 		opt.SolveRetiming = !cfg.noRetime
 		res, err := core.Compile(context.Background(), ctx.Circuit, opt)
 		if err != nil {

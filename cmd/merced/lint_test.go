@@ -80,6 +80,19 @@ func TestLintSeedBenchmarkClean(t *testing.T) {
 	}
 }
 
+// Lint compiles the partition it checks with the options every other mode
+// compiles with, so -beta 0 means the default β = 50 there too. On s641 at
+// l_k 8 a partition compiled at β 0 itself has a cluster over l_k (PT001).
+func TestLintBetaZeroMeansDefault(t *testing.T) {
+	run := func(beta int) string {
+		_, out, errw := lintFile(t, lintRun{circuit: "s641", lk: 8, beta: beta, seed: 1, threshold: "error"})
+		return out + errw
+	}
+	if zero, fifty := run(0), run(50); zero != fifty {
+		t.Fatalf("-beta 0 lints:\n%s\n-beta 50 lints:\n%s", zero, fifty)
+	}
+}
+
 func TestLintJSONOutput(t *testing.T) {
 	path := writeBench(t, `
 INPUT(a)

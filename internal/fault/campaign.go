@@ -2,11 +2,14 @@ package fault
 
 // Campaign is the parallel fault-coverage engine: the full single-stuck-at
 // campaign of a partitioned circuit — every cluster, every (optionally
-// collapsed) fault, packed sim.BatchLanes(sim.MaxLaneWords) = 255 lanes
-// per wide batch — fanned over a bounded worker pool. The paper's headline
-// claim is that each segment with <= l_k inputs is tested exhaustively and
-// all segments concurrently; this engine is how the repo verifies that
-// claim on whole benchmarks instead of one cluster at a time.
+// collapsed) fault, packed into wide batches by pack (up to
+// sim.BatchLanes(sim.MaxLaneWords) = 255 faults a fault-parallel batch,
+// or sim.LanesPerWord = 63 faults under all four sessions of a sequential
+// segment at once in the session layout) — fanned over a bounded worker
+// pool. The paper's headline claim is that each segment with <= l_k
+// inputs is tested exhaustively and all segments concurrently; this
+// engine is how the repo verifies that claim on whole benchmarks instead
+// of one cluster at a time.
 //
 // The engine drops faults in two tiers:
 //
@@ -30,13 +33,16 @@ package fault
 // results aggregate in job order. The pre-pass prunes only faults no
 // batch could detect, and the session cutoff is decided on the survivors
 // before pruning, so it moves no verdict. Since lanes are
-// independent in the sim kernel and batch-level session cutoff is only
-// taken on sets that fit one word-wide batch at every width, a fault's
-// verdict does not depend on which batch it was packed into. Reports are
-// therefore byte-identical for any Workers value and any packing width,
-// which the race-enabled tests pin (they cap the width through the
-// unexported maxWords field). Batch counts are the one packing-dependent
-// quantity, so renders gate them behind Timing.
+// independent in the sim kernel, batch-level session cutoff is only
+// taken on sets that fit one word-wide batch at every width, and a set
+// without the cutoff detects a fault iff some session does whether its
+// sessions run one after another or side by side, a fault's verdict does
+// not depend on which batch or layout it was packed into. Reports are
+// therefore byte-identical for any Workers value, packing width and
+// layout, which the race-enabled tests pin (they cap the width through
+// the unexported maxWords field; below four words every set packs
+// fault-parallel). Batch counts are the one packing-dependent quantity,
+// so renders gate them behind Timing.
 
 import (
 	"context"
@@ -172,17 +178,18 @@ type campaignSegment struct {
 // segment on one schedule. seq is the deterministic global batch index
 // (trace labels, error messages); sched is the (stage, segment) pair's
 // schedule, shared by every batch of the pair regardless of packing width;
-// words is the batch's vector width (the final partial batch re-fits to
-// the narrowest width that holds it); sole marks the only batch of its
-// (stage, segment) fault set at every width, which is when batch-level
-// session cutoff is width-invariant and allowed.
+// words and layout are the batch's vector width and lane layout, as pack
+// chose them; sole marks the only batch of its (stage, segment) fault set
+// at every width, which is when batch-level session cutoff is
+// width-invariant and allowed.
 type batchJob struct {
-	seg   int
-	reps  []int // indices into campaignSegment.reps
-	seq   uint64
-	sched *schedule
-	words int
-	sole  bool
+	seg    int
+	reps   []int // indices into campaignSegment.reps
+	seq    uint64
+	sched  *schedule
+	words  int
+	layout sim.Layout
+	sole   bool
 }
 
 // escalation is one segment's stage-two input: its triage survivors
@@ -245,24 +252,15 @@ func Campaign(ctx context.Context, c *netlist.Circuit, r *partition.Result, opt 
 	var jobs []batchJob
 	var seq uint64
 	lanes := sim.BatchLanes(words)
-	// packSegment slices one segment-stage rep set into wide batches. All
-	// batches share the (stage, segment) schedule; the final partial batch
-	// re-fits to the narrowest width that holds it (pure throughput —
-	// verdicts are width-invariant either way). sole enables session
-	// cutoff; callers set it only when the whole set is one batch at every
-	// width (<= sim.LanesPerWord reps).
+	// packSegment slices one segment-stage rep set into batches by the
+	// packing rule (pack). All batches share the (stage, segment)
+	// schedule. sole enables session cutoff; callers set it only when the
+	// whole set is one batch at every width (<= sim.LanesPerWord reps).
 	packSegment := func(si int, reps []int, sched *schedule, sole bool) {
 		//ctxlint:nocancel pure in-memory slicing of a rep list into batches; nanoseconds per iteration
-		for lo := 0; lo < len(reps); lo += lanes {
-			hi := lo + lanes
-			if hi > len(reps) {
-				hi = len(reps)
-			}
-			w := words
-			if n := hi - lo; n < lanes {
-				w = sim.FitLaneWords(n, words)
-			}
-			jobs = append(jobs, batchJob{seg: si, reps: reps[lo:hi], seq: seq, sched: sched, words: w, sole: sole})
+		for _, b := range pack(len(reps), words, sched, sole) {
+			jobs = append(jobs, batchJob{seg: si, reps: reps[b.lo:b.hi], seq: seq, sched: sched,
+				words: b.words, layout: b.layout, sole: sole})
 			seq++
 		}
 	}
@@ -498,7 +496,7 @@ func runBatchPool(ctx context.Context, segs []*campaignSegment, jobs []batchJob,
 			}
 			//seedlint:wallclock per-batch latency telemetry, timing-gated at render time like Elapsed
 			bt := time.Now()
-			err = env.runBatch(ctx, batch, j.sched, j.sole)
+			err = env.runBatch(ctx, batch, j.sched, j.layout, j.sole)
 			if durs != nil {
 				//seedlint:wallclock per-batch latency telemetry, timing-gated at render time like Elapsed
 				durs[i] = time.Since(bt)
@@ -634,22 +632,25 @@ func (cs *campaignSegment) excite(ctx context.Context, survivors []int, sched *s
 }
 
 // pruneNeed returns the fewest of n survivors whose removal lowers the
-// words their batches pack into (full batches at words, the last re-fit
-// to the narrowest width that holds it), and the pre-pass gives up below
-// it. Pruning fewer lowers no word; it can still let a batch stop at its
-// all-detected exit, but running the pass to the end of the schedule
-// costs more than those early exits save (DESIGN §10 has the figures).
+// words their batches pack into fault-parallel (full batches at words, the
+// last re-fit to the narrowest width that holds it), and the pre-pass
+// gives up below it. Pruning fewer lowers no word; it can still let a
+// batch stop at its all-detected exit, but running the pass to the end of
+// the schedule costs more than those early exits save (DESIGN §10 has the
+// figures). It measures the fault-parallel packing even where escalation
+// packs in the session layout, on purpose: the give-up point decides
+// which survivors end up Unexcited, so measuring the session layout would
+// change that reported count (DESIGN §10).
 func pruneNeed(n, words int) int {
-	lanes := sim.BatchLanes(words)
 	packed := func(n int) int {
-		w := n / lanes * words
-		if n%lanes > 0 {
-			w += sim.FitLaneWords(n%lanes, words)
+		w := 0
+		for _, b := range packFaultParallel(n, words) {
+			w += b.words
 		}
 		return w
 	}
-	m := n - 1
-	for m > 0 && packed(m) == packed(n) {
+	full, m := packed(n), n-1
+	for m > 0 && packed(m) == full {
 		m--
 	}
 	return n - m

@@ -83,6 +83,49 @@ func TestCampaignDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
+// TestCampaignSessionLayoutMatchesFaultParallel compares the two lane
+// layouts on whole campaigns. A one-pattern triage leaves most faults for
+// escalation, so sequential segments escalate sets too large for the
+// session cutoff; those pack in the session layout at the default width
+// and fault-parallel, session after session, at one word. The rendered
+// reports must be byte-identical. Each case checks that some sequential
+// segment ends with more undetected faults than one batch holds (faults
+// are not collapsed, so each is its own representative), so the session
+// layout really ran.
+func TestCampaignSessionLayoutMatchesFaultParallel(t *testing.T) {
+	for _, tc := range []struct {
+		circuit string
+		lk      int
+		max     uint64
+	}{
+		{"s510", 24, 1 << 11},
+		{"s820", 24, 1 << 10},
+		{"s1423", 18, 1 << 11},
+	} {
+		c, p := compilePartition(t, tc.circuit, tc.lk)
+		opt := CampaignOptions{MaxPatterns: tc.max, Seed: 3, Workers: 2, TriagePatterns: 1}
+		wide, err := Campaign(context.Background(), c, p, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sessionSet := false
+		for _, sc := range wide.Segments {
+			sessionSet = sessionSet || sc.DFFs > 0 && len(sc.Undetected) > sim.LanesPerWord
+		}
+		if !sessionSet {
+			t.Errorf("%s@%d: no sequential segment escalated more than %d faults", tc.circuit, tc.lk, sim.LanesPerWord)
+		}
+		opt.maxWords = 1
+		narrow, err := Campaign(context.Background(), c, p, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(renderAll(t, wide), renderAll(t, narrow)) {
+			t.Errorf("%s@%d: session-layout report differs from the fault-parallel one", tc.circuit, tc.lk)
+		}
+	}
+}
+
 // TestCampaignCoverageHigh pins the engine end to end: pseudo-exhaustive
 // per-segment patterns must detect the vast majority of s510's faults, and
 // the aggregate counters must be consistent.
@@ -290,7 +333,7 @@ func TestCancellationMidBatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	sched := newSchedule(sg, 1<<20, 0, func() uint64 { return seed })
-	err := env.runBatch(ctx, []sim.Fault{{Signal: "y", Stuck1: true}}, sched, false)
+	err := env.runBatch(ctx, []sim.Fault{{Signal: "y", Stuck1: true}}, sched, sim.FaultParallel, false)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}

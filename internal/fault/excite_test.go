@@ -116,7 +116,7 @@ func TestCampaignSoleDecidedBeforePruning(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, sole := range []bool{true, false} {
-		if err := env.runBatch(ctx, []sim.Fault{gSA0, {Signal: "b"}}, sched, sole); err != nil {
+		if err := env.runBatch(ctx, []sim.Fault{gSA0, {Signal: "b"}}, sched, sim.FaultParallel, sole); err != nil {
 			t.Fatal(err)
 		}
 		if eng.Detected(1) == sole {
@@ -182,7 +182,7 @@ func TestCampaignPrunedFaultsUndetectedAlone(t *testing.T) {
 			for _, ri := range minus(all, kept) {
 				pruned++
 				f := cs.reps[ri]
-				if err := env.runBatch(ctx, []sim.Fault{f}, sched, false); err != nil {
+				if err := env.runBatch(ctx, []sim.Fault{f}, sched, sim.FaultParallel, false); err != nil {
 					t.Fatal(err)
 				}
 				if eng.Detected(1) {

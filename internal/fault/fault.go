@@ -2,11 +2,15 @@
 // fault simulation over circuit segments, used to validate the PPET claim
 // of high fault coverage under pseudo-exhaustive per-segment testing.
 //
-// Two entry points share one wide-lane batch kernel (sim.LaneEngine, up to
-// sim.BatchLanes(sim.MaxLaneWords) fault lanes per batch):
-// Simulate runs a single segment serially (the historical API), and
-// Campaign fans every segment of a partition across a bounded worker pool
-// with fault dropping and deterministic aggregation (campaign.go).
+// Two entry points share one wide-lane batch kernel (sim.LaneEngine) and
+// one packing rule (pack): Simulate runs a single segment serially (the
+// historical API), and Campaign fans every segment of a partition across
+// a bounded worker pool with fault dropping and deterministic aggregation
+// (campaign.go). A batch is fault-parallel — up to
+// sim.BatchLanes(sim.MaxLaneWords) = 255 faults, every session run one
+// after another — or, for a sequential segment's fault set too large for
+// the session cutoff, in the session layout: up to sim.LanesPerWord = 63
+// faults, each of the four sessions in its own word, all at once.
 //
 // Lane-width invariance: per-fault verdicts depend only on the fault and
 // the pattern sequences applied, never on which batch the fault landed in.
@@ -14,9 +18,10 @@
 // state (Simulate: the session index; Campaign: (seed, stage, segment)),
 // and batch-level session cutoff is only taken when the whole fault set
 // fits one word-wide batch at every width — so Detected/Undetected results
-// do not depend on how faults are packed. The width is the engine's own
-// choice: full batches run at sim.MaxLaneWords and a partial final batch
-// at the narrowest width that holds it.
+// do not depend on how faults are packed. The width and layout are the
+// engine's own choice: full fault-parallel batches run at
+// sim.MaxLaneWords, a partial final batch at the narrowest width that
+// holds it, and session-layout batches at one word per session.
 package fault
 
 import (
@@ -92,17 +97,63 @@ func batchWords(maxWords int) int {
 // sequential segment; see runBatch.
 const maxBatchSessions = 4
 
+// The session layout gives each session one word of the lane vector, so
+// the sessions must fit the widest one (the constant underflows uint and
+// fails to compile otherwise).
+const _ = uint(sim.MaxLaneWords - maxBatchSessions)
+
+// batchSpan is one batch of a packed fault set: faults lo..hi-1 of the
+// set, run at words words in the given lane layout.
+type batchSpan struct {
+	lo, hi, words int
+	layout        sim.Layout
+}
+
+// pack is the one packing rule of Simulate and Campaign: it slices a set
+// of n faults that runs on sched into batches, with the batch width
+// capped at maxWords. A set that runs several sessions and has no session
+// cutoff (not sole) packs in the session layout when every session gets a
+// word: sim.LanesPerWord faults a batch at sched.sessions words, all
+// sessions side by side. Sole sets stay fault-parallel: their cutoff
+// decides after each session whether to run the next, so their sessions
+// run one after another. Every other set packs fault-parallel too.
+func pack(n, maxWords int, sched *schedule, sole bool) []batchSpan {
+	if w := sched.sessions; !sole && w > 1 && w <= maxWords {
+		var spans []batchSpan
+		for lo := 0; lo < n; lo += sim.LanesPerWord {
+			spans = append(spans, batchSpan{lo, min(lo+sim.LanesPerWord, n), w, sim.Sessions})
+		}
+		return spans
+	}
+	return packFaultParallel(n, maxWords)
+}
+
+// packFaultParallel packs n faults fault-parallel: full batches of
+// sim.BatchLanes(maxWords) faults, and a partial last batch re-fit to the
+// narrowest width that holds it (pure throughput; verdicts are
+// width-invariant either way).
+func packFaultParallel(n, maxWords int) []batchSpan {
+	lanes := sim.BatchLanes(maxWords)
+	var spans []batchSpan
+	for lo := 0; lo < n; lo += lanes {
+		hi := min(lo+lanes, n)
+		spans = append(spans, batchSpan{lo, hi, sim.FitLaneWords(hi-lo, maxWords), sim.FaultParallel})
+	}
+	return spans
+}
+
 // Simulate runs parallel fault simulation: the segment's external inputs
 // are driven by a maximal-length LFSR exactly as the preceding CBIT in TPG
 // mode would, and a fault counts as detected when any boundary output
 // differs from the fault-free machine on any cycle (the succeeding CBIT in
 // PSA mode would absorb the difference into its signature). Faults are
-// packed sim.BatchLanes(sim.MaxLaneWords) per batch (lane 0 is
-// fault-free), with the final partial batch re-fit to the narrowest width
-// that holds it.
+// packed by pack: fault-parallel, sim.BatchLanes(sim.MaxLaneWords) per
+// batch (lane 0 is fault-free) with the final partial batch re-fit to the
+// narrowest width that holds it, or, for more than sim.LanesPerWord
+// faults on a sequential segment, in the session layout.
 //
 // Every batch applies the same session seed sequence (drawn once from
-// Seed), so per-fault verdicts do not depend on the packing width.
+// Seed), so per-fault verdicts do not depend on the packing.
 func Simulate(sg *sim.Segment, faults []sim.Fault, opt Options) (Coverage, error) {
 	cov := Coverage{Total: len(faults)}
 	words := batchWords(opt.maxWords)
@@ -117,23 +168,14 @@ func Simulate(sg *sim.Segment, faults []sim.Fault, opt Options) (Coverage, error
 	sole := len(faults) <= sim.LanesPerWord
 	env := newBatchEnv(sg)
 	defer env.release()
-	lanes := sim.BatchLanes(words)
-	for start := 0; start < len(faults); start += lanes {
-		end := start + lanes
-		if end > len(faults) {
-			end = len(faults)
-		}
-		batch := faults[start:end]
-		w := words
-		if len(batch) < lanes {
-			w = sim.FitLaneWords(len(batch), words)
-		}
-		eng, err := env.engine(w)
+	for _, b := range pack(len(faults), words, sched, sole) {
+		batch := faults[b.lo:b.hi]
+		eng, err := env.engine(b.words)
 		if err != nil {
 			return cov, err
 		}
 		cov.Batches++
-		if err := env.runBatch(context.Background(), batch, sched, sole); err != nil {
+		if err := env.runBatch(context.Background(), batch, sched, b.layout, sole); err != nil {
 			return cov, err
 		}
 		for i, f := range batch {
@@ -243,25 +285,33 @@ func (sc *schedule) tpg(s int) (*cbit.CBIT, error) {
 }
 
 // runBatch simulates one batch of up to engine-capacity faults (lane 0
-// fault-free, lane i+1 carrying batch[i]) on the schedule; per-lane
-// verdicts are read back through eng.Detected. The batch stops cycling as
-// soon as every lane has diverged from lane 0 (fault dropping), and
-// returns ctx.Err() promptly when cancelled.
+// fault-free, lane i+1 carrying batch[i]) on the schedule in the given
+// lane layout; per-lane verdicts are read back through eng.Detected. The
+// batch stops cycling as soon as every lane has diverged from lane 0
+// (fault dropping), and returns ctx.Err() promptly when cancelled.
+//
+// In the session layout every session runs at once, session s in word s,
+// so a fault is detected iff some session detects it within perSession
+// clocks: exactly the verdict of running the sessions one after another
+// without a cutoff. The fault-parallel layout runs them one after another.
 //
 // soleBatch marks a batch known to be the only one of its fault set at
 // every lane width (the set fits sim.LanesPerWord lanes). Only then may a
 // no-progress session end the batch early: the cutoff is a batch-level
 // decision, and taking it on multi-batch sets would make verdicts depend
 // on how faults were packed — i.e. on the width.
-func (e *batchEnv) runBatch(ctx context.Context, batch []sim.Fault, sched *schedule, soleBatch bool) error {
+func (e *batchEnv) runBatch(ctx context.Context, batch []sim.Fault, sched *schedule, layout sim.Layout, soleBatch bool) error {
 	eng := e.eng
-	eng.ClearFaults()
+	eng.SetLayout(layout)
 	for i, f := range batch {
 		if err := eng.Inject(f, i+1); err != nil {
 			return err
 		}
 	}
 	eng.Arm(len(batch))
+	if layout == sim.Sessions {
+		return runSessions(ctx, eng, sched)
+	}
 	for s := 0; s < sched.sessions && !eng.AllDetected(); s++ {
 		if err := ctx.Err(); err != nil {
 			return err
@@ -290,6 +340,39 @@ func (e *batchEnv) runBatch(ctx context.Context, batch []sim.Fault, sched *sched
 		// Gated to sole batches to keep verdicts lane-width-invariant (see
 		// above).
 		if soleBatch && eng.DetectedMask() == atSessionStart {
+			break
+		}
+	}
+	return nil
+}
+
+// runSessions runs an armed session-layout batch: every session of sched
+// from the reset state, session s's TPG driving word s, for perSession
+// clocks or until every armed lane is detected in some word.
+func runSessions(ctx context.Context, eng sim.LaneEngine, sched *schedule) error {
+	tpgs := make([]*cbit.CBIT, sched.sessions)
+	for s := range tpgs {
+		tpg, err := sched.tpg(s)
+		if err != nil {
+			return err
+		}
+		tpgs[s] = tpg
+	}
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	pats := make([]uint64, len(tpgs))
+	eng.ResetState()
+	for p := uint64(0); p < sched.perSession; p++ {
+		if p&ctxCheckMask == ctxCheckMask {
+			if err := ctx.Err(); err != nil {
+				return err
+			}
+		}
+		for s, tpg := range tpgs {
+			pats[s] = tpg.StepTPG()
+		}
+		if eng.StepWords(pats) {
 			break
 		}
 	}

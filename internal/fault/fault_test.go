@@ -158,18 +158,28 @@ func manyFaults(sg *sim.Segment, n int) []sim.Fault {
 	return faults
 }
 
+// TestBatching pins the batch counts of the packing rule on a list too
+// long for the session cutoff: fault-parallel batches of
+// sim.BatchLanes(words) faults, except on a sequential segment once every
+// session gets a word, where the session layout packs sim.LanesPerWord
+// faults a batch.
 func TestBatching(t *testing.T) {
-	sg := wholeSegment(t, s27)
-	faults := manyFaults(sg, sim.BatchLanes(4))
-	for _, words := range sim.LaneWordSizes {
-		cov, err := Simulate(sg, faults, Options{Seed: 1, MaxPatterns: 256, maxWords: words})
-		if err != nil {
-			t.Fatal(err)
-		}
-		lanes := sim.BatchLanes(words)
-		wantBatches := (len(faults) + lanes - 1) / lanes
-		if cov.Batches != wantBatches {
-			t.Fatalf("maxWords=%d: batches = %d, want %d", words, cov.Batches, wantBatches)
+	for _, text := range []string{comb, s27} {
+		sg := wholeSegment(t, text)
+		faults := manyFaults(sg, sim.BatchLanes(4))
+		for _, words := range sim.LaneWordSizes {
+			cov, err := Simulate(sg, faults, Options{Seed: 1, MaxPatterns: 256, maxWords: words})
+			if err != nil {
+				t.Fatal(err)
+			}
+			lanes := sim.BatchLanes(words)
+			if sg.NumDFFs() > 0 && words >= maxBatchSessions {
+				lanes = sim.LanesPerWord
+			}
+			wantBatches := (len(faults) + lanes - 1) / lanes
+			if cov.Batches != wantBatches {
+				t.Fatalf("%d flip-flops, maxWords=%d: batches = %d, want %d", sg.NumDFFs(), words, cov.Batches, wantBatches)
+			}
 		}
 	}
 }
@@ -208,10 +218,11 @@ func TestSimulateWidthInvariant(t *testing.T) {
 	}
 }
 
-// A partial final batch re-fits to the narrowest width that holds it; the
-// re-fit is pure throughput and must not change a single verdict.
+// A partial final fault-parallel batch re-fits to the narrowest width that
+// holds it; the re-fit is pure throughput and must not change a single
+// verdict. The segment is combinational, so the list packs fault-parallel.
 func TestPartialFinalBatchRefit(t *testing.T) {
-	sg := wholeSegment(t, s27)
+	sg := wholeSegment(t, comb)
 	faults := manyFaults(sg, 70)[:70] // 70 faults: one W=2 batch at the default width
 	wide, err := Simulate(sg, faults, Options{Seed: 2, MaxPatterns: 256})
 	if err != nil {

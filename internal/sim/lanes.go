@@ -15,24 +15,35 @@ import (
 // self-test runs on a one-word engine and reads one lane's boundary
 // outputs each clock through StepSample.
 //
+// The lanes follow the engine's Layout: fault-parallel (the default; one
+// pattern stream, up to 64*Words()-1 faults) or sessions (one pattern
+// stream per word, up to LanesPerWord faults each seen in every word).
+//
 // Determinism contract: lanes are independent. Lane L's verdict after a
 // given pattern sequence depends only on the fault injected in lane L and
 // the sequence itself — never on the batch mates or the vector width — so
 // campaign verdicts are byte-identical across widths as long as the
 // pattern sequences are keyed to something width-invariant (the campaign
-// keys them to (seed, stage, segment); see internal/fault).
+// keys them to (seed, stage, segment); see internal/fault). In the session
+// layout this holds per word: a fault's lane in word s sees exactly what a
+// one-word engine would under session s's pattern stream.
 //
 // A LaneEngine is not safe for concurrent use; concurrent campaigns give
 // each worker its own engine via GetLaneEngine.
 type LaneEngine interface {
 	// Words returns the vector width in 64-bit words.
 	Words() int
-	// Lanes returns the fault-lane capacity, BatchLanes(Words()).
+	// Lanes returns the fault-lane capacity: BatchLanes(Words()) in the
+	// fault-parallel layout, LanesPerWord in the session layout.
 	Lanes() int
+	// SetLayout switches the lane layout. It removes all injected faults
+	// and clears the armed set, since both are laid out by the layout.
+	SetLayout(l Layout)
 	// ClearFaults removes all injected faults.
 	ClearFaults()
 	// Inject adds fault f on lane 1..Lanes(); lane 0 is reserved for the
-	// fault-free machine. Unknown signals are rejected.
+	// fault-free machine. In the session layout the fault goes into that
+	// lane of every word. Unknown signals are rejected.
 	Inject(f Fault, lane int) error
 	// Arm clears the detection accumulator and marks lanes 1..n as the
 	// armed set AllDetected tests against; n is clamped to Lanes().
@@ -42,19 +53,26 @@ type LaneEngine interface {
 	ResetState()
 	// Step applies one clock — drive inputs from pattern bits, settle,
 	// accumulate detection from the boundary outputs, latch flip-flops —
-	// and reports whether every armed lane has now diverged.
+	// and reports whether every armed lane has now diverged. Every word
+	// is driven by the same pattern.
 	Step(pattern uint64) bool
+	// StepWords applies one clock like Step, driving word j from
+	// patterns[j]; patterns must have at least Words() entries.
+	StepWords(patterns []uint64) bool
 	// StepSample applies one clock like Step, without the detection
 	// compare, and writes lane's boundary-output bits (0 or 1, in
 	// OutputNames order) into out, sampled before the flip-flops latch.
 	// lane is 0..Lanes(); out must have NumOutputs entries.
 	StepSample(pattern uint64, lane int, out []uint64)
-	// Detected reports whether lane has diverged since the last Arm.
+	// Detected reports whether lane has diverged since the last Arm (in
+	// the session layout: in some word).
 	Detected(lane int) bool
 	// AllDetected reports whether every armed lane has diverged.
 	AllDetected() bool
-	// DetectedMask snapshots the detection accumulator, zero-padded to
-	// MaxLaneWords words (for width-agnostic progress comparisons).
+	// DetectedMask snapshots the detection accumulator word by word,
+	// zero-padded to MaxLaneWords words (for width-agnostic progress
+	// comparisons). In the session layout word s holds the lanes session
+	// s has detected.
 	DetectedMask() [MaxLaneWords]uint64
 
 	// seg seals the interface to this package and keys pool returns.
@@ -83,9 +101,8 @@ func (sg *Segment) GetLaneEngine(words int) (LaneEngine, error) {
 	}
 	if v := sg.lanePools[laneWordsIndex(words)].Get(); v != nil {
 		e := v.(LaneEngine)
-		e.ClearFaults()
+		e.SetLayout(FaultParallel)
 		e.ResetState()
-		e.Arm(0)
 		return e, nil
 	}
 	return sg.NewLaneEngine(words)
@@ -109,9 +126,10 @@ func laneWordsIndex(words int) int { return bits.TrailingZeros(uint(words)) }
 // word, and the detection accumulator and armed-lane mask are single
 // vector words compared by value. forced lists, ascending, the program ops
 // whose output carries an injected fault; the settle folds force masks
-// there only. next is the latch scratch, one D value per flip-flop. tap,
-// non-nil only during a StepSample, receives lane tapLane's boundary
-// outputs.
+// there only. next is the latch scratch, one D value per flip-flop. pat
+// holds the next clock's per-word input patterns. sessions is the session
+// layout: the kernels compare each word with its own lane 0. tap, non-nil
+// only during a StepSample, receives lane tapLane's boundary outputs.
 type laneEngine[W lanevec] struct {
 	sgmt           *Segment
 	force0, force1 []W
@@ -119,6 +137,8 @@ type laneEngine[W lanevec] struct {
 	v              []W
 	next           []W
 	det, want      W
+	pat            W
+	sessions       bool
 	tap            []uint64
 	tapLane        int
 }
@@ -141,7 +161,18 @@ func (e *laneEngine[W]) Words() int {
 	return len(w)
 }
 
-func (e *laneEngine[W]) Lanes() int { return BatchLanes(e.Words()) }
+func (e *laneEngine[W]) Lanes() int {
+	if e.sessions {
+		return LanesPerWord
+	}
+	return BatchLanes(e.Words())
+}
+
+func (e *laneEngine[W]) SetLayout(l Layout) {
+	e.sessions = l == Sessions
+	e.ClearFaults()
+	e.Arm(0)
+}
 
 func (e *laneEngine[W]) ClearFaults() {
 	var z W
@@ -160,10 +191,16 @@ func (e *laneEngine[W]) Inject(f Fault, lane int) error {
 	if !ok {
 		return fmt.Errorf("sim: unknown fault signal %q", f.Signal)
 	}
+	force := e.force0
 	if f.Stuck1 {
-		e.force1[i][lane>>6] |= 1 << uint(lane&63)
+		force = e.force1
+	}
+	if e.sessions {
+		for j := range len(force[i]) {
+			force[i][j] |= 1 << uint(lane)
+		}
 	} else {
-		e.force0[i][lane>>6] |= 1 << uint(lane&63)
+		force[i][lane>>6] |= 1 << uint(lane&63)
 	}
 	if op := e.sgmt.opOf[i]; op >= 0 {
 		if k, found := slices.BinarySearch(e.forced, op); !found {
@@ -179,6 +216,11 @@ func (e *laneEngine[W]) Arm(n int) {
 	for lane := 1; lane <= min(n, e.Lanes()); lane++ {
 		z[lane>>6] |= 1 << uint(lane&63)
 	}
+	if e.sessions {
+		for j := range len(z) {
+			z[j] = z[0]
+		}
+	}
 	e.want = z
 }
 
@@ -190,14 +232,31 @@ func (e *laneEngine[W]) ResetState() {
 }
 
 func (e *laneEngine[W]) Step(pattern uint64) bool {
-	e.cycle(pattern, true)
-	return e.det == e.want
+	e.broadcast(pattern)
+	e.cycle(true)
+	return e.AllDetected()
+}
+
+func (e *laneEngine[W]) StepWords(patterns []uint64) bool {
+	for j := range len(e.pat) {
+		e.pat[j] = patterns[j]
+	}
+	e.cycle(true)
+	return e.AllDetected()
 }
 
 func (e *laneEngine[W]) StepSample(pattern uint64, lane int, out []uint64) {
 	e.tap, e.tapLane = out, lane
-	e.cycle(pattern, false)
+	e.broadcast(pattern)
+	e.cycle(false)
 	e.tap = nil
+}
+
+// broadcast sets every word's input pattern of the next clock to pattern.
+func (e *laneEngine[W]) broadcast(pattern uint64) {
+	for j := range len(e.pat) {
+		e.pat[j] = pattern
+	}
 }
 
 // sample copies lane tapLane of every boundary output into tap. The cycle
@@ -210,31 +269,49 @@ func (e *laneEngine[W]) sample() {
 	}
 }
 
-// cycle is one clock of the wide machine: drive inputs (branchless
-// broadcast, forced), settle the program with fault injection, sample
-// boundary outputs into the detection accumulator (pre-latch), then clock
-// the flip-flops through their force masks. It dispatches to the
-// hand-unrolled width specializations (wide_unroll.go); the pointer
-// receiver makes the any() conversion allocation-free.
-func (e *laneEngine[W]) cycle(pattern uint64, detect bool) {
+// cycle is one clock of the wide machine: drive inputs from the per-word
+// patterns in e.pat (branchless, forced), settle the program with fault
+// injection, sample boundary outputs into the detection accumulator
+// (pre-latch), then clock the flip-flops through their force masks. It
+// dispatches to the hand-unrolled width specializations (wide_unroll.go);
+// the pointer receiver makes the any() conversion allocation-free.
+func (e *laneEngine[W]) cycle(detect bool) {
 	switch ee := any(e).(type) {
 	case *laneEngine[[1]uint64]:
-		cycle1(ee, pattern, detect)
+		cycle1(ee, detect)
 	case *laneEngine[[2]uint64]:
-		cycle2(ee, pattern, detect)
+		cycle2(ee, detect)
 	case *laneEngine[[4]uint64]:
-		cycle4(ee, pattern, detect)
+		cycle4(ee, detect)
 	}
 }
 
 func (e *laneEngine[W]) Detected(lane int) bool {
-	if lane < 0 || lane > BatchLanes(e.Words()) {
+	if lane < 0 || lane > e.Lanes() {
 		return false
+	}
+	if e.sessions {
+		return e.anyWord()>>uint(lane)&1 != 0
 	}
 	return e.det[lane>>6]>>uint(lane&63)&1 != 0
 }
 
-func (e *laneEngine[W]) AllDetected() bool { return e.det == e.want }
+func (e *laneEngine[W]) AllDetected() bool {
+	if e.sessions {
+		return e.anyWord() == e.want[0]
+	}
+	return e.det == e.want
+}
+
+// anyWord folds the session layout's per-word detection masks into the
+// lanes detected in some word.
+func (e *laneEngine[W]) anyWord() uint64 {
+	var m uint64
+	for j := range len(e.det) {
+		m |= e.det[j]
+	}
+	return m
+}
 
 func (e *laneEngine[W]) DetectedMask() (m [MaxLaneWords]uint64) {
 	for j := 0; j < len(e.det); j++ {

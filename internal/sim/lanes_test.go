@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/bench89"
 	"repro/internal/netlist"
 )
 
@@ -172,6 +173,108 @@ func TestLaneEngineWidthInvariant(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestSessionLayoutMatchesOneWordRuns is the differential test of the
+// session layout: on seeded random sequential circuits, whether session s
+// (word s of a session-layout engine, at two and four words) detects a
+// fault equals the verdict of a one-word fault-parallel engine run from
+// reset on session s's patterns alone, for every fault and session.
+// Detected is the OR over sessions.
+func TestSessionLayoutMatchesOneWordRuns(t *testing.T) {
+	const clocks = 96
+	for seed := int64(1); seed <= 6; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		dffs := 2 + rng.Intn(16)
+		sp := bench89.Spec{
+			Name: "rand", PIs: 3 + rng.Intn(14), DFFs: dffs, Gates: 30 + rng.Intn(90),
+			Inverters: rng.Intn(30), DFFsOnSCC: rng.Intn(dffs + 1),
+		}
+		sp.Area = float64(sp.DFFs*10+sp.Inverters) + 2.6*float64(sp.Gates)
+		c, err := bench89.Generate(sp, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, sg := wholeSegment(t, c)
+		patterns := make([][]uint64, MaxLaneWords)
+		for s := range patterns {
+			patterns[s] = make([]uint64, clocks)
+			for p := range patterns[s] {
+				patterns[s][p] = rng.Uint64()
+			}
+		}
+		faults := segmentFaults(sg)
+		// want[s][i] is fault i's verdict under session s alone.
+		want := make([][]bool, MaxLaneWords)
+		for s := range want {
+			for _, f := range faults {
+				want[s] = append(want[s], oneWordVerdict(t, sg, f, patterns[s]))
+			}
+		}
+		for _, sessions := range LaneWordSizes[1:] {
+			for lo := 0; lo < len(faults); lo += LanesPerWord {
+				batch := faults[lo:min(lo+LanesPerWord, len(faults))]
+				e, err := sg.GetLaneEngine(sessions)
+				if err != nil {
+					t.Fatal(err)
+				}
+				e.SetLayout(Sessions)
+				for k, f := range batch {
+					if err := e.Inject(f, k+1); err != nil {
+						t.Fatal(err)
+					}
+				}
+				e.Arm(len(batch))
+				pats := make([]uint64, sessions)
+				for p := 0; p < clocks; p++ {
+					for s := range pats {
+						pats[s] = patterns[s][p]
+					}
+					e.StepWords(pats)
+				}
+				mask := e.DetectedMask()
+				all := true
+				for k, f := range batch {
+					var any bool
+					for s := range sessions {
+						got := mask[s]>>uint(k+1)&1 != 0
+						if got != want[s][lo+k] {
+							t.Fatalf("seed %d, W=%d, %v, session %d: session layout says %v, one-word run %v",
+								seed, sessions, f, s, got, want[s][lo+k])
+						}
+						any = any || got
+					}
+					if e.Detected(k+1) != any {
+						t.Fatalf("seed %d, W=%d, %v: Detected %v, sessions say %v", seed, sessions, f, e.Detected(k+1), any)
+					}
+					all = all && any
+				}
+				if e.AllDetected() != all {
+					t.Fatalf("seed %d, W=%d: AllDetected %v, per-fault verdicts say %v", seed, sessions, e.AllDetected(), all)
+				}
+				sg.PutLaneEngine(e)
+			}
+		}
+	}
+}
+
+// oneWordVerdict runs f alone on a one-word fault-parallel engine from the
+// reset state over patterns and reports whether it was detected.
+func oneWordVerdict(t *testing.T, sg *Segment, f Fault, patterns []uint64) bool {
+	t.Helper()
+	e, err := sg.GetLaneEngine(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sg.PutLaneEngine(e)
+	if err := e.Inject(f, 1); err != nil {
+		t.Fatal(err)
+	}
+	e.Arm(1)
+	for _, p := range patterns {
+		e.Step(p)
+	}
+	return e.Detected(1)
 }
 
 // refClock is the scalar reference for one engine clock over 64 lanes:
@@ -407,6 +510,15 @@ func TestLaneEngineValidation(t *testing.T) {
 	}
 	if err := e.Inject(Fault{Signal: "nope"}, 1); err == nil {
 		t.Error("unknown signal accepted")
+	}
+
+	// The session layout holds one word of faults, in every word.
+	e.SetLayout(Sessions)
+	if e.Lanes() != LanesPerWord {
+		t.Fatalf("session layout Lanes=%d, want %d", e.Lanes(), LanesPerWord)
+	}
+	if err := e.Inject(Fault{Signal: "G8"}, 64); err == nil {
+		t.Error("lane 64 accepted in the session layout")
 	}
 
 	// Arm clamps to the engine's lanes rather than indexing past them.

@@ -4,12 +4,13 @@ package sim
 // kernel: the same level-ordered op-record program as program.go,
 // evaluated over [W]uint64 vector words (wide_unroll.go) instead of a
 // single uint64. One vector of W machine words carries 64*W bit-parallel
-// lanes — lane 0
-// is the fault-free machine, lanes 1..BatchLanes(W) each carry one
-// injected stuck-at fault — so a W=4 batch simulates 255 faults per
-// pattern. The interpreter overhead per gate (opcode dispatch, operand
-// index loads, bounds checks) is paid once per W words instead of once
-// per word, which is where the per-lane throughput scales.
+// lanes. In the fault-parallel layout lane 0 is the fault-free machine
+// and lanes 1..BatchLanes(W) each carry one injected stuck-at fault, so a
+// W=4 batch simulates 255 faults per pattern; in the session layout each
+// word is one test session with its own fault-free lane 0 (see Layout).
+// The interpreter overhead per gate (opcode dispatch, operand index
+// loads, bounds checks) is paid once per W words instead of once per
+// word, which is where the per-lane throughput scales.
 //
 // The fault-free scalar kernel in program.go stays for Evaluator and the
 // VCD writer, which view state as []uint64.
@@ -59,6 +60,23 @@ func FitLaneWords(n, maxWords int) int {
 	}
 	return maxWords
 }
+
+// Layout is how a LaneEngine lays faults and pattern streams over its
+// words.
+type Layout uint8
+
+const (
+	// FaultParallel drives every word with the same pattern. Lane 0 of
+	// word 0 is the fault-free machine and lanes 1..BatchLanes(W) each
+	// carry one fault, so a batch holds up to 64*W-1 faults.
+	FaultParallel Layout = iota
+	// Sessions gives every word its own pattern stream (a test session):
+	// lane 0 of word s is session s's fault-free machine, and lane k of
+	// every word carries the same fault, so a batch holds up to
+	// LanesPerWord faults, each run under W sessions at once. A lane is
+	// detected when it diverges from its own word's lane 0 in some word.
+	Sessions
+)
 
 // lanevec constrains laneEngine to the supported lane-vector shapes. Array
 // types keep the element count a compile-time constant per instantiation,

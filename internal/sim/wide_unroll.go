@@ -300,15 +300,20 @@ func settleN[W lanevec](p *program, run []op, v []W) {
 // The cycle specializations below are one clock each, in the order
 // laneEngine.cycle documents, with the same constant-index treatment as
 // the eval kernels: the drive/detect/latch loops run once per clock and,
-// written generically, cost more than the settle they wrap. The latch is
-// two-phase: every D is copied into e.next before any Q is written, so a
-// flip-flop fed by another flip-flop's Q takes its pre-clock value.
+// written generically, cost more than the settle they wrap. Word j's
+// inputs take their bits from e.pat[j]. The detection compare takes its
+// fault-free reference from lane 0 of word 0 in the fault-parallel layout
+// and from lane 0 of each word in the session layout, where every word is
+// a session of its own (one word is both). The latch is two-phase: every
+// D is copied into e.next before any Q is written, so a flip-flop fed by
+// another flip-flop's Q takes its pre-clock value.
 
-func cycle1(e *laneEngine[[1]uint64], pattern uint64, detect bool) {
+func cycle1(e *laneEngine[[1]uint64], detect bool) {
 	sg := e.sgmt
 	v, f0, f1 := e.v, e.force0, e.force1
+	p0 := e.pat[0]
 	for i, sig := range sg.inputs {
-		w := -(pattern >> uint(i) & 1)
+		w := -(p0 >> uint(i) & 1)
 		d, g0, g1 := &v[sig], &f0[sig], &f1[sig]
 		d[0] = w&^g0[0] | g1[0]
 	}
@@ -336,14 +341,15 @@ func cycle1(e *laneEngine[[1]uint64], pattern uint64, detect bool) {
 	}
 }
 
-func cycle2(e *laneEngine[[2]uint64], pattern uint64, detect bool) {
+func cycle2(e *laneEngine[[2]uint64], detect bool) {
 	sg := e.sgmt
 	v, f0, f1 := e.v, e.force0, e.force1
+	p0, p1 := e.pat[0], e.pat[1]
 	for i, sig := range sg.inputs {
-		w := -(pattern >> uint(i) & 1)
+		w0, w1 := -(p0 >> uint(i) & 1), -(p1 >> uint(i) & 1)
 		d, g0, g1 := &v[sig], &f0[sig], &f1[sig]
-		d[0] = w&^g0[0] | g1[0]
-		d[1] = w&^g0[1] | g1[1]
+		d[0] = w0&^g0[0] | g1[0]
+		d[1] = w1&^g0[1] | g1[1]
 	}
 	settle2(sg.prog, v, f0, f1, e.forced)
 	if e.tap != nil {
@@ -351,11 +357,19 @@ func cycle2(e *laneEngine[[2]uint64], pattern uint64, detect bool) {
 	}
 	if detect {
 		d0, d1 := e.det[0], e.det[1]
-		for _, sig := range sg.outputs {
-			o := &v[sig]
-			ref := -(o[0] & 1)
-			d0 |= o[0] ^ ref
-			d1 |= o[1] ^ ref
+		if e.sessions {
+			for _, sig := range sg.outputs {
+				o := &v[sig]
+				d0 |= o[0] ^ -(o[0] & 1)
+				d1 |= o[1] ^ -(o[1] & 1)
+			}
+		} else {
+			for _, sig := range sg.outputs {
+				o := &v[sig]
+				ref := -(o[0] & 1)
+				d0 |= o[0] ^ ref
+				d1 |= o[1] ^ ref
+			}
 		}
 		e.det = [2]uint64{d0 & e.want[0], d1 & e.want[1]}
 	}
@@ -371,16 +385,18 @@ func cycle2(e *laneEngine[[2]uint64], pattern uint64, detect bool) {
 	}
 }
 
-func cycle4(e *laneEngine[[4]uint64], pattern uint64, detect bool) {
+func cycle4(e *laneEngine[[4]uint64], detect bool) {
 	sg := e.sgmt
 	v, f0, f1 := e.v, e.force0, e.force1
+	p0, p1, p2, p3 := e.pat[0], e.pat[1], e.pat[2], e.pat[3]
 	for i, sig := range sg.inputs {
-		w := -(pattern >> uint(i) & 1)
+		s := uint(i)
+		w0, w1, w2, w3 := -(p0 >> s & 1), -(p1 >> s & 1), -(p2 >> s & 1), -(p3 >> s & 1)
 		d, g0, g1 := &v[sig], &f0[sig], &f1[sig]
-		d[0] = w&^g0[0] | g1[0]
-		d[1] = w&^g0[1] | g1[1]
-		d[2] = w&^g0[2] | g1[2]
-		d[3] = w&^g0[3] | g1[3]
+		d[0] = w0&^g0[0] | g1[0]
+		d[1] = w1&^g0[1] | g1[1]
+		d[2] = w2&^g0[2] | g1[2]
+		d[3] = w3&^g0[3] | g1[3]
 	}
 	settle4(sg.prog, v, f0, f1, e.forced)
 	if e.tap != nil {
@@ -388,13 +404,23 @@ func cycle4(e *laneEngine[[4]uint64], pattern uint64, detect bool) {
 	}
 	if detect {
 		d0, d1, d2, d3 := e.det[0], e.det[1], e.det[2], e.det[3]
-		for _, sig := range sg.outputs {
-			o := &v[sig]
-			ref := -(o[0] & 1)
-			d0 |= o[0] ^ ref
-			d1 |= o[1] ^ ref
-			d2 |= o[2] ^ ref
-			d3 |= o[3] ^ ref
+		if e.sessions {
+			for _, sig := range sg.outputs {
+				o := &v[sig]
+				d0 |= o[0] ^ -(o[0] & 1)
+				d1 |= o[1] ^ -(o[1] & 1)
+				d2 |= o[2] ^ -(o[2] & 1)
+				d3 |= o[3] ^ -(o[3] & 1)
+			}
+		} else {
+			for _, sig := range sg.outputs {
+				o := &v[sig]
+				ref := -(o[0] & 1)
+				d0 |= o[0] ^ ref
+				d1 |= o[1] ^ ref
+				d2 |= o[2] ^ ref
+				d3 |= o[3] ^ ref
+			}
 		}
 		e.det = [4]uint64{d0 & e.want[0], d1 & e.want[1], d2 & e.want[2], d3 & e.want[3]}
 	}
