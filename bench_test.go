@@ -21,7 +21,6 @@ import (
 	"repro/internal/partition"
 	"repro/internal/ppet"
 	"repro/internal/retime"
-	"repro/internal/sim"
 )
 
 // benchCircuits is the subset used by the per-table benchmarks.
@@ -353,32 +352,10 @@ func BenchmarkMISRStep(b *testing.B) {
 	_ = sink
 }
 
-// BenchmarkFaultSimulation measures the serial single-segment API on one
-// s510 cluster; BenchmarkFaultCampaign measures its whole-partition
-// successor, fault.Campaign, which packs every cluster's collapsed faults
-// into triaged batches across a worker pool (see also the seed-vs-engine
-// comparison pair in internal/fault/campaign_bench_test.go).
-func BenchmarkFaultSimulation(b *testing.B) {
-	c := loadB(b, "s510")
-	r := compileB(b, "s510", 8)
-	cl := r.Partition.Clusters[0]
-	inputs := make([]int, 0, len(cl.InputNets))
-	for e := range cl.InputNets {
-		inputs = append(inputs, e)
-	}
-	sg, err := sim.BuildSegment(c, r.Graph, cl.Nodes, inputs)
-	if err != nil {
-		b.Fatal(err)
-	}
-	faults := fault.List(sg)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := fault.Simulate(sg, faults, fault.Options{Seed: 1}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
+// BenchmarkFaultCampaign measures fault.Campaign on s510, which packs
+// every cluster's collapsed faults into triaged batches across a worker
+// pool (see also the seed-vs-engine comparison pair in
+// internal/fault/campaign_bench_test.go).
 func BenchmarkFaultCampaign(b *testing.B) {
 	c := loadB(b, "s510")
 	r := compileB(b, "s510", 8)

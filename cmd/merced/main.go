@@ -70,6 +70,14 @@
 //
 // With `-metrics` on a timed run the report also carries per-phase latency
 // histograms.
+//
+// Two subcommands serve the netlists themselves: `merced simulate` drives
+// one with random, LFSR or all-zero stimulus (optionally dumping a VCD),
+// and `merced benchgen` writes the built-in benchmark suite as .bench
+// files.
+//
+//	merced simulate -circuit s27 -cycles 64 -vcd waves.vcd
+//	merced benchgen -out bg -circuits s27,s510
 package main
 
 import (
@@ -96,14 +104,18 @@ func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 // name), returning the process exit code: 2 for a usage error, otherwise
 // the selected mode's code.
 func run(args []string, stdout, stderr io.Writer) int {
-	// `merced merge` and `merced cas` are subcommands with their own flag
-	// sets, dispatched before the classic flag modes parse.
+	// `merced merge`, `cas`, `simulate` and `benchgen` are subcommands with
+	// their own flag sets, dispatched before the classic flag modes parse.
 	if len(args) > 0 {
 		switch args[0] {
 		case "merge":
 			return runMerge(args[1:], stdout, stderr)
 		case "cas":
 			return runCAS(args[1:], stdout, stderr)
+		case "simulate":
+			return runSimulate(args[1:], stdout, stderr)
+		case "benchgen":
+			return runBenchgen(args[1:], stdout, stderr)
 		}
 	}
 	fs := flag.NewFlagSet("merced", flag.ContinueOnError)

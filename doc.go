@@ -9,9 +9,10 @@
 // inventory); the runnable entry points are:
 //
 //   - cmd/merced    — the BIST compiler (paper Table 2); -cover runs the
-//     stuck-at fault-coverage campaign
+//     stuck-at fault-coverage campaign, `merced simulate` drives a netlist
+//     (with a VCD dump) and `merced benchgen` writes the synthetic
+//     ISCAS89-statistics suite
 //   - cmd/tables    — regenerates every table and figure of the evaluation
-//   - cmd/benchgen  — writes the synthetic ISCAS89-statistics suite
 //   - examples/     — quickstart, s27 walkthrough, area sweep, fault coverage
 //
 // bench_test.go in this directory holds one benchmark per paper table and

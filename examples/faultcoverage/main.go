@@ -1,7 +1,8 @@
 // faultcoverage validates PPET's "high fault coverage" claim end to end:
 // partition a benchmark circuit, run the CBIT-driven self-test on every
-// segment, and fault-simulate the full single-stuck-at list per segment,
-// exactly as the succeeding PSA CBITs would observe it.
+// segment, and fault-simulate the full single-stuck-at list of every
+// segment in one campaign, exactly as the succeeding PSA CBITs would
+// observe it.
 //
 //	go run ./examples/faultcoverage
 package main
@@ -10,7 +11,6 @@ import (
 	"context"
 	"fmt"
 	"log"
-	"sort"
 
 	"repro/internal/bench89"
 	"repro/internal/core"
@@ -63,28 +63,17 @@ func main() {
 		}
 	}
 
-	// Full per-segment stuck-at campaign.
+	// Full per-segment stuck-at campaign, with the defaults of
+	// `merced -cover -circuit s510 -lk 8`.
+	rep, err := fault.Campaign(context.Background(), c, r.Partition, fault.CampaignOptions{Seed: 1, Collapse: true})
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Println("\nper-segment single-stuck-at coverage:")
-	totalF, totalD := 0, 0
-	for _, cl := range r.Partition.Clusters {
-		inputs := make([]int, 0, len(cl.InputNets))
-		for e := range cl.InputNets {
-			inputs = append(inputs, e)
-		}
-		sort.Ints(inputs)
-		sg, err := sim.BuildSegment(c, r.Graph, cl.Nodes, inputs)
-		if err != nil {
-			log.Fatal(err)
-		}
-		cov, err := fault.Simulate(sg, fault.List(sg), fault.Options{Seed: 1})
-		if err != nil {
-			log.Fatal(err)
-		}
-		totalF += cov.Total
-		totalD += cov.Detected
+	for _, sc := range rep.Segments {
 		fmt.Printf("  segment %2d: %3d cells, %2d inputs -> %4d/%4d faults (%.1f%%)\n",
-			cl.ID, len(cl.Nodes), cl.Inputs(), cov.Detected, cov.Total, 100*cov.Ratio())
+			sc.Cluster, sc.Cells, sc.Inputs, sc.Detected, sc.Total, 100*sc.Ratio())
 	}
 	fmt.Printf("overall: %d/%d = %.2f%% single-stuck-at coverage\n",
-		totalD, totalF, 100*float64(totalD)/float64(totalF))
+		rep.Detected, rep.Total, 100*rep.Ratio())
 }

@@ -45,16 +45,15 @@ func TestCLIsEndToEnd(t *testing.T) {
 	}
 
 	// Emit a testable netlist, then feed it back through the parser via
-	// the simulate CLI.
+	// the simulate subcommand.
 	bench := filepath.Join(dir, "s27_testable.bench")
 	run(t, merced, "-circuit", "s27", "-lk", "3", "-emit", bench)
 	if _, err := os.Stat(bench); err != nil {
 		t.Fatalf("emitted netlist missing: %v", err)
 	}
 
-	simulate := buildCmd(t, dir, "simulate")
 	vcd := filepath.Join(dir, "waves.vcd")
-	out = run(t, simulate, "-file", bench, "-cycles", "20", "-stimulus", "lfsr", "-vcd", vcd)
+	out = run(t, merced, "simulate", "-file", bench, "-cycles", "20", "-stimulus", "lfsr", "-vcd", vcd)
 	if !strings.Contains(out, "simulated 20 cycles") {
 		t.Fatalf("simulate output:\n%s", out)
 	}
@@ -62,8 +61,7 @@ func TestCLIsEndToEnd(t *testing.T) {
 		t.Fatalf("vcd missing or empty: %v", err)
 	}
 
-	benchgen := buildCmd(t, dir, "benchgen")
-	out = run(t, benchgen, "-out", filepath.Join(dir, "suite"), "-circuits", "s27,s510")
+	out = run(t, merced, "benchgen", "-out", filepath.Join(dir, "suite"), "-circuits", "s27,s510")
 	if !strings.Contains(out, "s510") {
 		t.Fatalf("benchgen output:\n%s", out)
 	}

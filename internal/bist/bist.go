@@ -20,7 +20,7 @@ import (
 // Controller runs BIST sessions on an emitted testable netlist.
 type Controller struct {
 	tc     *netlist.Circuit
-	ev     *sim.Evaluator
+	ev     *sim.Segment
 	st     *sim.State
 	inIdx  map[string]int
 	outIdx map[string]int

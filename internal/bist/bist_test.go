@@ -2,6 +2,7 @@ package bist
 
 import (
 	"context"
+	"slices"
 	"testing"
 
 	"repro/internal/bench89"
@@ -149,8 +150,8 @@ func TestInjectNetlistBasics(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := ev.NewState()
-	idx, ok := ev.Signals["G8__sa"]
-	if !ok {
+	idx := slices.Index(ev.Signals(), "G8__sa")
+	if idx < 0 {
 		t.Fatal("constant signal missing")
 	}
 	for cycle := 0; cycle < 8; cycle++ {

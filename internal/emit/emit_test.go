@@ -55,7 +55,7 @@ func TestTestableBuilds(t *testing.T) {
 }
 
 // driveNormal sets the control inputs for normal operation.
-func driveNormal(ev *sim.Evaluator, s *sim.State, c *netlist.Circuit) {
+func driveNormal(ev *sim.Segment, s *sim.State, c *netlist.Circuit) {
 	for i, in := range c.Inputs {
 		switch in {
 		case CtrlTB1, CtrlTB2:

@@ -72,7 +72,7 @@ const DefaultTriagePatterns = 128
 type CampaignOptions struct {
 	// MaxPatterns caps the per-fault pattern budget; 0 means the full
 	// pseudo-exhaustive sequence 2^inputs - 1 (capped at 2^20), times 4
-	// for sequential segments, exactly as Options.MaxPatterns.
+	// for sequential segments (patternBudget).
 	MaxPatterns uint64
 	// Seed drives every LFSR seed of the campaign.
 	Seed int64
@@ -93,8 +93,8 @@ type CampaignOptions struct {
 	// stream.
 	Progress func(done, total int)
 
-	// maxWords caps the batch width below sim.MaxLaneWords (0: no cap),
-	// exactly as Options.maxWords.
+	// maxWords caps the batch width below sim.MaxLaneWords (0: no cap).
+	// Only this package's width-invariance tests set it.
 	maxWords int
 	// noExcite switches the escalation stage's excitation pre-pass off.
 	// Only this package's exactness tests set it.

@@ -4,13 +4,13 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"slices"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/bench89"
 	"repro/internal/core"
-	"repro/internal/graph"
 	"repro/internal/netlist"
 	"repro/internal/partition"
 	"repro/internal/sim"
@@ -213,55 +213,35 @@ func TestCampaignEarlyExitSkipsEscalation(t *testing.T) {
 	}
 }
 
-// --- Satellite 5: fault-dropping edge cases ---
+// --- fault-dropping edge cases ---
 
-// constOne is a constant-1 output: SA1 on y is redundant (undetectable).
-const constOne = `
-INPUT(a)
-OUTPUT(y)
-na = NOT(a)
-y = OR(a, na)
-`
+// runRedundant runs faults, every one of them y stuck-at-1 on constOne,
+// through the batch kernel as the campaign packs them at words, and fails
+// on any detection. A batch in which no lane can ever diverge must consume
+// its budget gracefully: no spurious early exit, no hang (the budget is
+// finite).
+func runRedundant(t *testing.T, faults []sim.Fault, words int) {
+	t.Helper()
+	_, sg := wholeSegment(t, constOne)
+	if i := slices.Index(simulateSet(t, sg, faults, 128, seedStream(1, 1, 0), words), true); i >= 0 {
+		t.Fatalf("maxWords=%d: redundant fault %d reported detected", words, i)
+	}
+}
 
 func TestBatchAllRedundantFaults(t *testing.T) {
-	// A batch in which no lane can ever diverge must consume its budget
-	// gracefully and report zero detections (no spurious early exit, no
-	// hang: budget is finite).
-	sg := wholeSegment(t, constOne)
-	faults := []sim.Fault{{Signal: "y", Stuck1: true}, {Signal: "y", Stuck1: true}}
-	cov, err := Simulate(sg, faults, Options{Seed: 1, MaxPatterns: 128})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cov.Detected != 0 {
-		t.Fatalf("redundant batch reported %d detections", cov.Detected)
-	}
-	if len(cov.Undetected) != len(faults) {
-		t.Fatalf("undetected = %d, want %d", len(cov.Undetected), len(faults))
-	}
+	runRedundant(t, []sim.Fault{{Signal: "y", Stuck1: true}, {Signal: "y", Stuck1: true}}, sim.MaxLaneWords)
 }
 
 func TestBatchAllRedundantWideBatch(t *testing.T) {
 	// A wide batch (> 63 lanes) in which no lane can ever diverge: the
 	// budget must drain without a session cutoff (the set spans multiple
-	// one-word batches, so the cutoff gate is off) and every verdict must
-	// match the one-word packing.
-	sg := wholeSegment(t, constOne)
+	// one-word batches, so the cutoff gate is off) at either packing.
 	faults := make([]sim.Fault, 100)
 	for i := range faults {
 		faults[i] = sim.Fault{Signal: "y", Stuck1: true}
 	}
 	for _, words := range []int{1, 4} {
-		cov, err := Simulate(sg, faults, Options{Seed: 1, MaxPatterns: 128, maxWords: words})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if cov.Detected != 0 {
-			t.Fatalf("maxWords=%d: redundant wide batch reported %d detections", words, cov.Detected)
-		}
-		if len(cov.Undetected) != len(faults) {
-			t.Fatalf("maxWords=%d: undetected = %d, want %d", words, len(cov.Undetected), len(faults))
-		}
+		runRedundant(t, faults, words)
 	}
 }
 
@@ -269,42 +249,28 @@ func TestSegmentZeroOutputs(t *testing.T) {
 	// A dangling gate forms a segment with no boundary outputs: nothing is
 	// observable, so every fault survives, and the detection loop must not
 	// index an empty output slice.
-	c, err := netlist.ParseBenchString("z", `
+	c, p := wholePartition(t, `
 INPUT(a)
 OUTPUT(y)
 y = BUF(a)
 dangling = NOT(a)
 `)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g, err := graph.FromCircuit(c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var nodes, inputs []int
-	for _, n := range g.Nodes {
-		if g.IsCell(n.ID) && n.Name == "dangling" {
-			nodes = append(nodes, n.ID)
-			inputs = append(inputs, g.In[n.ID]...)
-		}
-	}
-	if len(nodes) == 0 {
+	g, cl := p.G, p.Clusters[0]
+	id, ok := g.NodeByName("dangling")
+	if !ok {
 		t.Fatal("dangling cell not found")
 	}
-	zsg, err := sim.BuildSegment(c, g, nodes, inputs)
+	cl.Nodes = []int{id}
+	clear(cl.InputNets)
+	for _, e := range g.In[id] {
+		cl.InputNets[e] = struct{}{}
+	}
+	rep, err := Campaign(context.Background(), c, p, CampaignOptions{Seed: 1, MaxPatterns: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if zsg.NumOutputs() != 0 {
-		t.Fatalf("outputs = %d, want 0", zsg.NumOutputs())
-	}
-	cov, err := Simulate(zsg, List(zsg), Options{Seed: 1, MaxPatterns: 16})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cov.Detected != 0 {
-		t.Fatalf("zero-output segment detected %d faults", cov.Detected)
+	if sc := rep.Segments[0]; sc.Outputs != 0 || sc.Detected != 0 {
+		t.Fatalf("zero-output segment: %d outputs, %d faults detected; want 0 and 0", sc.Outputs, sc.Detected)
 	}
 }
 
@@ -323,7 +289,7 @@ func (c *errAfterCtx) Err() error {
 }
 
 func TestCancellationMidBatch(t *testing.T) {
-	sg := wholeSegment(t, constOne) // redundant fault: never early-exits
+	_, sg := wholeSegment(t, constOne) // redundant fault: never early-exits
 	env := newBatchEnv(sg)
 	defer env.release()
 	ctx := &errAfterCtx{Context: context.Background()}

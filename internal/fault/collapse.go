@@ -5,25 +5,19 @@ import (
 	"repro/internal/sim"
 )
 
-// Collapse performs structural fault-equivalence collapsing on a segment's
-// stuck-at list using the classic single-fanout rules:
+// Collapser performs structural fault-equivalence collapsing on a
+// segment's stuck-at list using the classic single-fanout rules:
 //
 //   - NOT: SA0 on the input is equivalent to SA1 on the output (and vice
 //     versa) when the input signal has no other fanout;
 //   - BUF and DFF: input SAx is equivalent to output SAx under the same
 //     single-fanout condition.
 //
-// It returns representative faults only; every dropped fault is detected
-// iff its representative is, so simulating the collapsed list yields the
-// same coverage verdicts at lower cost. The mapping from representative to
-// its equivalence class is returned for reporting.
-func Collapse(c *netlist.Circuit, sg *sim.Segment, faults []sim.Fault) (reps []sim.Fault, classes map[sim.Fault][]sim.Fault) {
-	return NewCollapser(c).Collapse(sg, faults)
-}
-
-// Collapser amortizes the circuit-wide precomputation (primary-input
-// fanout) across many Collapse calls; a whole-partition campaign collapses
-// one segment per cluster against the same circuit.
+// Every dropped fault is detected iff its representative is, so
+// simulating the representatives yields the same coverage verdicts at
+// lower cost. A Collapser amortizes the circuit-wide precomputation
+// (primary-input fanout) across CollapseIndexed calls; a whole-partition
+// campaign collapses one segment per cluster against the same circuit.
 type Collapser struct {
 	c     *netlist.Circuit
 	inFan map[string][]string
@@ -34,19 +28,8 @@ func NewCollapser(c *netlist.Circuit) *Collapser {
 	return &Collapser{c: c, inFan: inputFanouts(c)}
 }
 
-// Collapse is Collapse(c, sg, faults) with the circuit scan amortized.
-func (cc *Collapser) Collapse(sg *sim.Segment, faults []sim.Fault) (reps []sim.Fault, classes map[sim.Fault][]sim.Fault) {
-	reps, repIdx := cc.CollapseIndexed(sg, faults)
-	classes = make(map[sim.Fault][]sim.Fault, len(reps))
-	for i, f := range faults {
-		rep := reps[repIdx[i]]
-		classes[rep] = append(classes[rep], f)
-	}
-	return reps, classes
-}
-
-// CollapseIndexed is the campaign-facing form: representatives plus, for
-// every input fault, the index of its representative in reps. It works
+// CollapseIndexed returns the representatives of faults plus, for every
+// input fault, the index of its representative in reps. It works
 // entirely in signal-index space — one name lookup per fault, no
 // fault-keyed maps — which keeps collapsing far cheaper than the
 // simulation it saves.
@@ -156,12 +139,4 @@ func inputFanouts(c *netlist.Circuit) map[string][]string {
 		}
 	}
 	return out
-}
-
-// CollapseRatio reports the size reduction achieved by Collapse.
-func CollapseRatio(original, collapsed int) float64 {
-	if original == 0 {
-		return 1
-	}
-	return float64(collapsed) / float64(original)
 }

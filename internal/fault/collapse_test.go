@@ -1,10 +1,9 @@
 package fault
 
 import (
+	"slices"
 	"testing"
 
-	"repro/internal/graph"
-	"repro/internal/netlist"
 	"repro/internal/sim"
 )
 
@@ -18,106 +17,54 @@ b1 = BUFF(i1)
 y = NAND(b1, b)
 `
 
-func segmentFor(t *testing.T, text string) (*netlist.Circuit, *sim.Segment) {
+// collapse collapses a netlist's whole fault list as one segment.
+func collapse(t *testing.T, text string) (full, reps []sim.Fault, repIdx []int) {
 	t.Helper()
-	c, err := netlist.ParseBenchString("cc", text)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g, err := graph.FromCircuit(c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var nodes, inputNets []int
-	for _, n := range g.Nodes {
-		if g.IsCell(n.ID) {
-			nodes = append(nodes, n.ID)
-		}
-	}
-	for e := range g.Nets {
-		if g.Nodes[g.Nets[e].Source].Kind == graph.KindPI {
-			inputNets = append(inputNets, e)
-		}
-	}
-	sg, err := sim.BuildSegment(c, g, nodes, inputNets)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return c, sg
+	c, sg := wholeSegment(t, text)
+	full = List(sg)
+	reps, repIdx = NewCollapser(c).CollapseIndexed(sg, full)
+	return full, reps, repIdx
 }
 
 func TestCollapseChains(t *testing.T) {
-	c, sg := segmentFor(t, chainCircuit)
-	full := List(sg)
-	reps, classes := Collapse(c, sg, full)
+	full, reps, repIdx := collapse(t, chainCircuit)
 	if len(reps) >= len(full) {
 		t.Fatalf("no collapsing: %d -> %d", len(full), len(reps))
 	}
 	// a/SA0 -> i1/SA1 -> b1/SA1: all three share one representative.
-	var repOfA sim.Fault
-	for rep, members := range classes {
-		for _, m := range members {
-			if m.Signal == "a" && !m.Stuck1 {
-				repOfA = rep
-			}
+	class := func(f sim.Fault) int { return repIdx[slices.Index(full, f)] }
+	want := class(sim.Fault{Signal: "a"})
+	for _, f := range []sim.Fault{{Signal: "i1", Stuck1: true}, {Signal: "b1", Stuck1: true}} {
+		if got := class(f); got != want {
+			t.Fatalf("%v in class %v, a/SA0 in class %v", f, reps[got], reps[want])
 		}
 	}
-	found := map[string]bool{}
-	for _, m := range classes[repOfA] {
-		found[m.String()] = true
-	}
-	for _, want := range []string{"a/SA0", "i1/SA1", "b1/SA1"} {
-		if !found[want] {
-			t.Fatalf("class of a/SA0 = %v, missing %s", classes[repOfA], want)
+	// Every representative is a fault of the list that represents itself.
+	for k, rep := range reps {
+		if i := slices.Index(full, rep); i < 0 || repIdx[i] != k {
+			t.Fatalf("representative %v is not its own class's representative", rep)
 		}
-	}
-	// Class sizes sum to the full list.
-	total := 0
-	for _, members := range classes {
-		total += len(members)
-	}
-	if total != len(full) {
-		t.Fatalf("classes cover %d of %d faults", total, len(full))
 	}
 }
 
 func TestCollapsePreservesCoverage(t *testing.T) {
 	// Detection verdicts on representatives equal those of every class
-	// member: simulate both lists and compare per-class.
-	c, sg := segmentFor(t, chainCircuit)
-	full := List(sg)
-	reps, classes := Collapse(c, sg, full)
-
-	covFull, err := Simulate(sg, full, Options{Seed: 1})
-	if err != nil {
-		t.Fatal(err)
+	// member: the collapsed and uncollapsed campaigns on a combinational
+	// segment must leave exactly the same faults undetected.
+	plain := wholeCampaign(t, chainCircuit, CampaignOptions{Seed: 1})
+	collapsed := wholeCampaign(t, chainCircuit, CampaignOptions{Seed: 1, Collapse: true})
+	if collapsed.Simulated >= plain.Simulated {
+		t.Fatalf("collapse simulated %d of %d faults", collapsed.Simulated, plain.Simulated)
 	}
-	covReps, err := Simulate(sg, reps, Options{Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	undetFull := map[string]bool{}
-	for _, f := range covFull.Undetected {
-		undetFull[f.String()] = true
-	}
-	undetRep := map[string]bool{}
-	for _, f := range covReps.Undetected {
-		undetRep[f.String()] = true
-	}
-	for rep, members := range classes {
-		for _, m := range members {
-			if undetRep[rep.String()] != undetFull[m.String()] {
-				t.Fatalf("rep %s (undet=%v) disagrees with member %s (undet=%v)",
-					rep, undetRep[rep.String()], m, undetFull[m.String()])
-			}
-		}
+	if !slices.Equal(plain.Undetected, collapsed.Undetected) || plain.Detected != collapsed.Detected {
+		t.Fatalf("collapsed undetected %v, plain %v", collapsed.Undetected, plain.Undetected)
 	}
 }
 
 func TestCollapseStopsAtFanout(t *testing.T) {
 	// a collapses into i1 (a's only reader), but i1 has two readers, so
 	// the chain must stop there rather than continuing into y or z.
-	c, sg := segmentFor(t, `
+	c, sg := wholeSegment(t, `
 INPUT(a)
 OUTPUT(y)
 OUTPUT(z)
@@ -125,39 +72,27 @@ i1 = NOT(a)
 y = BUFF(i1)
 z = NOT(i1)
 `)
-	reps, _ := Collapse(c, sg, []sim.Fault{{Signal: "a", Stuck1: false}})
+	reps, _ := NewCollapser(c).CollapseIndexed(sg, []sim.Fault{{Signal: "a", Stuck1: false}})
 	if len(reps) != 1 || reps[0].Signal != "i1" || !reps[0].Stuck1 {
 		t.Fatalf("want stop at i1/SA1, got %v", reps)
 	}
 }
 
-func TestCollapseRatio(t *testing.T) {
-	if CollapseRatio(0, 0) != 1 || CollapseRatio(10, 5) != 0.5 {
-		t.Fatal("ratio arithmetic")
-	}
-}
-
 func TestCollapseOnS27(t *testing.T) {
-	c, sg := segmentFor(t, s27)
-	full := List(sg)
-	reps, _ := Collapse(c, sg, full)
+	full, reps, _ := collapse(t, s27)
 	if len(reps) > len(full) {
 		t.Fatal("collapse grew the list")
 	}
 	// G0's only reader is the inverter G14, so G0/SA0 collapses into
 	// G14/SA1; G11 fans out three ways and must remain its own
 	// representative.
-	repSet := map[string]bool{}
-	for _, r := range reps {
-		repSet[r.String()] = true
-	}
-	if repSet["G0/SA0"] {
+	if slices.Contains(reps, sim.Fault{Signal: "G0"}) {
 		t.Fatal("G0/SA0 should have collapsed into G14/SA1")
 	}
-	if !repSet["G14/SA1"] {
+	if !slices.Contains(reps, sim.Fault{Signal: "G14", Stuck1: true}) {
 		t.Fatal("G14/SA1 missing as representative")
 	}
-	if !repSet["G11/SA0"] {
+	if !slices.Contains(reps, sim.Fault{Signal: "G11"}) {
 		t.Fatal("G11/SA0 wrongly collapsed despite fanout")
 	}
 }

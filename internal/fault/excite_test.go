@@ -8,9 +8,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/graph"
-	"repro/internal/netlist"
-	"repro/internal/partition"
 	"repro/internal/sim"
 )
 
@@ -63,32 +60,6 @@ func soleCircuit() string {
 		fmt.Fprintf(&b, "OUTPUT(c%d)\nc%d = AND(a, b)\n", i, i)
 	}
 	return b.String()
-}
-
-// wholePartition parses a netlist and partitions it into one cluster
-// holding every cell, fed by the primary inputs.
-func wholePartition(t *testing.T, text string) (*netlist.Circuit, *partition.Result) {
-	t.Helper()
-	c, err := netlist.ParseBenchString("w", text)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g, err := graph.FromCircuit(c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cl := &partition.Cluster{InputNets: make(map[int]struct{})}
-	for _, n := range g.Nodes {
-		if g.IsCell(n.ID) {
-			cl.Nodes = append(cl.Nodes, n.ID)
-		}
-	}
-	for e := range g.Nets {
-		if g.Nodes[g.Nets[e].Source].Kind == graph.KindPI {
-			cl.InputNets[e] = struct{}{}
-		}
-	}
-	return c, &partition.Result{G: g, Clusters: []*partition.Cluster{cl}}
 }
 
 // The session cutoff is decided on the survivors before the pre-pass

@@ -2,31 +2,30 @@
 // fault simulation over circuit segments, used to validate the PPET claim
 // of high fault coverage under pseudo-exhaustive per-segment testing.
 //
-// Two entry points share one wide-lane batch kernel (sim.LaneEngine) and
-// one packing rule (pack): Simulate runs a single segment serially (the
-// historical API), and Campaign fans every segment of a partition across
+// Campaign is the one way in: it fans every segment of a partition across
 // a bounded worker pool with fault dropping and deterministic aggregation
-// (campaign.go). A batch is fault-parallel — up to
+// (campaign.go), on one wide-lane batch kernel (sim.LaneEngine) and one
+// packing rule (pack). A batch is fault-parallel — up to
 // sim.BatchLanes(sim.MaxLaneWords) = 255 faults, every session run one
 // after another — or, for a sequential segment's fault set too large for
 // the session cutoff, in the session layout: up to sim.LanesPerWord = 63
 // faults, each of the four sessions in its own word, all at once.
+// NewCollapser and CollapseIndexed expose the structural collapsing the
+// campaign applies (collapse.go).
 //
 // Lane-width invariance: per-fault verdicts depend only on the fault and
 // the pattern sequences applied, never on which batch the fault landed in.
-// Both entry points key their LFSR session seeds to width-invariant
-// state (Simulate: the session index; Campaign: (seed, stage, segment)),
-// and batch-level session cutoff is only taken when the whole fault set
-// fits one word-wide batch at every width — so Detected/Undetected results
-// do not depend on how faults are packed. The width and layout are the
-// engine's own choice: full fault-parallel batches run at
+// The LFSR session seeds are keyed to width-invariant state (seed, stage,
+// segment), and batch-level session cutoff is only taken when the whole
+// fault set fits one word-wide batch at every width — so Detected/Undetected
+// results do not depend on how faults are packed. The width and layout are
+// the engine's own choice: full fault-parallel batches run at
 // sim.MaxLaneWords, a partial final batch at the narrowest width that
 // holds it, and session-layout batches at one word per session.
 package fault
 
 import (
 	"context"
-	"math/rand"
 	"sort"
 
 	"repro/internal/cbit"
@@ -56,7 +55,7 @@ func List(sg *sim.Segment) []sim.Fault {
 type Coverage struct {
 	Total    int
 	Detected int
-	Patterns uint64 // patterns applied per batch
+	Patterns uint64 // per-fault pattern budget
 	Batches  int
 	// Undetected lists surviving faults (possibly redundant or sequentially
 	// untestable ones).
@@ -71,21 +70,8 @@ func (c Coverage) Ratio() float64 {
 	return float64(c.Detected) / float64(c.Total)
 }
 
-// Options tunes the campaign.
-type Options struct {
-	// MaxPatterns caps applied patterns; 0 means the full pseudo-exhaustive
-	// sequence 2^inputs - 1 (capped at 2^20 for tractability).
-	MaxPatterns uint64
-	// Seed drives the LFSR initial state choice.
-	Seed int64
-
-	// maxWords caps the batch width below sim.MaxLaneWords (0: no cap).
-	// Only this package's width-invariance tests set it.
-	maxWords int
-}
-
 // batchWords returns the width of a full batch: sim.MaxLaneWords unless a
-// test capped it through the unexported maxWords option field.
+// test capped it through the unexported CampaignOptions.maxWords field.
 func batchWords(maxWords int) int {
 	if maxWords == 0 {
 		return sim.MaxLaneWords
@@ -109,7 +95,7 @@ type batchSpan struct {
 	layout        sim.Layout
 }
 
-// pack is the one packing rule of Simulate and Campaign: it slices a set
+// pack is the campaign's one packing rule: it slices a set
 // of n faults that runs on sched into batches, with the batch width
 // capped at maxWords. A set that runs several sessions and has no session
 // cutoff (not sole) packs in the session layout when every session gets a
@@ -140,53 +126,6 @@ func packFaultParallel(n, maxWords int) []batchSpan {
 		spans = append(spans, batchSpan{lo, hi, sim.FitLaneWords(hi-lo, maxWords), sim.FaultParallel})
 	}
 	return spans
-}
-
-// Simulate runs parallel fault simulation: the segment's external inputs
-// are driven by a maximal-length LFSR exactly as the preceding CBIT in TPG
-// mode would, and a fault counts as detected when any boundary output
-// differs from the fault-free machine on any cycle (the succeeding CBIT in
-// PSA mode would absorb the difference into its signature). Faults are
-// packed by pack: fault-parallel, sim.BatchLanes(sim.MaxLaneWords) per
-// batch (lane 0 is fault-free) with the final partial batch re-fit to the
-// narrowest width that holds it, or, for more than sim.LanesPerWord
-// faults on a sequential segment, in the session layout.
-//
-// Every batch applies the same session seed sequence (drawn once from
-// Seed), so per-fault verdicts do not depend on the packing.
-func Simulate(sg *sim.Segment, faults []sim.Fault, opt Options) (Coverage, error) {
-	cov := Coverage{Total: len(faults)}
-	words := batchWords(opt.maxWords)
-	patterns := patternBudget(sg.NumInputs(), sg.NumDFFs(), opt.MaxPatterns)
-	cov.Patterns = patterns
-
-	// One schedule, so one seed per session index, shared by every batch:
-	// verdicts stay invariant under repacking at a different width.
-	sched := newSchedule(sg, patterns, 0, rand.New(rand.NewSource(opt.Seed)).Uint64)
-	// Session cutoff is a batch-level decision; it is width-invariant only
-	// when the whole list is one batch at every width.
-	sole := len(faults) <= sim.LanesPerWord
-	env := newBatchEnv(sg)
-	defer env.release()
-	for _, b := range pack(len(faults), words, sched, sole) {
-		batch := faults[b.lo:b.hi]
-		eng, err := env.engine(b.words)
-		if err != nil {
-			return cov, err
-		}
-		cov.Batches++
-		if err := env.runBatch(context.Background(), batch, sched, b.layout, sole); err != nil {
-			return cov, err
-		}
-		for i, f := range batch {
-			if eng.Detected(i + 1) {
-				cov.Detected++
-			} else {
-				cov.Undetected = append(cov.Undetected, f)
-			}
-		}
-	}
-	return cov, nil
 }
 
 // batchEnv bundles the per-worker scratch a batch simulation needs: the

@@ -1,10 +1,15 @@
 package fault
 
 import (
+	"bytes"
+	"context"
+	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/graph"
 	"repro/internal/netlist"
+	"repro/internal/partition"
 	"repro/internal/sim"
 )
 
@@ -43,36 +48,72 @@ G12 = NOR(G1, G7)
 G13 = NOR(G2, G12)
 `
 
-func wholeSegment(t *testing.T, text string) *sim.Segment {
+// constOne is a constant-1 output: SA1 on y is redundant (undetectable).
+const constOne = `
+INPUT(a)
+OUTPUT(y)
+na = NOT(a)
+y = OR(a, na)
+`
+
+func parse(t testing.TB, text string) *netlist.Circuit {
 	t.Helper()
 	c, err := netlist.ParseBenchString("f", text)
 	if err != nil {
 		t.Fatal(err)
 	}
+	return c
+}
+
+// wholeSegment compiles a netlist as one segment.
+func wholeSegment(t testing.TB, text string) (*netlist.Circuit, *sim.Segment) {
+	t.Helper()
+	c := parse(t, text)
+	sg, err := sim.Compile(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c, sg
+}
+
+// wholePartition parses a netlist and partitions it into one cluster
+// holding every cell, fed by the primary inputs.
+func wholePartition(t testing.TB, text string) (*netlist.Circuit, *partition.Result) {
+	t.Helper()
+	c := parse(t, text)
 	g, err := graph.FromCircuit(c)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var nodes, inputNets []int
+	cl := &partition.Cluster{InputNets: make(map[int]struct{})}
 	for _, n := range g.Nodes {
 		if g.IsCell(n.ID) {
-			nodes = append(nodes, n.ID)
+			cl.Nodes = append(cl.Nodes, n.ID)
 		}
 	}
 	for e := range g.Nets {
 		if g.Nodes[g.Nets[e].Source].Kind == graph.KindPI {
-			inputNets = append(inputNets, e)
+			cl.InputNets[e] = struct{}{}
 		}
 	}
-	sg, err := sim.BuildSegment(c, g, nodes, inputNets)
+	return c, &partition.Result{G: g, Clusters: []*partition.Cluster{cl}}
+}
+
+// wholeCampaign runs a one-worker campaign on the one-cluster partition
+// of a netlist and returns the cluster's coverage.
+func wholeCampaign(t testing.TB, text string, opt CampaignOptions) SegmentCoverage {
+	t.Helper()
+	c, p := wholePartition(t, text)
+	opt.Workers = 1
+	rep, err := Campaign(context.Background(), c, p, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return sg
+	return rep.Segments[0]
 }
 
 func TestListEnumeratesBothPolarities(t *testing.T) {
-	sg := wholeSegment(t, comb)
+	_, sg := wholeSegment(t, comb)
 	faults := List(sg)
 	if len(faults) != 2*len(sg.Signals()) {
 		t.Fatalf("faults = %d, want %d", len(faults), 2*len(sg.Signals()))
@@ -94,11 +135,7 @@ func TestExhaustiveCoverageCombinational(t *testing.T) {
 	// Pseudo-exhaustive patterns detect every non-redundant stuck-at fault
 	// in a combinational segment. This circuit has no redundancy, so
 	// coverage must be 100%.
-	sg := wholeSegment(t, comb)
-	cov, err := Simulate(sg, List(sg), Options{Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	cov := wholeCampaign(t, comb, CampaignOptions{Seed: 1})
 	if cov.Detected != cov.Total {
 		t.Fatalf("coverage %d/%d, undetected: %v", cov.Detected, cov.Total, cov.Undetected)
 	}
@@ -107,174 +144,141 @@ func TestExhaustiveCoverageCombinational(t *testing.T) {
 	}
 }
 
-func TestSequentialCoverageHigh(t *testing.T) {
-	// s27 driven exhaustively through its 4 PIs with patterns pipelining
-	// through the state: the vast majority of faults must be caught.
-	sg := wholeSegment(t, s27)
-	cov, err := Simulate(sg, List(sg), Options{Seed: 1, MaxPatterns: 4096})
-	if err != nil {
-		t.Fatal(err)
+// simulateSet runs faults on sg as one campaign stage runs one segment's
+// fault set: packed by pack at words, every batch on the schedule of
+// budget patterns whose session seeds nextSeed draws. It returns each
+// fault's verdict.
+func simulateSet(t testing.TB, sg *sim.Segment, faults []sim.Fault, budget uint64, nextSeed func() uint64, words int) []bool {
+	t.Helper()
+	env := newBatchEnv(sg)
+	defer env.release()
+	sched := newSchedule(sg, budget, 0, nextSeed)
+	sole := len(faults) <= sim.LanesPerWord
+	detected := make([]bool, len(faults))
+	for _, b := range pack(len(faults), words, sched, sole) {
+		eng, err := env.engine(b.words)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := env.runBatch(context.Background(), faults[b.lo:b.hi], sched, b.layout, sole); err != nil {
+			t.Fatal(err)
+		}
+		for k := range b.hi - b.lo {
+			detected[b.lo+k] = eng.Detected(k + 1)
+		}
 	}
-	if cov.Ratio() < 0.85 {
-		t.Fatalf("coverage %.2f too low; undetected %v", cov.Ratio(), cov.Undetected)
+	return detected
+}
+
+func TestSequentialCoverageHigh(t *testing.T) {
+	// s27 driven through its 4 PIs with patterns pipelining through the
+	// state, on 4096 patterns whose session seeds math/rand seed 1 draws:
+	// the vast majority of faults must be caught.
+	_, sg := wholeSegment(t, s27)
+	faults := List(sg)
+	detected := simulateSet(t, sg, faults, 4096, rand.New(rand.NewSource(1)).Uint64, sim.MaxLaneWords)
+	var undetected []sim.Fault
+	for i, d := range detected {
+		if !d {
+			undetected = append(undetected, faults[i])
+		}
+	}
+	if ratio := 1 - float64(len(undetected))/float64(len(faults)); ratio < 0.85 {
+		t.Fatalf("coverage %.2f too low; undetected %v", ratio, undetected)
 	}
 }
 
 func TestCoverageDeterministic(t *testing.T) {
-	sg := wholeSegment(t, s27)
-	a, err := Simulate(sg, List(sg), Options{Seed: 7, MaxPatterns: 512})
+	c, p := wholePartition(t, s27)
+	opt := CampaignOptions{Seed: 7, MaxPatterns: 512, Workers: 1}
+	a, err := Campaign(context.Background(), c, p, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Simulate(sg, List(sg), Options{Seed: 7, MaxPatterns: 512})
+	b, err := Campaign(context.Background(), c, p, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.Detected != b.Detected {
-		t.Fatalf("nondeterministic coverage: %d vs %d", a.Detected, b.Detected)
+	if !bytes.Equal(renderAll(t, a), renderAll(t, b)) {
+		t.Fatal("nondeterministic coverage report")
 	}
 }
 
 func TestMaxPatternsRespected(t *testing.T) {
-	sg := wholeSegment(t, comb)
-	cov, err := Simulate(sg, List(sg)[:4], Options{Seed: 1, MaxPatterns: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cov.Patterns != 3 {
+	if cov := wholeCampaign(t, comb, CampaignOptions{Seed: 1, MaxPatterns: 3}); cov.Patterns != 3 {
 		t.Fatalf("patterns = %d, want 3", cov.Patterns)
 	}
 }
 
-// manyFaults replicates a segment's fault list until it exceeds n entries,
-// forcing multi-batch packing at any lane width up to the capacity n maps
-// to. Duplicate faults are legal: each occupies its own lane.
-func manyFaults(sg *sim.Segment, n int) []sim.Fault {
-	base := List(sg)
-	faults := append([]sim.Fault(nil), base...)
-	for len(faults) <= n {
-		faults = append(faults, base...)
-	}
-	return faults
-}
-
-// TestBatching pins the batch counts of the packing rule on a list too
-// long for the session cutoff: fault-parallel batches of
-// sim.BatchLanes(words) faults, except on a sequential segment once every
-// session gets a word, where the session layout packs sim.LanesPerWord
-// faults a batch.
+// TestBatching pins the batches of the packing rule on sets too long for
+// the session cutoff: fault-parallel batches of sim.BatchLanes(words)
+// faults, except on a sequential segment once every session gets a word,
+// where the session layout packs sim.LanesPerWord faults a batch. A sole
+// set stays fault-parallel, since its cutoff runs the sessions one after
+// another.
 func TestBatching(t *testing.T) {
-	for _, text := range []string{comb, s27} {
-		sg := wholeSegment(t, text)
-		faults := manyFaults(sg, sim.BatchLanes(4))
-		for _, words := range sim.LaneWordSizes {
-			cov, err := Simulate(sg, faults, Options{Seed: 1, MaxPatterns: 256, maxWords: words})
-			if err != nil {
-				t.Fatal(err)
-			}
-			lanes := sim.BatchLanes(words)
-			if sg.NumDFFs() > 0 && words >= maxBatchSessions {
-				lanes = sim.LanesPerWord
-			}
-			wantBatches := (len(faults) + lanes - 1) / lanes
-			if cov.Batches != wantBatches {
-				t.Fatalf("%d flip-flops, maxWords=%d: batches = %d, want %d", sg.NumDFFs(), words, cov.Batches, wantBatches)
-			}
-		}
-	}
-}
-
-// TestSimulateWidthInvariant pins the packing contract: the per-fault
-// verdicts — and hence Detected and the ordered Undetected list — are
-// identical at every width the packing may be capped to, for a sole-batch
-// list and a multi-batch list alike.
-func TestSimulateWidthInvariant(t *testing.T) {
-	sg := wholeSegment(t, s27)
-	for _, faults := range [][]sim.Fault{
-		List(sg), // fits one 63-lane batch: sole at every width
-		manyFaults(sg, sim.BatchLanes(sim.MaxLaneWords)), // multiple batches even at the widest
+	const fp, ss = sim.FaultParallel, sim.Sessions
+	combSched, seqSched := &schedule{sessions: 1}, &schedule{sessions: maxBatchSessions}
+	for _, tc := range []struct {
+		n, words int
+		sched    *schedule
+		sole     bool
+		want     []batchSpan
+	}{
+		{300, 4, combSched, false, []batchSpan{{0, 255, 4, fp}, {255, 300, 1, fp}}},
+		{200, 1, combSched, false, []batchSpan{{0, 63, 1, fp}, {63, 126, 1, fp}, {126, 189, 1, fp}, {189, 200, 1, fp}}},
+		{130, 4, seqSched, false, []batchSpan{{0, 63, 4, ss}, {63, 126, 4, ss}, {126, 130, 4, ss}}},
+		{130, 2, seqSched, false, []batchSpan{{0, 127, 2, fp}, {127, 130, 1, fp}}},
+		{40, 4, seqSched, true, []batchSpan{{0, 40, 1, fp}}},
+		{0, 4, seqSched, false, nil},
 	} {
-		var want Coverage
-		for i, words := range sim.LaneWordSizes {
-			cov, err := Simulate(sg, faults, Options{Seed: 9, MaxPatterns: 512, maxWords: words})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if i == 0 {
-				want = cov
-				continue
-			}
-			if cov.Detected != want.Detected || len(cov.Undetected) != len(want.Undetected) {
-				t.Fatalf("maxWords=%d: detected %d (undetected %d), maxWords=1: %d (%d)",
-					words, cov.Detected, len(cov.Undetected), want.Detected, len(want.Undetected))
-			}
-			for j := range cov.Undetected {
-				if cov.Undetected[j] != want.Undetected[j] {
-					t.Fatalf("maxWords=%d: undetected[%d] = %v, maxWords=1: %v",
-						words, j, cov.Undetected[j], want.Undetected[j])
-				}
-			}
+		if got := pack(tc.n, tc.words, tc.sched, tc.sole); !slices.Equal(got, tc.want) {
+			t.Errorf("pack(%d, %d, %d sessions, sole %v) = %v, want %v",
+				tc.n, tc.words, tc.sched.sessions, tc.sole, got, tc.want)
 		}
 	}
 }
 
 // A partial final fault-parallel batch re-fits to the narrowest width that
-// holds it; the re-fit is pure throughput and must not change a single
-// verdict. The segment is combinational, so the list packs fault-parallel.
+// holds it; the re-fit is pure throughput and moves no verdict (the
+// campaign's width-invariance tests pin that).
 func TestPartialFinalBatchRefit(t *testing.T) {
-	sg := wholeSegment(t, comb)
-	faults := manyFaults(sg, 70)[:70] // 70 faults: one W=2 batch at the default width
-	wide, err := Simulate(sg, faults, Options{Seed: 2, MaxPatterns: 256})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if wide.Batches != 1 {
-		t.Fatalf("batches = %d, want 1 (70 faults fit one 2-word batch)", wide.Batches)
-	}
-	narrow, err := Simulate(sg, faults, Options{Seed: 2, MaxPatterns: 256, maxWords: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if narrow.Batches != 2 {
-		t.Fatalf("batches = %d, want 2 at one word", narrow.Batches)
-	}
-	if wide.Detected != narrow.Detected {
-		t.Fatalf("re-fit changed verdicts: %d vs %d detected", wide.Detected, narrow.Detected)
+	for _, tc := range []struct {
+		n, words int
+		want     []batchSpan
+	}{
+		{70, 4, []batchSpan{{0, 70, 2, sim.FaultParallel}}},
+		{70, 1, []batchSpan{{0, 63, 1, sim.FaultParallel}, {63, 70, 1, sim.FaultParallel}}},
+		{260, 4, []batchSpan{{0, 255, 4, sim.FaultParallel}, {255, 260, 1, sim.FaultParallel}}},
+		{400, 4, []batchSpan{{0, 255, 4, sim.FaultParallel}, {255, 400, 4, sim.FaultParallel}}},
+	} {
+		if got := packFaultParallel(tc.n, tc.words); !slices.Equal(got, tc.want) {
+			t.Errorf("packFaultParallel(%d, %d) = %v, want %v", tc.n, tc.words, got, tc.want)
+		}
 	}
 }
 
 func TestEmptyFaultList(t *testing.T) {
-	sg := wholeSegment(t, comb)
-	cov, err := Simulate(sg, nil, Options{Seed: 1})
+	if (Coverage{}).Ratio() != 1 {
+		t.Fatal("empty coverage ratio != 1")
+	}
+	rep, err := Campaign(context.Background(), parse(t, comb), &partition.Result{}, CampaignOptions{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cov.Total != 0 || cov.Ratio() != 1 {
-		t.Fatalf("empty coverage = %+v", cov)
+	if rep.Total != 0 || rep.Batches != 0 || rep.Ratio() != 1 {
+		t.Fatalf("empty campaign = %+v", rep)
 	}
 }
 
 func TestUndetectedAreRedundant(t *testing.T) {
-	// A redundant fault: y = OR(a, NOT(a)) is constant 1; SA1 on y is
-	// undetectable.
-	sg := wholeSegment(t, `
-INPUT(a)
-OUTPUT(y)
-na = NOT(a)
-y = OR(a, na)
-`)
-	cov, err := Simulate(sg, []sim.Fault{{Signal: "y", Stuck1: true}}, Options{Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cov.Detected != 0 {
+	// y = OR(a, NOT(a)) is constant 1: SA1 on y is undetectable, SA0 on y
+	// is detected on the first pattern.
+	cov := wholeCampaign(t, constOne, CampaignOptions{Seed: 1})
+	if !slices.Contains(cov.Undetected, sim.Fault{Signal: "y", Stuck1: true}) {
 		t.Fatal("redundant SA1 on constant-1 output reported detected")
 	}
-	cov2, err := Simulate(sg, []sim.Fault{{Signal: "y", Stuck1: false}}, Options{Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cov2.Detected != 1 {
+	if slices.Contains(cov.Undetected, sim.Fault{Signal: "y"}) {
 		t.Fatal("SA0 on constant-1 output must be detected")
 	}
 }

@@ -576,7 +576,7 @@ func TestLaneEnginePoolHygiene(t *testing.T) {
 	sg.PutLaneEngine(nil)
 }
 
-// The lane engine latches in two phases like Evaluator.ClockDFFs: on the
+// The lane engine latches in two phases like Segment.ClockDFFs: on the
 // shift register a one moves one stage per clock, on every lane plane of
 // every width.
 func TestLaneEngineShiftRegister(t *testing.T) {

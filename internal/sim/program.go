@@ -1,8 +1,9 @@
 package sim
 
-// This file is the flattened opcode program shared by Evaluator and
-// Segment, and the fault-free scalar evaluator Evaluator runs; segments
-// run the wide kernels in wide_unroll.go. The gate list is compiled once
+// This file is a Segment's flattened opcode program and its fault-free
+// scalar evaluator, which the scalar machine (sim.go) and the excitation
+// pre-pass (excite.go) run; fault simulation runs the wide kernels in
+// wide_unroll.go. The gate list is compiled once
 // into one slice of op records {kind, out, a, b, c} plus a contiguous
 // fanin-index arena for gates with more than three inputs, so the
 // interpreter loops touch only dense int32 operands — no per-gate fanin

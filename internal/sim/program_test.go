@@ -164,19 +164,6 @@ y = OR(n2, b)
 	}
 }
 
-func compileText(t *testing.T, text string) *Evaluator {
-	t.Helper()
-	c, err := netlist.ParseBenchString("t", text)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ev, err := Compile(c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return ev
-}
-
 // wideBench builds a deep layered circuit: layers of w 2-input gates, each
 // reading the previous layer, stressing the topological sort.
 func wideBench(layers, w int) string {
@@ -201,9 +188,9 @@ func wideBench(layers, w int) string {
 }
 
 func TestCompileWideCircuit(t *testing.T) {
-	ev := compileText(t, wideBench(40, 25))
-	if ev.NumSignals() < 40*25 {
-		t.Fatalf("signals = %d", ev.NumSignals())
+	ev := compile(t, wideBench(40, 25))
+	if len(ev.Signals()) < 40*25 {
+		t.Fatalf("signals = %d", len(ev.Signals()))
 	}
 	// One settle: all-ones inputs propagate without panicking.
 	st := ev.NewState()

@@ -2,7 +2,7 @@ package sim
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 
 	"repro/internal/graph"
@@ -16,15 +16,23 @@ import (
 // (paper Figure 1(a)). Evaluation is bit-parallel; the lanes are used for
 // parallel-fault simulation (lane 0 fault-free, the rest each carrying one
 // injected fault), up to 64*MaxLaneWords-way through LaneEngine (lanes.go),
-// which holds all mutable fault and state planes. A Segment is immutable
-// after BuildSegment and safe to share between concurrent engines.
+// which holds all mutable fault and state planes, or for 64 fault-free
+// patterns at once through the scalar machine (sim.go). A Segment is
+// immutable after construction and safe to share between concurrent
+// engines.
+//
+// BuildSegment compiles one cluster of a partition; Compile compiles a
+// whole circuit, its primary inputs and outputs standing for the segment's
+// input and boundary output nets. Both run the one levelizer, levelize.
 type Segment struct {
 	// InputNames are the external input net names in deterministic order.
 	InputNames []string
 	// OutputNames are the boundary output net names (nets sourced in the
-	// segment with a sink outside it, or feeding a primary output).
+	// segment with a sink outside it, or feeding a primary output), in the
+	// order StepSample writes them.
 	OutputNames []string
 
+	name    string // circuit name
 	names   []string
 	index   map[string]int
 	inputs  []int
@@ -38,119 +46,61 @@ type Segment struct {
 	lanePools [3]sync.Pool
 }
 
+type dffInfo struct {
+	out int // signal index of the DFF output
+	in  int // signal index of its data input
+}
+
+type gateOp struct {
+	typ   netlist.GateType
+	out   int
+	fanin []int
+}
+
+func newSegment(name string, sizeHint int) *Segment {
+	return &Segment{name: name, index: make(map[string]int, sizeHint)}
+}
+
+// idx returns the dense index of a signal, registering it on first use.
+func (sg *Segment) idx(name string) int {
+	if i, ok := sg.index[name]; ok {
+		return i
+	}
+	i := len(sg.names)
+	sg.index[name] = i
+	sg.names = append(sg.names, name)
+	return i
+}
+
 // BuildSegment compiles the cluster given by nodes (cell node IDs of g,
 // backed by circuit c) with the given external input nets. It treats
 // flip-flops inside the segment as normal sequential state.
 func BuildSegment(c *netlist.Circuit, g *graph.G, nodes []int, inputNets []int) (*Segment, error) {
-	sg := &Segment{index: make(map[string]int, len(inputNets)+2*len(nodes))}
+	sg := newSegment(c.Name, len(inputNets)+2*len(nodes))
 	inCluster := make(map[int]bool, len(nodes))
 	for _, v := range nodes {
 		inCluster[v] = true
 	}
-	idx := func(name string) int {
-		if i, ok := sg.index[name]; ok {
-			return i
-		}
-		i := len(sg.names)
-		sg.index[name] = i
-		sg.names = append(sg.names, name)
-		return i
-	}
 
-	ins := append([]int(nil), inputNets...)
-	sort.Ints(ins)
+	ins := slices.Clone(inputNets)
+	slices.Sort(ins)
 	for _, e := range ins {
 		name := g.Nets[e].Name
 		sg.InputNames = append(sg.InputNames, name)
-		sg.inputs = append(sg.inputs, idx(name))
+		sg.inputs = append(sg.inputs, sg.idx(name))
 	}
 
 	// Gather segment gates in a stable order.
-	var segNodes []int
-	for _, v := range nodes {
-		segNodes = append(segNodes, v)
-	}
-	sort.Ints(segNodes)
-
-	// DFFs first (their outputs are state sources).
-	type pendingGate struct {
-		gate *netlist.Gate
-	}
-	var pend []pendingGate
-	for _, v := range segNodes {
-		gt := c.Gate(g.Nodes[v].Name)
-		if gt == nil {
+	segNodes := slices.Clone(nodes)
+	slices.Sort(segNodes)
+	gates := make([]*netlist.Gate, len(segNodes))
+	for i, v := range segNodes {
+		if gates[i] = c.Gate(g.Nodes[v].Name); gates[i] == nil {
 			return nil, fmt.Errorf("sim: node %q not in circuit", g.Nodes[v].Name)
 		}
-		if gt.Type == netlist.DFF {
-			out := idx(gt.Name)
-			in := idx(gt.Fanin[0])
-			sg.dffs = append(sg.dffs, dffInfo{out: out, in: in})
-		} else {
-			pend = append(pend, pendingGate{gate: gt})
-		}
 	}
-	resolve := idx
-	// Register every gate output and fanin once, so the dependency
-	// bookkeeping below runs over dense signal-indexed slices instead of
-	// name-keyed maps. Signals produced by no registered gate are implicit
-	// externals (constant 0 unless driven), ready from the start; only
-	// combinational internal outputs gate readiness. Indegree-worklist
-	// Kahn emission keeps this linear in gates + edges (cf. Compile),
-	// where the old repeated-rescan loop was quadratic on deep segments.
-	outIdx := make([]int, len(pend))
-	for pi, p := range pend {
-		outIdx[pi] = resolve(p.gate.Name)
-	}
-	fanins := make([][]int, len(pend))
-	for pi, p := range pend {
-		fanin := make([]int, len(p.gate.Fanin))
-		for i, f := range p.gate.Fanin {
-			fanin[i] = resolve(f)
-		}
-		fanins[pi] = fanin
-	}
-	producer := make([]int32, len(sg.names)) // signal -> pending-gate index
-	for i := range producer {
-		producer[i] = -1
-	}
-	for pi, oi := range outIdx {
-		producer[oi] = int32(pi)
-	}
-	indeg := make([]int, len(pend))
-	consumers := make([][]int32, len(sg.names))
-	for pi := range pend {
-		for _, fi := range fanins[pi] {
-			if producer[fi] >= 0 {
-				indeg[pi]++
-				consumers[fi] = append(consumers[fi], int32(pi))
-			}
-		}
-	}
-	queue := make([]int, 0, len(pend))
-	for pi := range pend {
-		if indeg[pi] == 0 {
-			queue = append(queue, pi)
-		}
-	}
-	ops := make([]gateOp, 0, len(pend))
-	for len(queue) > 0 {
-		pi := queue[0]
-		queue = queue[1:]
-		ops = append(ops, gateOp{typ: pend[pi].gate.Type, out: outIdx[pi], fanin: fanins[pi]})
-		for _, ci := range consumers[outIdx[pi]] {
-			indeg[ci]--
-			if indeg[ci] == 0 {
-				queue = append(queue, int(ci))
-			}
-		}
-	}
-	if len(ops) < len(pend) {
-		for pi := range pend {
-			if indeg[pi] > 0 {
-				return nil, fmt.Errorf("sim: combinational cycle inside segment at %q", pend[pi].gate.Name)
-			}
-		}
+	if err := sg.levelize(gates); err != nil {
+		return nil, err
 	}
 
 	// Boundary outputs: nets sourced at a segment node with a sink outside.
@@ -165,13 +115,91 @@ func BuildSegment(c *netlist.Circuit, g *graph.G, nodes []int, inputNets []int) 
 				}
 			}
 			if boundary {
-				sg.OutputNames = append(sg.OutputNames, net.Name)
-				sg.outputs = append(sg.outputs, resolve(net.Name))
+				sg.outputs = append(sg.outputs, sg.idx(net.Name))
 			}
 		}
 	}
-	sort.Strings(sg.OutputNames)
-	sort.Ints(sg.outputs)
+	slices.Sort(sg.outputs)
+	for _, o := range sg.outputs {
+		sg.OutputNames = append(sg.OutputNames, sg.names[o])
+	}
+	return sg, nil
+}
+
+// levelize compiles gates into the segment's flip-flop list and program.
+// Flip-flops are state: their outputs are sources, and their data inputs
+// latch on every clock. The other gates are sorted topologically by an
+// indegree worklist (Kahn), linear in gates + fanin edges: each gate
+// counts its fanins driven by another gate of the list, and emitting a
+// gate decrements the counters of its consumers. A signal no listed gate
+// drives is external (an input, a flip-flop output, or an implicit
+// external that reads constant 0 unless driven), ready from the start.
+//
+// Signals are registered in a fixed order — each flip-flop's output and
+// data input, then each combinational gate's output, then their fanins —
+// after whatever the caller registered first, so every caller keeps its
+// own signal-index order.
+func (sg *Segment) levelize(gates []*netlist.Gate) error {
+	comb := make([]*netlist.Gate, 0, len(gates))
+	for _, gt := range gates {
+		if gt.Type == netlist.DFF {
+			sg.dffs = append(sg.dffs, dffInfo{out: sg.idx(gt.Name), in: sg.idx(gt.Fanin[0])})
+		} else {
+			comb = append(comb, gt)
+		}
+	}
+	outIdx := make([]int, len(comb))
+	for gi, gt := range comb {
+		outIdx[gi] = sg.idx(gt.Name)
+	}
+	fanins := make([][]int, len(comb))
+	for gi, gt := range comb {
+		fanin := make([]int, len(gt.Fanin))
+		for i, f := range gt.Fanin {
+			fanin[i] = sg.idx(f)
+		}
+		fanins[gi] = fanin
+	}
+
+	producer := make([]int32, len(sg.names)) // signal -> comb gate index
+	for i := range producer {
+		producer[i] = -1
+	}
+	for gi, oi := range outIdx {
+		producer[oi] = int32(gi)
+	}
+	indeg := make([]int, len(comb))
+	consumers := make([][]int32, len(sg.names)) // signal -> comb gates waiting on it
+	queue := make([]int, 0, len(comb))
+	for gi := range comb {
+		for _, fi := range fanins[gi] {
+			if producer[fi] >= 0 {
+				indeg[gi]++
+				consumers[fi] = append(consumers[fi], int32(gi))
+			}
+		}
+		if indeg[gi] == 0 {
+			queue = append(queue, gi)
+		}
+	}
+	ops := make([]gateOp, 0, len(comb))
+	for head := 0; head < len(queue); head++ {
+		gi := queue[head]
+		ops = append(ops, gateOp{typ: comb[gi].Type, out: outIdx[gi], fanin: fanins[gi]})
+		for _, ci := range consumers[outIdx[gi]] {
+			indeg[ci]--
+			if indeg[ci] == 0 {
+				queue = append(queue, int(ci))
+			}
+		}
+	}
+	if len(ops) < len(comb) {
+		for gi := range comb {
+			if indeg[gi] > 0 {
+				return fmt.Errorf("sim: combinational cycle at %q", comb[gi].Name)
+			}
+		}
+	}
 
 	sg.prog = compileProgram(ops, len(sg.names))
 	sg.opOf = make([]int32, len(sg.names))
@@ -181,7 +209,7 @@ func BuildSegment(c *netlist.Circuit, g *graph.G, nodes []int, inputNets []int) 
 	for i, o := range sg.prog.ops {
 		sg.opOf[o.out] = int32(i)
 	}
-	return sg, nil
+	return nil
 }
 
 // NumInputs returns the external input count (the CBIT width this segment

@@ -1,6 +1,9 @@
 package sim
 
 import (
+	"fmt"
+	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/bench89"
@@ -157,36 +160,60 @@ func newEngine(t *testing.T, sg *Segment, f *Fault) LaneEngine {
 	return e
 }
 
-func TestSegmentMatchesEvaluator(t *testing.T) {
-	// Whole-circuit segment must agree with the reference sequential
-	// evaluator cycle by cycle.
-	c, _, sg := segmentFixture(t, s27)
-	ev, err := Compile(c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e := newEngine(t, sg, nil)
-	outs := make([]uint64, sg.NumOutputs())
-	es := ev.NewState()
-	for cycle := 0; cycle < 32; cycle++ {
-		pattern := uint64(cycle * 7 % 16)
-		e.StepSample(pattern, 0, outs)
-		// Reference: inputs are G0..G3 in sorted net-name order; segment
-		// input order is by net id = circuit order here.
-		for i := 0; i < 4; i++ {
-			var w uint64
-			if pattern&(1<<uint(i)) != 0 {
-				w = ^uint64(0)
+// TestCompileMatchesLaneEngine: the two forms of one circuit, Compile's
+// scalar machine and a one-word lane engine on BuildSegment over every
+// cell, must agree cycle by cycle on every primary output, over seeded
+// bench89 random sequential circuits. The forms order their inputs and
+// outputs differently (declaration order against net and signal order), so
+// each clock's stimulus and the comparison go by name, which also pins
+// StepSample's output order to OutputNames.
+func TestCompileMatchesLaneEngine(t *testing.T) {
+	for seed := int64(1); seed <= 8; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		dffs := 1 + rng.Intn(20)
+		gates := dffs + 20 + rng.Intn(150)
+		invs := rng.Intn(40)
+		sp := bench89.Spec{Name: fmt.Sprintf("rand%d", seed), PIs: 2 + rng.Intn(20), DFFs: dffs,
+			Gates: gates, Inverters: invs, DFFsOnSCC: rng.Intn(dffs + 1),
+			Area: float64(dffs*10+invs) + 3*float64(gates)}
+		c, err := bench89.Generate(sp, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		whole, err := Compile(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, sg := wholeSegment(t, c)
+		e := newEngine(t, sg, nil)
+		st := whole.NewState()
+		outs := make([]uint64, sg.NumOutputs())
+		for cycle := 0; cycle < 64; cycle++ {
+			var pattern uint64
+			for i, in := range c.Inputs {
+				var w uint64
+				if rng.Intn(2) == 1 {
+					w = ^uint64(0)
+				}
+				whole.SetInput(st, i, w)
+				if w != 0 {
+					pattern |= 1 << uint(slices.Index(sg.InputNames, in))
+				}
 			}
-			ev.SetInput(es, i, w)
+			whole.EvalComb(st)
+			e.StepSample(pattern, 0, outs)
+			for i, out := range c.Outputs {
+				if c.IsInput(out) {
+					continue // no cell of the segment sources it
+				}
+				want := whole.Output(st, i) & 1
+				if got := outs[slices.Index(sg.OutputNames, out)]; got != want {
+					t.Fatalf("%s cycle %d: output %s = %d on the lane engine, %d on the scalar machine",
+						sp.Name, cycle, out, got, want)
+				}
+			}
+			whole.ClockDFFs(st)
 		}
-		ev.EvalComb(es)
-		segBit := outs[0]
-		evBit := ev.Output(es, 0) & 1
-		if segBit != evBit {
-			t.Fatalf("cycle %d: segment G17=%d evaluator=%d", cycle, segBit, evBit)
-		}
-		ev.ClockDFFs(es)
 	}
 }
 

@@ -8,17 +8,17 @@ import (
 	"repro/internal/netlist"
 )
 
-func compile(t *testing.T, text string) *Evaluator {
+func compile(t *testing.T, text string) *Segment {
 	t.Helper()
 	c, err := netlist.ParseBenchString("t", text)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ev, err := Compile(c)
+	sg, err := Compile(c)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return ev
+	return sg
 }
 
 func TestGateTruthTables(t *testing.T) {
@@ -179,7 +179,7 @@ func referenceEval(tp netlist.GateType, ins []uint64) uint64 {
 }
 
 // TestParallelMatchesScalar: each of the 64 lanes of the bit-parallel
-// evaluator must equal an independent scalar evaluation.
+// scalar machine must equal an independent scalar evaluation.
 func TestParallelMatchesScalar(t *testing.T) {
 	types := []netlist.GateType{netlist.And, netlist.Nand, netlist.Or, netlist.Nor, netlist.Xor, netlist.Xnor}
 	f := func(seed int64) bool {
@@ -222,25 +222,6 @@ func TestParallelMatchesScalar(t *testing.T) {
 	}
 }
 
-func TestEvaluatorAccessors(t *testing.T) {
-	ev := compile(t, `
-INPUT(a)
-OUTPUT(q)
-q = DFF(a)
-`)
-	if ev.NumDFFs() != 1 || ev.NumSignals() != 2 {
-		t.Fatalf("accessors: dffs=%d signals=%d", ev.NumDFFs(), ev.NumSignals())
-	}
-	s := ev.NewState()
-	ev.SetDFF(s, 0, 5)
-	if ev.DFF(s, 0) != 5 {
-		t.Fatal("DFF accessor")
-	}
-	if ev.InputIndex(0) < 0 || ev.OutputIndex(0) < 0 {
-		t.Fatal("index accessors")
-	}
-}
-
 // shiftRegister and dffRing are the flip-flop-to-flip-flop fixtures of the
 // two-phase latch tests: every D must be read before any Q is written.
 const shiftRegister = `
@@ -263,7 +244,7 @@ q2 = DFF(q1)
 func TestClockDFFsShiftRegister(t *testing.T) {
 	ev := compile(t, shiftRegister)
 	s := ev.NewState()
-	q := []int{ev.Signals["q1"], ev.Signals["q2"], ev.Signals["q3"]}
+	q := []int{ev.index["q1"], ev.index["q2"], ev.index["q3"]}
 	for clock := 1; clock <= 3; clock++ {
 		ev.SetInput(s, 0, ^uint64(0))
 		ev.Step(s)
@@ -284,7 +265,7 @@ func TestClockDFFsShiftRegister(t *testing.T) {
 func TestClockDFFsRing(t *testing.T) {
 	ev := compile(t, dffRing)
 	s := ev.NewState()
-	q1, q2 := ev.Signals["q1"], ev.Signals["q2"]
+	q1, q2 := ev.index["q1"], ev.index["q2"]
 	s.V[q1], s.V[q2] = 0xF0, 0x0F
 	for clock := 1; clock <= 4; clock++ {
 		ev.Step(s)

@@ -8,11 +8,10 @@ import (
 )
 
 // VCDWriter streams a Value Change Dump (IEEE 1364) of selected signals
-// during simulation, one lane of the 64-wide evaluator state. Viewers like
-// GTKWave open the output directly.
+// during simulation, one lane of a segment's 64-wide scalar state. Viewers
+// like GTKWave open the output directly.
 type VCDWriter struct {
 	w       *bufio.Writer
-	ev      *Evaluator
 	lane    uint
 	signals []int    // dense signal indices, sorted by name
 	codes   []string // VCD identifier codes, aligned with signals
@@ -23,17 +22,17 @@ type VCDWriter struct {
 
 // NewVCDWriter prepares a dump of the named signals (nil: every signal) on
 // the given lane (0..LanesPerWord). The header is written immediately.
-func NewVCDWriter(w io.Writer, ev *Evaluator, names []string, lane uint) (*VCDWriter, error) {
+func NewVCDWriter(w io.Writer, sg *Segment, names []string, lane uint) (*VCDWriter, error) {
 	if lane > LanesPerWord {
 		return nil, fmt.Errorf("sim: lane %d out of range", lane)
 	}
 	if names == nil {
-		names = append([]string(nil), ev.Names...)
+		names = append([]string(nil), sg.names...)
 	}
 	sort.Strings(names)
-	v := &VCDWriter{w: bufio.NewWriter(w), ev: ev, lane: lane}
+	v := &VCDWriter{w: bufio.NewWriter(w), lane: lane}
 	for _, name := range names {
-		idx, ok := ev.Signals[name]
+		idx, ok := sg.index[name]
 		if !ok {
 			return nil, fmt.Errorf("sim: unknown signal %q", name)
 		}
@@ -47,19 +46,12 @@ func NewVCDWriter(w io.Writer, ev *Evaluator, names []string, lane uint) (*VCDWr
 
 	fmt.Fprintf(v.w, "$version ppet-retime simulator $end\n")
 	fmt.Fprintf(v.w, "$timescale 1ns $end\n")
-	fmt.Fprintf(v.w, "$scope module %s $end\n", sanitizeVCD(nameOf(ev)))
+	fmt.Fprintf(v.w, "$scope module %s $end\n", sanitizeVCD(sg.name))
 	for i, name := range names {
 		fmt.Fprintf(v.w, "$var wire 1 %s %s $end\n", v.codes[i], sanitizeVCD(name))
 	}
 	fmt.Fprintf(v.w, "$upscope $end\n$enddefinitions $end\n")
 	return v, nil
-}
-
-func nameOf(ev *Evaluator) string {
-	if ev.c != nil {
-		return ev.c.Name
-	}
-	return "circuit"
 }
 
 // Sample records the current state as one timestep, emitting only changed

@@ -62,8 +62,8 @@ y = NOT(a)
 	if err := vcd.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if strings.Count(sb.String(), "$var wire") != ev.NumSignals() {
-		t.Fatalf("expected %d vars:\n%s", ev.NumSignals(), sb.String())
+	if strings.Count(sb.String(), "$var wire") != len(ev.Signals()) {
+		t.Fatalf("expected %d vars:\n%s", len(ev.Signals()), sb.String())
 	}
 }
 

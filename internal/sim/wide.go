@@ -12,8 +12,9 @@ package sim
 // loads, bounds checks) is paid once per W words instead of once per
 // word, which is where the per-lane throughput scales.
 //
-// The fault-free scalar kernel in program.go stays for Evaluator and the
-// VCD writer, which view state as []uint64.
+// The fault-free scalar kernel in program.go stays for the scalar machine
+// (sim.go), the VCD writer and the excitation pre-pass, which view state
+// as []uint64.
 
 // LanesPerWord is the number of fault lanes a single uint64 word carries:
 // 63, because lane 0 of the first word is reserved for the fault-free
