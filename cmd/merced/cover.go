@@ -14,7 +14,6 @@ type coverRun struct {
 	file, circuit string
 	lk, beta      int
 	seed          int64
-	noRetime      bool
 	maxPatterns   uint64 // per-fault pattern cap (0: full pseudo-exhaustive)
 	workers       int    // campaign worker pool (0: GOMAXPROCS)
 	noCollapse    bool   // disable structural fault collapsing
@@ -54,7 +53,7 @@ func runCover(ctx context.Context, cr coverRun, stdout, stderr io.Writer) int {
 	case cr.workers < 0:
 		return fail(fmt.Errorf("-workers: must be >= 0 (got %d)", cr.workers))
 	}
-	r, err := compileOne(ctx, cr.cache, cr.file, cr.circuit, cr.lk, cr.beta, cr.seed, cr.noRetime)
+	r, err := compileOne(ctx, cr.cache, cr.file, cr.circuit, cr.lk, cr.beta, cr.seed)
 	if err != nil {
 		return fail(err)
 	}

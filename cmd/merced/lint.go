@@ -31,7 +31,6 @@ type lintRun struct {
 	lk        int
 	beta      int
 	seed      int64
-	noRetime  bool
 	jsonOut   bool
 	threshold string // -lint-severity: exit 2 at or above this severity
 }
@@ -56,7 +55,6 @@ func runLint(cfg lintRun, stdout, stderr io.Writer) int {
 	// Deeper layers only make sense on a structurally sound netlist.
 	if ctx.Circuit != nil && !lint.HasAtLeast(diags, lint.Error) {
 		opt := sweep.Job{LK: cfg.lk, Beta: cfg.beta, Seed: cfg.seed}.Options()
-		opt.SolveRetiming = !cfg.noRetime
 		res, err := core.Compile(context.Background(), ctx.Circuit, opt)
 		if err != nil {
 			fmt.Fprintln(stderr, "merced: lint: compile for partition-layer checks failed:", err)
@@ -67,22 +65,19 @@ func runLint(cfg lintRun, stdout, stderr io.Writer) int {
 		ctx.LK, ctx.Beta = opt.LK, opt.Beta
 		diags = append(diags, lint.RunLayer(ctx, lint.LayerPartition)...)
 
-		if res.Retiming != nil {
-			// Emission failure is not fatal: the netlist and partition
-			// findings already in hand still stand (e.g. the input is itself
-			// an emitted netlist whose control names collide with a second
-			// emission).
-			if tc, info, err := emit.Testable(res); err != nil {
-				fmt.Fprintln(stderr, "merced: lint: skipping BIST-layer checks, emitting test hardware failed:", err)
-			} else {
-				ctx.BIST = &lint.BISTArtifact{
-					Circuit:   tc,
-					ScanOrder: info.ScanOrder,
-					TB1:       emit.CtrlTB1, TB2: emit.CtrlTB2, TMode: emit.CtrlTMode,
-					ScanIn: emit.CtrlScanIn, ScanOut: emit.ScanOut,
-				}
-				diags = append(diags, lint.RunLayer(ctx, lint.LayerBIST)...)
+		// Emission failure is not fatal: the netlist and partition findings
+		// already in hand still stand (e.g. the input is itself an emitted
+		// netlist whose control names collide with a second emission).
+		if tc, info, err := emit.Testable(res); err != nil {
+			fmt.Fprintln(stderr, "merced: lint: skipping BIST-layer checks, emitting test hardware failed:", err)
+		} else {
+			ctx.BIST = &lint.BISTArtifact{
+				Circuit:   tc,
+				ScanOrder: info.ScanOrder,
+				TB1:       emit.CtrlTB1, TB2: emit.CtrlTB2, TMode: emit.CtrlTMode,
+				ScanIn: emit.CtrlScanIn, ScanOut: emit.ScanOut,
 			}
+			diags = append(diags, lint.RunLayer(ctx, lint.LayerBIST)...)
 		}
 	}
 	lint.Sort(diags)

@@ -127,7 +127,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	beta := fs.Int("beta", 50, "Eq. (6) SCC cut-budget multiplier")
 	seed := fs.Int64("seed", 1, "random seed for Saturate_Network")
 	verbose := fs.Bool("v", false, "print per-cluster details")
-	noRetime := fs.Bool("no-retime-solver", false, "skip the Leiserson-Saxe solver (per-SCC accounting only)")
 	minPeriod := fs.Bool("min-period", false, "also report the minimum clock period achievable by retiming (unit delays)")
 	emitPath := fs.String("emit", "", "write the self-testable netlist (retimed + A_CELLs + scan chain) to this .bench file")
 	doLint := fs.Bool("lint", false, "run the design-rule analyzer instead of compiling a report")
@@ -232,7 +231,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		code = runSweep(ctx, sweepRun{
 			spec: *sweepSpec, circuits: *circuits, lks: *lks, betas: *betas, seeds: *seeds,
 			workers: *workers, timeout: *timeout, jobTimeout: *jobTimeout,
-			noRetime: *noRetime, lint: *doLint, format: *format, noTiming: *noTiming,
+			lint: *doLint, format: *format, noTiming: *noTiming,
 			cacheStats: *cacheStats, noCache: *noCache, shard: *shardFlag, cache: cache,
 			coverage: *sweepCoverage, coverageMaxPatterns: *maxPatterns,
 			metrics: *withMetrics, progress: *progress,
@@ -240,13 +239,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 	case *doLint:
 		code = runLint(lintRun{
 			file: *file, circuit: *circuit,
-			lk: *lk, beta: *beta, seed: *seed, noRetime: *noRetime,
+			lk: *lk, beta: *beta, seed: *seed,
 			jsonOut: *jsonOut, threshold: *lintSeverity,
 		}, stdout, stderr)
 	case *doCover:
 		code = runCover(ctx, coverRun{
 			file: *file, circuit: *circuit,
-			lk: *lk, beta: *beta, seed: *seed, noRetime: *noRetime,
+			lk: *lk, beta: *beta, seed: *seed,
 			maxPatterns: *maxPatterns, workers: *workers,
 			noCollapse: *noCollapse, undetected: *undetected,
 			format: *format, noTiming: *noTiming,
@@ -256,7 +255,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		code = runReport(ctx, reportRun{
 			file: *file, circuit: *circuit,
 			lk: *lk, beta: *beta, seed: *seed,
-			verbose: *verbose, noRetime: *noRetime, minPeriod: *minPeriod,
+			verbose: *verbose, minPeriod: *minPeriod,
 			emitPath: *emitPath, metrics: *withMetrics, cache: cache,
 		}, stdout, stderr)
 	}

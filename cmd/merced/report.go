@@ -24,7 +24,6 @@ type reportRun struct {
 	lk, beta      int
 	seed          int64
 	verbose       bool
-	noRetime      bool
 	minPeriod     bool
 	emitPath      string
 	metrics       bool
@@ -38,7 +37,7 @@ type reportRun struct {
 // resolves them and compiles through the artifact cache. -file opens
 // exactly the named path (no .bench suffix heuristics), preserving the
 // historical flag behavior.
-func compileOne(ctx context.Context, cache *sweep.Cache, file, circuit string, lk, beta int, seed int64, noRetime bool) (*core.Result, error) {
+func compileOne(ctx context.Context, cache *sweep.Cache, file, circuit string, lk, beta int, seed int64) (*core.Result, error) {
 	if file == "" && circuit == "" {
 		return nil, fmt.Errorf("one of -file or -circuit is required")
 	}
@@ -47,7 +46,6 @@ func compileOne(ctx context.Context, cache *sweep.Cache, file, circuit string, l
 		name = circuit
 	}
 	opt := sweep.Job{Circuit: name, LK: lk, Beta: beta, Seed: seed}.Options()
-	opt.SolveRetiming = !noRetime
 	load := func(string) (*netlist.Circuit, error) { return loadCircuit(file, circuit) }
 	return cache.Compile(ctx, name, load, opt)
 }
@@ -60,7 +58,7 @@ func runReport(ctx context.Context, rr reportRun, stdout, stderr io.Writer) int 
 		fmt.Fprintln(stderr, "merced:", err)
 		return 1
 	}
-	r, err := compileOne(ctx, rr.cache, rr.file, rr.circuit, rr.lk, rr.beta, rr.seed, rr.noRetime)
+	r, err := compileOne(ctx, rr.cache, rr.file, rr.circuit, rr.lk, rr.beta, rr.seed)
 	if err != nil {
 		return fail(err)
 	}
@@ -110,8 +108,9 @@ func writeTestable(w io.Writer, r *core.Result, path string) error {
 
 // writeMinPeriod appends the -min-period line: the as-designed clock
 // period against the best achievable by retiming alone (unit delays).
+// Neither Period nor MinimizePeriod writes to the compilation's CombGraph.
 func writeMinPeriod(w io.Writer, r *core.Result) error {
-	cg := retime.Build(r.Graph)
+	cg := r.CombGraph
 	zero := make([]int, len(cg.Vertices))
 	p0, err := cg.Period(zero)
 	if err != nil {
@@ -134,10 +133,8 @@ func writeCompileReport(w io.Writer, r *core.Result, lk int, verbose bool) {
 	fmt.Fprintf(w, "flip-flops: %d total, %d on SCCs\n", r.Areas.DFFs, r.Areas.DFFsOnSCC)
 	fmt.Fprintf(w, "flow: %d shortest-path trees; group split passes: %d; %d merges\n",
 		r.Flow.Trees, r.Partition.BoundarySteps, len(r.Merges))
-	if r.Retiming != nil {
-		fmt.Fprintf(w, "retiming: %d cut nets covered by repositioned registers, %d need multiplexed A_CELLs (%d solver rounds)\n",
-			len(r.Retiming.Covered), len(r.Retiming.Demoted), r.Retiming.Iterations)
-	}
+	fmt.Fprintf(w, "retiming: %d cut nets covered by repositioned registers, %d need multiplexed A_CELLs (%d solver rounds)\n",
+		len(r.Retiming.Covered), len(r.Retiming.Demoted), r.Retiming.Iterations)
 	fmt.Fprintf(w, "CBIT area: %.0f units with retiming vs %.0f without (circuit %.0f)\n",
 		r.Areas.CBITAreaRetimed, r.Areas.CBITAreaNonRetimed, r.Areas.CircuitArea)
 	fmt.Fprintf(w, "A_CBIT/A_Total: %.1f%% with retiming, %.1f%% without (saving %.1f points)\n",

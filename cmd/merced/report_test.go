@@ -129,7 +129,9 @@ func TestSingleJobZeroFlags(t *testing.T) {
 }
 
 // Arguments the command would otherwise drop are usage errors (exit 2)
-// before any work starts.
+// before any work starts. So is -no-retime-solver in every mode that took
+// it: the solver always prices the report now, and a removed flag must not
+// quietly run something else.
 func TestUnexpectedArguments(t *testing.T) {
 	spec := filepath.Join(t.TempDir(), "v.json")
 	for _, tc := range []struct {
@@ -140,6 +142,10 @@ func TestUnexpectedArguments(t *testing.T) {
 		{[]string{"serve", "-circuit", "s27"}, `unexpected argument "serve"`},
 		{[]string{"-cover", "-spec", spec, "-circuit", "s27", "-lk", "3"}, "-spec is only valid with -sweep"},
 		{[]string{"-spec", spec, "-circuit", "s27", "-lk", "3"}, "-spec is only valid with -sweep"},
+		{[]string{"-circuit", "s27", "-lk", "3", "-no-retime-solver"}, "-no-retime-solver"},
+		{[]string{"-lint", "-circuit", "s27", "-lk", "3", "-no-retime-solver"}, "-no-retime-solver"},
+		{[]string{"-cover", "-circuit", "s27", "-lk", "3", "-no-retime-solver"}, "-no-retime-solver"},
+		{[]string{"-sweep", "-circuits", "s27", "-lks", "3", "-no-retime-solver"}, "-no-retime-solver"},
 	} {
 		code, out, errs := runCLI(t, tc.args...)
 		if code != 2 || out != "" || !strings.Contains(errs, tc.want) {

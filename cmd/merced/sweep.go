@@ -23,13 +23,12 @@ type sweepRun struct {
 	workers    int
 	timeout    time.Duration // whole-sweep deadline (0: none)
 	jobTimeout time.Duration // per-job deadline (0: none)
-	noRetime   bool
-	lint       bool   // gate every job on the design rules (-lint -sweep)
-	format     string // text, json, csv
-	noTiming   bool   // deterministic output: omit wall-clock fields
-	cacheStats bool   // report per-stage artifact-cache counters
-	noCache    bool   // disable shared-prefix artifact reuse
-	shard      string // "i/N": run one slice of the matrix, emit a shard document
+	lint       bool          // gate every job on the design rules (-lint -sweep)
+	format     string        // text, json, csv
+	noTiming   bool          // deterministic output: omit wall-clock fields
+	cacheStats bool          // report per-stage artifact-cache counters
+	noCache    bool          // disable shared-prefix artifact reuse
+	shard      string        // "i/N": run one slice of the matrix, emit a shard document
 
 	// cache is the process artifact cache (store-backed under -cache-dir;
 	// nil means a run-private one); main owns it and flushes pending disk
@@ -155,9 +154,6 @@ func applySweepFlags(s *jobspec.Spec, cfg sweepRun) error {
 	}
 	if cfg.jobTimeout != 0 {
 		sw.JobTimeout = jobspec.Duration(cfg.jobTimeout)
-	}
-	if cfg.noRetime {
-		sw.NoRetimeSolver = true
 	}
 	if cfg.lint {
 		sw.Lint = true

@@ -67,12 +67,10 @@ func main() {
 	fmt.Printf("retiming saves %.1f percentage points of test hardware\n", r.Areas.Saving())
 
 	// 5. Which cut nets did retiming cover with functional registers?
-	if r.Retiming != nil {
-		for _, e := range r.Retiming.Covered {
-			fmt.Printf("  covered: register repositioned onto net %s\n", r.Graph.Nets[e].Name)
-		}
-		for _, e := range r.Retiming.Demoted {
-			fmt.Printf("  demoted: net %s needs a multiplexed A_CELL (cycle register limit)\n", r.Graph.Nets[e].Name)
-		}
+	for _, e := range r.Retiming.Covered {
+		fmt.Printf("  covered: register repositioned onto net %s\n", r.Graph.Nets[e].Name)
+	}
+	for _, e := range r.Retiming.Demoted {
+		fmt.Printf("  demoted: net %s needs a multiplexed A_CELL (cycle register limit)\n", r.Graph.Nets[e].Name)
 	}
 }

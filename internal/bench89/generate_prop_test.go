@@ -81,8 +81,7 @@ func TestCompileRandomGenerated(t *testing.T) {
 			return false
 		}
 		// Invariant: solver covered+demoted == cut nets.
-		if r.Retiming != nil &&
-			len(r.Retiming.Covered)+len(r.Retiming.Demoted) != r.Areas.CutNets {
+		if len(r.Retiming.Covered)+len(r.Retiming.Demoted) != r.Areas.CutNets {
 			return false
 		}
 		// Invariant: retimed CBIT area never exceeds the non-retimed one.

@@ -6,8 +6,6 @@ import (
 	"strings"
 	"testing"
 	"time"
-
-	"repro/internal/flow"
 )
 
 func TestCompileCancelledContext(t *testing.T) {
@@ -47,7 +45,6 @@ func TestOptionsValidate(t *testing.T) {
 		{"lk zero", Options{LK: 0}, "LK"},
 		{"lk negative", Options{LK: -4}, "LK"},
 		{"beta negative", Options{LK: 3, Beta: -1}, "Beta"},
-		{"max solve nodes negative", Options{LK: 3, MaxSolveNodes: -1}, "MaxSolveNodes"},
 		{"refine negative", Options{LK: 3, RefinePasses: -2}, "RefinePasses"},
 	}
 	for _, tc := range cases {
@@ -67,28 +64,5 @@ func TestOptionsValidate(t *testing.T) {
 func TestCompileRejectsInvalidOptions(t *testing.T) {
 	if _, err := Compile(context.Background(), s27(t), Options{LK: 3, Beta: -1}); err == nil {
 		t.Fatal("negative beta accepted")
-	}
-	if _, err := Compile(context.Background(), s27(t), Options{LK: 3, MaxSolveNodes: -1}); err == nil {
-		t.Fatal("negative MaxSolveNodes accepted")
-	}
-}
-
-func TestZeroFlowMeansPaperDefaults(t *testing.T) {
-	// The zero Options.Flow must behave exactly like DefaultConfig(Seed):
-	// same trees, same congestion — the copyable-Options guarantee.
-	opt := DefaultOptions(3, 42)
-	if opt.Flow != (flow.Config{}) {
-		t.Fatalf("DefaultOptions should leave Flow zero, got %+v", opt.Flow)
-	}
-	if got, want := opt.flowConfig(), flow.DefaultConfig(42); got != want {
-		t.Fatalf("zero Flow resolves to %+v, want %+v", got, want)
-	}
-	partial := Options{LK: 3, Seed: 7, Flow: flow.Config{MinVisit: 5, Seed: 9}}
-	fcfg := partial.flowConfig()
-	if fcfg.MinVisit != 5 || fcfg.Seed != 9 {
-		t.Fatalf("explicit fields clobbered: %+v", fcfg)
-	}
-	if fcfg.Capacity != 1 || fcfg.Alpha != 4 || fcfg.Delta != 0.01 {
-		t.Fatalf("zero fields not defaulted: %+v", fcfg)
 	}
 }

@@ -30,25 +30,11 @@ type Options struct {
 	Beta int
 	// Seed drives every stochastic step.
 	Seed int64
-	// Flow overrides the Saturate_Network parameters. The zero value means
-	// "paper defaults with Seed"; in a partially set config, a zero
-	// Capacity/Alpha/Delta falls back to its paper default. Being a value
-	// (not a pointer) keeps Options plainly copyable across sweep jobs.
-	Flow flow.Config
 	// SkipAssign stops after Make_Group (no CBIT merging pass).
 	SkipAssign bool
 	// RefinePasses runs the greedy boundary-refinement pass after
 	// Assign_CBIT (0 disables; DefaultOptions uses 2).
 	RefinePasses int
-	// SolveRetiming runs the Leiserson-Saxe difference-constraint solver to
-	// produce concrete retiming labels; its covered/demoted split is the
-	// faithful per-cycle (Corollary 2) accounting used for Table 12. When
-	// it is off or the circuit exceeds MaxSolveNodes, the coarse per-SCC
-	// bound retime.CoverageBySCC prices the report instead.
-	SolveRetiming bool
-	// MaxSolveNodes caps SolveRetiming (0: 300000 nodes, i.e. always on
-	// for the paper's benchmark sizes).
-	MaxSolveNodes int
 	// Locked nodes are excluded from clustering (Table 5 STEP 2.1).
 	Locked map[int]bool
 	// Lint gates the compilation on the internal/lint design rules: the
@@ -61,7 +47,7 @@ type Options struct {
 // DefaultOptions returns the paper's experimental configuration for a
 // given l_k.
 func DefaultOptions(lk int, seed int64) Options {
-	return Options{LK: lk, Beta: 50, Seed: seed, SolveRetiming: true, RefinePasses: 2}
+	return Options{LK: lk, Beta: 50, Seed: seed, RefinePasses: 2}
 }
 
 // AreaReport prices the CBIT hardware per the paper's Table 12 accounting:
@@ -78,8 +64,9 @@ type AreaReport struct {
 	CutNets      int
 	CutNetsOnSCC int
 
-	// CoveredCuts / ExcessCuts split CutNets under the per-SCC register
-	// budget (Corollary 2).
+	// CoveredCuts / ExcessCuts split CutNets into the retiming solver's
+	// covered and demoted nets (the per-cycle register condition of
+	// Corollary 2).
 	CoveredCuts int
 	ExcessCuts  int
 
@@ -197,8 +184,8 @@ type KernelCounters struct {
 	// RefineMoves counts accepted boundary-refinement moves.
 	RefineMoves int64
 	// SolverRounds / SPFARelaxations / SPFACheckpoints summarise the
-	// Leiserson-Saxe solver (zero when it was skipped); RetimeCovered and
-	// RetimeDemoted split its cut-net outcome.
+	// Leiserson-Saxe solver; RetimeCovered and RetimeDemoted split its
+	// cut-net outcome.
 	SolverRounds    int64
 	SPFARelaxations int64
 	SPFACheckpoints int64
@@ -231,9 +218,9 @@ type Result struct {
 	Partition *partition.Result
 	Merges    []partition.MergeTrace
 	Areas     AreaReport
-	// Retiming holds the difference-constraint solution when
-	// Options.SolveRetiming ran; CombGraph is the retiming graph it was
-	// solved on.
+	// Retiming holds the difference-constraint solution that prices the
+	// "with retiming" column; CombGraph is the retiming graph it was solved
+	// on. Both are always set on a successful compilation.
 	Retiming  *retime.Solution
 	CombGraph *retime.CombGraph
 	// Lint holds every diagnostic found when Options.Lint ran (all
@@ -270,39 +257,16 @@ func (o Options) Validate() error {
 		return fmt.Errorf("core: LK must be >= 1 (got %d); the paper's experiments use 16 and 24", o.LK)
 	case o.Beta < 0:
 		return fmt.Errorf("core: Beta must be >= 0 (got %d); 0 clamps to the Eq. (6) minimum budget of 1", o.Beta)
-	case o.MaxSolveNodes < 0:
-		return fmt.Errorf("core: MaxSolveNodes must be >= 0 (got %d); 0 means the 300000-node default", o.MaxSolveNodes)
 	case o.RefinePasses < 0:
 		return fmt.Errorf("core: RefinePasses must be >= 0 (got %d); 0 disables boundary refinement", o.RefinePasses)
-	}
-	if err := o.FlowConfig().Validate(); err != nil {
-		return fmt.Errorf("core: %w", err)
 	}
 	return nil
 }
 
-// FlowConfig resolves Options.Flow: the zero value selects the paper
-// defaults seeded from Options.Seed; a partially set config has its zero
-// Capacity/Alpha/Delta fields filled with the paper defaults. Stage
-// drivers use the resolved config as part of the Saturated artifact key.
-func (o Options) FlowConfig() flow.Config { return o.flowConfig() }
-
-func (o Options) flowConfig() flow.Config {
-	if o.Flow == (flow.Config{}) {
-		return flow.DefaultConfig(o.Seed)
-	}
-	fcfg := o.Flow
-	if fcfg.Capacity == 0 {
-		fcfg.Capacity = 1
-	}
-	if fcfg.Alpha == 0 {
-		fcfg.Alpha = 4
-	}
-	if fcfg.Delta == 0 {
-		fcfg.Delta = 0.01
-	}
-	return fcfg
-}
+// FlowConfig returns the Saturate_Network parameters: the paper defaults
+// seeded from Options.Seed. Stage drivers use it as part of the Saturated
+// artifact key.
+func (o Options) FlowConfig() flow.Config { return flow.DefaultConfig(o.Seed) }
 
 // Compile runs the full Merced pipeline of Table 2 on the circuit. It is a
 // thin driver over the staged artifact pipeline of stages.go — NewParsed →
@@ -347,7 +311,7 @@ func Compile(ctx context.Context, c *netlist.Circuit, opt Options) (*Result, err
 	}
 
 	// STEP 3a: Saturate_Network.
-	s, err := SaturateNetwork(ctx, a, opt.flowConfig())
+	s, err := SaturateNetwork(ctx, a, opt.FlowConfig())
 	if err != nil {
 		return nil, err
 	}
@@ -371,23 +335,9 @@ func priceAreas(c *netlist.Circuit, g *graph.G, scc *graph.SCCInfo, p *partition
 		DFFsOnSCC:    g.RegsOnSCC(scc),
 		CutNets:      p.NumCutNets(),
 		CutNetsOnSCC: p.NumCutNetsOnSCC(),
+		CoveredCuts:  len(sol.Covered),
+		ExcessCuts:   len(sol.Demoted),
 	}
-	if sol != nil {
-		a.CoveredCuts = len(sol.Covered)
-		a.ExcessCuts = len(sol.Demoted)
-	} else {
-		cutsPerSCC := make(map[int]int)
-		for _, e := range p.CutNetsOnSCC {
-			cutsPerSCC[scc.NetComp[e]]++
-		}
-		regsPerSCC := make(map[int]int)
-		for comp := range cutsPerSCC {
-			regsPerSCC[comp] = scc.RegCount[comp]
-		}
-		offSCC := a.CutNets - a.CutNetsOnSCC
-		a.CoveredCuts, a.ExcessCuts = retime.CoverageBySCC(cutsPerSCC, regsPerSCC, offSCC)
-	}
-
 	a.CBITAreaRetimed = float64(a.CoveredCuts)*cbit.RetimedACellArea() +
 		float64(a.ExcessCuts)*cbit.ACellMuxArea()
 	a.CBITAreaNonRetimed = float64(a.CutNets) * cbit.ACellMuxArea()
@@ -416,13 +366,12 @@ func collectCounters(s *Saturated, pt *Partitioned, pr *Priced) KernelCounters {
 		PartitionDFSVisits: int64(pt.part.DFSVisits),
 		RefineMoves:        int64(pt.part.RefineMoves),
 	}
-	if sol := pr.retiming; sol != nil {
-		k.SolverRounds = int64(sol.Iterations)
-		k.SPFARelaxations = int64(sol.Relaxations)
-		k.SPFACheckpoints = int64(sol.Checkpoints)
-		k.RetimeCovered = int64(len(sol.Covered))
-		k.RetimeDemoted = int64(len(sol.Demoted))
-	}
+	sol := pr.retiming
+	k.SolverRounds = int64(sol.Iterations)
+	k.SPFARelaxations = int64(sol.Relaxations)
+	k.SPFACheckpoints = int64(sol.Checkpoints)
+	k.RetimeCovered = int64(len(sol.Covered))
+	k.RetimeDemoted = int64(len(sol.Demoted))
 	return k
 }
 

@@ -161,19 +161,26 @@ func TestSolverAccountingConsistent(t *testing.T) {
 	}
 }
 
-func TestMaxSolveNodesSkipsSolver(t *testing.T) {
-	opt := DefaultOptions(3, 1)
-	opt.MaxSolveNodes = 2 // below s27's node count
-	r, err := Compile(context.Background(), s27(t), opt)
+// Options built by hand, not by DefaultOptions, still price through the
+// retiming solver: there is no second, coarser pricing path to fall into.
+func TestCompileWithoutDefaultOptionsSolves(t *testing.T) {
+	r, err := Compile(context.Background(), s27(t), Options{LK: 3, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.Retiming != nil {
-		t.Fatal("solver ran despite MaxSolveNodes")
+	if r.Retiming == nil || r.CombGraph == nil {
+		t.Fatal("compilation carries no retiming solution")
 	}
-	// Fallback accounting must still fill the report.
-	if r.Areas.CoveredCuts+r.Areas.ExcessCuts != r.Areas.CutNets {
-		t.Fatalf("fallback accounting inconsistent: %+v", r.Areas)
+	if err := r.CombGraph.CheckLegal(r.Retiming.Rho); err != nil {
+		t.Fatalf("illegal retiming: %v", err)
+	}
+	a := r.Areas
+	if a.CoveredCuts != len(r.Retiming.Covered) || a.ExcessCuts != len(r.Retiming.Demoted) {
+		t.Fatalf("areas priced %d covered / %d excess, solver %d / %d",
+			a.CoveredCuts, a.ExcessCuts, len(r.Retiming.Covered), len(r.Retiming.Demoted))
+	}
+	if a.CoveredCuts+a.ExcessCuts != a.CutNets {
+		t.Fatalf("covered %d + excess %d != cut nets %d", a.CoveredCuts, a.ExcessCuts, a.CutNets)
 	}
 }
 

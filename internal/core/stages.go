@@ -197,8 +197,8 @@ type Saturated struct {
 	SaturateTime time.Duration
 }
 
-// SaturateNetwork runs Saturate_Network over an analyzed circuit. cfg must
-// be fully resolved (see Options.FlowConfig); it is captured in the key.
+// SaturateNetwork runs Saturate_Network over an analyzed circuit with cfg
+// (Options.FlowConfig gives the paper's), which is captured in the key.
 func SaturateNetwork(ctx context.Context, a *Analyzed, cfg flow.Config) (*Saturated, error) {
 	if a == nil {
 		return nil, errors.New("core: nil analyzed artifact")
@@ -350,22 +350,12 @@ func (pt *Partitioned) Merges() []partition.MergeTrace { return pt.merges }
 // Key returns the artifact's deterministic content key.
 func (pt *Partitioned) Key() string { return pt.key }
 
-// PriceKey returns the content key of the Priced artifact opt would produce
-// from this partition.
-func (pt *Partitioned) PriceKey(opt Options) string {
-	limit := opt.MaxSolveNodes
-	if limit == 0 {
-		limit = defaultMaxSolveNodes
-	}
-	return fmt.Sprintf("price(%s|solve=%t,maxnodes=%d)", pt.key, opt.SolveRetiming, limit)
-}
+// PriceKey returns the content key of the Priced artifact built from this
+// partition: pricing takes no parameters of its own.
+func (pt *Partitioned) PriceKey() string { return "price(" + pt.key + ")" }
 
-// defaultMaxSolveNodes is the Options.MaxSolveNodes zero-value default:
-// large enough that the solver always runs on the paper's benchmark sizes.
-const defaultMaxSolveNodes = 300000
-
-// Priced is the final artifact: the optional Leiserson-Saxe retiming
-// solution plus the Table 10-12 area accounting.
+// Priced is the final artifact: the Leiserson-Saxe retiming solution plus
+// the Table 10-12 area accounting it prices.
 type Priced struct {
 	partitioned *Partitioned
 	retiming    *retime.Solution
@@ -373,13 +363,13 @@ type Priced struct {
 	areas       AreaReport
 	key         string
 
-	// RetimeTime records the solver cost at build time (zero when the
-	// solver was skipped).
+	// RetimeTime records the solver cost at build time.
 	RetimeTime time.Duration
 }
 
-// Price runs the retiming solver (when enabled and within the node limit)
-// and prices the CBIT hardware.
+// Price runs the retiming solver on the partition's cut nets and prices
+// the CBIT hardware with its covered/demoted split. opt carries no pricing
+// parameters; it is accepted so every stage driver has the same shape.
 func Price(ctx context.Context, pt *Partitioned, opt Options) (*Priced, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -388,34 +378,26 @@ func Price(ctx context.Context, pt *Partitioned, opt Options) (*Priced, error) {
 		return nil, errors.New("core: nil partitioned artifact")
 	}
 	s := pt.saturated
-	pr := &Priced{partitioned: pt, key: pt.PriceKey(opt)}
-	if opt.SolveRetiming {
-		limit := opt.MaxSolveNodes
-		if limit == 0 {
-			limit = defaultMaxSolveNodes
-		}
-		if s.analyzed.g.NumNodes() <= limit {
-			stop := startPhase(ctx, phaseRetime, s.analyzed.parsed.c.Name)
-			sol, cg, err := solveRetiming(ctx, s.analyzed.g, pt.part, s.res)
-			pr.RetimeTime = stop()
-			if err != nil {
-				return nil, fmt.Errorf("core: retiming solver: %w", err)
-			}
-			pr.retiming = sol
-			pr.combGraph = cg
-		}
+	stop := startPhase(ctx, phaseRetime, s.analyzed.parsed.c.Name)
+	sol, cg, err := solveRetiming(ctx, s.analyzed.g, pt.part, s.res)
+	retimeTime := stop()
+	if err != nil {
+		return nil, fmt.Errorf("core: retiming solver: %w", err)
 	}
-	pr.areas = priceAreas(s.Circuit(), s.analyzed.g, s.analyzed.scc, pt.part, pr.retiming)
-	return pr, nil
+	return &Priced{
+		partitioned: pt, retiming: sol, combGraph: cg, key: pt.PriceKey(),
+		areas:      priceAreas(s.Circuit(), s.analyzed.g, s.analyzed.scc, pt.part, sol),
+		RetimeTime: retimeTime,
+	}, nil
 }
 
 // Partitioned returns the upstream artifact.
 func (pr *Priced) Partitioned() *Partitioned { return pr.partitioned }
 
-// Retiming returns the solver solution, or nil when the solver was skipped.
+// Retiming returns the solver solution.
 func (pr *Priced) Retiming() *retime.Solution { return pr.retiming }
 
-// CombGraph returns the retiming graph the solution was solved on, or nil.
+// CombGraph returns the retiming graph the solution was solved on.
 func (pr *Priced) CombGraph() *retime.CombGraph { return pr.combGraph }
 
 // Areas returns the Table 10-12 area accounting.

@@ -55,14 +55,14 @@ type Info struct {
 	AddedArea float64
 }
 
-// Testable builds the self-testable netlist from a Merced compilation. The
-// compilation must have run with SolveRetiming (the default).
+// Testable builds the self-testable netlist from a successful Merced
+// compilation: it applies the compilation's retiming labels on its own
+// CombGraph, which Apply only reads.
 func Testable(res *core.Result) (*netlist.Circuit, *Info, error) {
 	if res == nil || res.Retiming == nil {
 		return nil, nil, fmt.Errorf("emit: compilation lacks a retiming solution")
 	}
-	cg := retime.Build(res.Graph)
-	rc, err := retime.Apply(res.Circuit, res.Graph, cg, padRho(res.Retiming.Rho, len(cg.Vertices)))
+	rc, err := retime.Apply(res.Circuit, res.Graph, res.CombGraph, res.Retiming.Rho)
 	if err != nil {
 		return nil, nil, fmt.Errorf("emit: applying retiming: %w", err)
 	}
@@ -214,17 +214,6 @@ func Testable(res *core.Result) (*netlist.Circuit, *Info, error) {
 	}
 	info.AddedArea = out.Area() - baseArea
 	return out, info, nil
-}
-
-// padRho tolerates rho vectors from a solve on an identically built comb
-// graph (defensive: Build is deterministic, so lengths always match).
-func padRho(rho []int, n int) []int {
-	if len(rho) == n {
-		return rho
-	}
-	out := make([]int, n)
-	copy(out, rho)
-	return out
 }
 
 // cutRegister maps a cut net to (comb driver, register depth) — the

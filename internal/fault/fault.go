@@ -56,7 +56,6 @@ type Coverage struct {
 	Total    int
 	Detected int
 	Patterns uint64 // per-fault pattern budget
-	Batches  int
 	// Undetected lists surviving faults (possibly redundant or sequentially
 	// untestable ones).
 	Undetected []sim.Fault

@@ -188,6 +188,7 @@ func TestSaturateInvalidConfig(t *testing.T) {
 		{"Delta", func(c *Config) { c.Delta = -0.01 }},
 		{"Delta", func(c *Config) { c.Delta = nan }},
 		{"Delta", func(c *Config) { c.Delta = inf }},
+		{"Delta", func(c *Config) { c.Delta = -inf }},
 		{"Alpha", func(c *Config) { c.Alpha = -4 }},
 		{"Alpha", func(c *Config) { c.Alpha = nan }},
 		{"Alpha", func(c *Config) { c.Alpha = inf }},

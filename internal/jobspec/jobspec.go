@@ -108,8 +108,6 @@ type Sweep struct {
 	Workers int `json:"workers,omitempty"`
 	// JobTimeout, when positive, deadlines each job individually.
 	JobTimeout Duration `json:"job_timeout,omitempty"`
-	// NoRetimeSolver mirrors -no-retime-solver for every job.
-	NoRetimeSolver bool `json:"no_retime_solver,omitempty"`
 	// Lint gates every job on the design rules (-lint -sweep).
 	Lint bool `json:"lint,omitempty"`
 	// NoCache disables shared-prefix artifact reuse (-no-cache).

@@ -62,7 +62,6 @@ func Run(ctx context.Context, s *Spec, w io.Writer, rt Runtime) error {
 	cfg := sweep.Config{
 		Workers:             sw.Workers,
 		JobTimeout:          time.Duration(sw.JobTimeout),
-		NoRetimeSolver:      sw.NoRetimeSolver,
 		Lint:                sw.Lint,
 		NoCache:             sw.NoCache,
 		Coverage:            sw.Coverage,
@@ -80,10 +79,9 @@ func Run(ctx context.Context, s *Spec, w io.Writer, rt Runtime) error {
 		// renders the reassembled report with it.
 		sr := sweep.BuildShardReport(shard, universe, globals, rep,
 			sweep.ShardConfig{
-				NoRetimeSolver: sw.NoRetimeSolver,
-				Lint:           sw.Lint,
-				Coverage:       sw.Coverage,
-				MaxPatterns:    sw.MaxPatterns,
+				Lint:        sw.Lint,
+				Coverage:    sw.Coverage,
+				MaxPatterns: sw.MaxPatterns,
 			},
 			sweep.ShardOutput{
 				Format:     s.Output.Format,

@@ -1,8 +1,9 @@
 // Package retime implements legal retiming for PPET (paper section 2.2,
 // after Leiserson & Saxe): the combinational retiming graph with register
 // edge weights, a difference-constraint solver that finds retiming labels
-// placing registers on cut nets, feasibility detection per Corollaries 2-3,
-// and the per-SCC register coverage accounting used by the paper's Table 12.
+// placing registers on cut nets, feasibility detection per Corollaries 2-3
+// (the covered/demoted split that prices the paper's Table 12), and the
+// coarse per-SCC register count the solver ablation compares against.
 package retime
 
 import (

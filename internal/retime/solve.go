@@ -497,11 +497,13 @@ func combSCCs(cg *CombGraph) []sccComp {
 
 // CoverageBySCC is the coarse per-component register bound implied by
 // Eq. (6) at beta=1: within each nontrivial SCC, existing flip-flops cover
-// at most f(SCC) cut nets; the excess needs multiplexed A_CELLs. This is a
-// pessimistic lower bound on retimability (the per-cycle Corollary 2 often
-// admits more registers than f(SCC), because retiming may add registers on
-// paths while preserving every cycle's count); the difference-constraint
-// Solve is the faithful accounting, and this bound is the cheap fallback.
+// at most f(SCC) cut nets; the excess needs multiplexed A_CELLs. It is not
+// the paper's accounting: the per-cycle Corollary 2 condition that Solve
+// enforces can cover more cuts than f(SCC) (retiming may add registers on
+// paths while preserving every cycle's count) or fewer (one cycle may hold
+// too few registers), so the two disagree in both directions. Pricing
+// always runs Solve; this count is BenchmarkAblationSolverVsSCCBound's
+// reference.
 //
 // cutsPerSCC maps component id -> number of cut nets in it; regsPerSCC maps
 // component id -> f(SCC). offSCCCuts is the number of cut nets outside

@@ -30,8 +30,10 @@ import (
 // ShardFormatVersion is the shard-report schema this build reads and
 // writes. Version 2 dropped the campaign report's lane-width field, so a
 // version 1 document no longer decodes byte-for-byte; version 3 added its
-// Unexcited counter, which a version 2 reader refuses as an unknown field.
-const ShardFormatVersion = 3
+// Unexcited counter, which a version 2 reader refuses as an unknown field;
+// version 4 dropped the per-segment Batches field and the config's
+// retiming-solver switch.
+const ShardFormatVersion = 4
 
 // Shard names one 1-based slice of a job universe: shard Index of Count.
 type Shard struct {
@@ -99,10 +101,9 @@ type ShardUniverse struct {
 // every shard so a merge can refuse to splice runs that would not have
 // produced identical per-job results.
 type ShardConfig struct {
-	NoRetimeSolver bool   `json:"no_retime_solver,omitempty"`
-	Lint           bool   `json:"lint,omitempty"`
-	Coverage       bool   `json:"coverage,omitempty"`
-	MaxPatterns    uint64 `json:"max_patterns,omitempty"`
+	Lint        bool   `json:"lint,omitempty"`
+	Coverage    bool   `json:"coverage,omitempty"`
+	MaxPatterns uint64 `json:"max_patterns,omitempty"`
 }
 
 // ShardOutput carries the render options the unsharded run would have

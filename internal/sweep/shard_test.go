@@ -203,7 +203,7 @@ func TestMergeValidation(t *testing.T) {
 
 	// A shard run under a different config must be refused.
 	bad := *shards[2]
-	bad.Config.NoRetimeSolver = true
+	bad.Config.MaxPatterns = 16384
 	if _, _, err := MergeShards([]*ShardReport{shards[0], shards[1], &bad}); err == nil || !strings.Contains(err.Error(), "different config") {
 		t.Errorf("config mismatch: err = %v", err)
 	}
@@ -215,17 +215,17 @@ func TestMergeValidation(t *testing.T) {
 func TestReadShardReportRejectsOtherVersion(t *testing.T) {
 	shards := runShards(t, shardUniverse()[:1], 1, ShardOutput{Format: "json", NoTiming: true})
 	old := *shards[0]
-	old.V = 2
+	old.V = 3
 	var buf bytes.Buffer
 	if err := old.WriteJSON(&buf); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(buf.String(), `"v": 2,`) {
-		t.Fatalf("fixture does not carry v 2:\n%s", buf.String())
+	if !strings.Contains(buf.String(), `"v": 3,`) {
+		t.Fatalf("fixture does not carry v 3:\n%s", buf.String())
 	}
 	_, err := ReadShardReport(&buf)
-	if err == nil || !strings.Contains(err.Error(), "shard report version 2 (this build speaks 3)") {
-		t.Fatalf("v2 document: err = %v, want the version mismatch", err)
+	if err == nil || !strings.Contains(err.Error(), "shard report version 3 (this build speaks 4)") {
+		t.Fatalf("v3 document: err = %v, want the version mismatch", err)
 	}
 }
 

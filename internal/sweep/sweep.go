@@ -82,9 +82,6 @@ type Config struct {
 	// JobTimeout, when positive, caps each job with a context deadline
 	// derived from the sweep context.
 	JobTimeout time.Duration
-	// NoRetimeSolver turns off the Leiserson-Saxe solver for every job
-	// (per-SCC bound accounting only), mirroring `-no-retime-solver`.
-	NoRetimeSolver bool
 	// Lint turns on the per-job design-rule gates.
 	Lint bool
 	// NoCache disables shared-prefix artifact reuse: every job runs the
@@ -365,9 +362,6 @@ func runJob(ctx context.Context, j Job, master *core.Parsed, parsedHere bool, ca
 		defer cancel()
 	}
 	opt := j.Options()
-	if cfg.NoRetimeSolver {
-		opt.SolveRetiming = false
-	}
 	if cfg.Lint {
 		opt.Lint = true
 	}

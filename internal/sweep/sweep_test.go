@@ -285,14 +285,14 @@ func TestExpandCircuitsAll(t *testing.T) {
 	}
 }
 
-// Options must be copyable across jobs: compiling from a shared Options
-// value twice (as the pool does) cannot interfere via shared pointers.
+// Options must be copyable across jobs: two jobs' Options share no
+// mutable state, and Locked, the one reference field, stays nil.
 func TestJobOptionsAreValueCopies(t *testing.T) {
 	a := Job{Circuit: "s27", LK: 3, Seed: 1}.Options()
 	b := Job{Circuit: "s27", LK: 3, Seed: 1}.Options()
-	a.Flow.MinVisit = 5
-	if b.Flow.MinVisit == 5 {
-		t.Fatal("Options.Flow aliased between jobs")
+	a.RefinePasses = 0
+	if b.RefinePasses == 0 || a.Locked != nil || b.Locked != nil {
+		t.Fatal("Options state shared between jobs")
 	}
 	if a.Beta != 50 {
 		t.Fatalf("zero Job.Beta should default to the paper's 50, got %d", a.Beta)
