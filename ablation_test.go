@@ -151,7 +151,6 @@ func BenchmarkAblationSolverVsSCCBound(b *testing.B) {
 		var sol *retime.Solution
 		for i := 0; i < b.N; i++ {
 			cg := retime.Build(r.Graph)
-			cg.SetRequirements(cuts)
 			var err error
 			sol, err = retime.Solve(context.Background(), cg, cuts, pri)
 			if err != nil {

@@ -1,8 +1,9 @@
 // One benchmark per table and figure of the paper's evaluation, plus
 // micro-benchmarks for every pipeline stage. The per-table benches run on
 // the tractable circuit subset so `go test -bench=.` finishes in minutes;
-// `go run ./cmd/tables -table all` regenerates the full seventeen-circuit
-// tables (several minutes of compute, dominated by s35932/s38417/s38584.1).
+// `go run ./cmd/merced tables -table all` regenerates the full
+// seventeen-circuit tables (under a minute on two cores, dominated by
+// s35932/s38417/s38584.1).
 package ppetretime
 
 import (
@@ -90,7 +91,7 @@ func BenchmarkFigure1bTestingTime(b *testing.B) {
 }
 
 // BenchmarkTable9CircuitInfo regenerates the Table 9 circuit statistics for
-// the bench subset (cmd/tables covers all seventeen).
+// the bench subset (`merced tables` covers all seventeen).
 func BenchmarkTable9CircuitInfo(b *testing.B) {
 	var stats []netlist.Stats
 	for i := 0; i < b.N; i++ {
@@ -319,7 +320,6 @@ func BenchmarkRetimeSolve(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		cg := retime.Build(r.Graph)
-		cg.SetRequirements(cuts)
 		if _, err := retime.Solve(context.Background(), cg, cuts, priority); err != nil {
 			b.Fatal(err)
 		}

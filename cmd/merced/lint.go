@@ -8,7 +8,6 @@ import (
 	"os"
 
 	"repro/internal/bench89"
-	"repro/internal/core"
 	"repro/internal/emit"
 	"repro/internal/lint"
 	"repro/internal/netlist"
@@ -33,37 +32,50 @@ type lintRun struct {
 	seed      int64
 	jsonOut   bool
 	threshold string // -lint-severity: exit 2 at or above this severity
+
+	// cache is the process artifact cache (store-backed under -cache-dir);
+	// main owns it and flushes pending disk writes after the mode returns.
+	cache *sweep.Cache
 }
 
 // runLint executes the three-layer analysis and returns the process exit
-// code. It is the whole of `merced -lint`, factored for testability.
-func runLint(cfg lintRun, stdout, stderr io.Writer) int {
+// code. It is the whole of `merced -lint`, factored for testability. The
+// compile behind the deeper layers runs under ctx, so it is cancellable and
+// traced like the report mode's, and goes through the artifact cache.
+func runLint(ctx context.Context, cfg lintRun, stdout, stderr io.Writer) int {
 	threshold, err := lint.ParseSeverity(cfg.threshold)
 	if err != nil {
 		fmt.Fprintln(stderr, "merced:", err)
 		return exitOperational
 	}
 
-	ctx, err := loadLintContext(cfg)
+	lctx, err := loadLintContext(cfg)
 	if err != nil {
 		fmt.Fprintln(stderr, "merced:", err)
 		return exitOperational
 	}
 
-	diags := lint.RunLayer(ctx, lint.LayerNetlist)
+	diags := lint.RunLayer(lctx, lint.LayerNetlist)
 
-	// Deeper layers only make sense on a structurally sound netlist.
-	if ctx.Circuit != nil && !lint.HasAtLeast(diags, lint.Error) {
-		opt := sweep.Job{LK: cfg.lk, Beta: cfg.beta, Seed: cfg.seed}.Options()
-		res, err := core.Compile(context.Background(), ctx.Circuit, opt)
+	// Deeper layers only make sense on a structurally sound netlist. The
+	// compile is keyed like compileOne's, so report and lint runs share
+	// cached prefixes; on a miss it parses the circuit already in hand.
+	if lctx.Circuit != nil && !lint.HasAtLeast(diags, lint.Error) {
+		name := cfg.file
+		if name == "" {
+			name = cfg.circuit
+		}
+		opt := sweep.Job{Circuit: name, LK: cfg.lk, Beta: cfg.beta, Seed: cfg.seed}.Options()
+		loaded := func(string) (*netlist.Circuit, error) { return lctx.Circuit, nil }
+		res, err := cfg.cache.Compile(ctx, name, loaded, opt)
 		if err != nil {
 			fmt.Fprintln(stderr, "merced: lint: compile for partition-layer checks failed:", err)
 			return exitOperational
 		}
-		ctx.Graph, ctx.SCC = res.Graph, res.SCC
-		ctx.Partition, ctx.Retiming, ctx.CombGraph = res.Partition, res.Retiming, res.CombGraph
-		ctx.LK, ctx.Beta = opt.LK, opt.Beta
-		diags = append(diags, lint.RunLayer(ctx, lint.LayerPartition)...)
+		lctx.Circuit, lctx.Graph, lctx.SCC = res.Circuit, res.Graph, res.SCC
+		lctx.Partition, lctx.Retiming, lctx.CombGraph = res.Partition, res.Retiming, res.CombGraph
+		lctx.LK, lctx.Beta = opt.LK, opt.Beta
+		diags = append(diags, lint.RunLayer(lctx, lint.LayerPartition)...)
 
 		// Emission failure is not fatal: the netlist and partition findings
 		// already in hand still stand (e.g. the input is itself an emitted
@@ -71,21 +83,21 @@ func runLint(cfg lintRun, stdout, stderr io.Writer) int {
 		if tc, info, err := emit.Testable(res); err != nil {
 			fmt.Fprintln(stderr, "merced: lint: skipping BIST-layer checks, emitting test hardware failed:", err)
 		} else {
-			ctx.BIST = &lint.BISTArtifact{
+			lctx.BIST = &lint.BISTArtifact{
 				Circuit:   tc,
 				ScanOrder: info.ScanOrder,
 				TB1:       emit.CtrlTB1, TB2: emit.CtrlTB2, TMode: emit.CtrlTMode,
 				ScanIn: emit.CtrlScanIn, ScanOut: emit.ScanOut,
 			}
-			diags = append(diags, lint.RunLayer(ctx, lint.LayerBIST)...)
+			diags = append(diags, lint.RunLayer(lctx, lint.LayerBIST)...)
 		}
 	}
 	lint.Sort(diags)
 
 	if cfg.jsonOut {
-		writeLintJSON(stdout, ctx.File, diags)
+		writeLintJSON(stdout, lctx.File, diags)
 	} else {
-		writeLintText(stdout, ctx.File, diags)
+		writeLintText(stdout, lctx.File, diags)
 	}
 	if lint.HasAtLeast(diags, threshold) {
 		return exitFindings

@@ -2,11 +2,15 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/core"
+	"repro/internal/sweep"
 )
 
 func writeBench(t *testing.T, text string) string {
@@ -21,7 +25,8 @@ func writeBench(t *testing.T, text string) string {
 func lintFile(t *testing.T, cfg lintRun) (int, string, string) {
 	t.Helper()
 	var out, errw bytes.Buffer
-	code := runLint(cfg, &out, &errw)
+	cfg.cache = sweep.NewCache()
+	code := runLint(context.Background(), cfg, &out, &errw)
 	return code, out.String(), errw.String()
 }
 
@@ -139,6 +144,53 @@ func TestLintMissingInputIsOperational(t *testing.T) {
 	code, _, _ = lintFile(t, lintRun{file: "/does/not/exist.bench", lk: 4, beta: 50, threshold: "error"})
 	if code != exitOperational {
 		t.Fatalf("exit %d, want 1", code)
+	}
+}
+
+// Lint compiles under the mode context: a -trace of it carries the
+// compile's "stage" spans, one per phase, like the report mode's.
+func TestLintTraceCarriesStageSpans(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "trace.json")
+	code, _, errs := runCLI(t, "-lint", "-circuit", "s27", "-lk", "3", "-trace", path)
+	if code != exitClean {
+		t.Fatalf("exit %d: %s", code, errs)
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var events []struct {
+		Name string `json:"name"`
+		Cat  string `json:"cat"`
+		Ph   string `json:"ph"`
+	}
+	if err := json.Unmarshal(raw, &events); err != nil {
+		t.Fatal(err)
+	}
+	spans := map[string]int{}
+	for _, e := range events {
+		if e.Ph == "X" && e.Cat == "stage" {
+			phase, _, _ := strings.Cut(e.Name, " ")
+			spans[phase]++
+		}
+	}
+	for _, phase := range core.PhaseNames {
+		if spans[phase] != 1 {
+			t.Errorf("%d %q stage spans, want 1 (all: %v)", spans[phase], phase, spans)
+		}
+	}
+}
+
+// A cancelled mode context (Ctrl-C) stops the lint compile: exit 1 naming
+// the cancellation, never a clean report.
+func TestLintCancelledContext(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	var out, errw bytes.Buffer
+	cfg := lintRun{circuit: "s27", lk: 3, beta: 50, seed: 1, threshold: "error", cache: sweep.NewCache()}
+	code := runLint(ctx, cfg, &out, &errw)
+	if code != exitOperational || !strings.Contains(errw.String(), "context canceled") {
+		t.Fatalf("exit %d, stderr %q; want exit 1 with context canceled", code, errw.String())
 	}
 }
 

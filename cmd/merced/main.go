@@ -30,12 +30,11 @@
 // across a bounded worker pool; one command reproduces the paper's whole
 // Table 10-12 experiment. Jobs sharing a (circuit, seed) prefix reuse one
 // cached parse/analyze/saturate computation and branch at partitioning
-// (`-no-cache` disables the reuse, `-cache-stats` reports it; combined
-// with `-lint`, the netlist design rules run once per circuit, not once
-// per job). `-coverage` additionally fault-simulates each job's partition
-// and attaches a "coverage" block to the JSON report. Ctrl-C cancels the
-// sweep promptly; `-timeout` bounds it; exit status is 1 when any job
-// failed.
+// (`-cache-stats` reports the reuse; combined with `-lint`, the netlist
+// design rules run once per circuit, not once per job). `-coverage`
+// additionally fault-simulates each job's partition and attaches a
+// "coverage" block to the JSON report. Ctrl-C cancels the sweep promptly;
+// `-timeout` bounds it; exit status is 1 when any job failed.
 //
 //	merced -sweep
 //	merced -sweep -circuits all -lks 16,24 -workers 8 -format csv
@@ -78,6 +77,13 @@
 //
 //	merced simulate -circuit s27 -cycles 64 -vcd waves.vcd
 //	merced benchgen -out bg -circuits s27,s510
+//
+// `merced tables` regenerates the paper's Tables 1 and 9-12, Figures 1(b),
+// 4 and 8, and the SA, PET and stability extensions, computing every
+// compile in one lint-gated sweep (see tables.go for the -table values).
+//
+//	merced tables -table all -no-timing
+//	merced tables -table 10 -circuits s510,s641 -csv
 package main
 
 import (
@@ -104,8 +110,9 @@ func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 // name), returning the process exit code: 2 for a usage error, otherwise
 // the selected mode's code.
 func run(args []string, stdout, stderr io.Writer) int {
-	// `merced merge`, `cas`, `simulate` and `benchgen` are subcommands with
-	// their own flag sets, dispatched before the classic flag modes parse.
+	// `merced merge`, `cas`, `simulate`, `benchgen` and `tables` are
+	// subcommands with their own flag sets, dispatched before the classic
+	// flag modes parse.
 	if len(args) > 0 {
 		switch args[0] {
 		case "merge":
@@ -116,6 +123,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return runSimulate(args[1:], stdout, stderr)
 		case "benchgen":
 			return runBenchgen(args[1:], stdout, stderr)
+		case "tables":
+			return runTables(args[1:], stdout, stderr)
 		}
 	}
 	fs := flag.NewFlagSet("merced", flag.ContinueOnError)
@@ -145,7 +154,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	format := fs.String("format", "text", "with -sweep/-cover: output format (text, json, csv)")
 	noTiming := fs.Bool("no-timing", false, "with -sweep/-cover: omit wall-clock fields for byte-reproducible output")
 	cacheStats := fs.Bool("cache-stats", false, "with -sweep: report artifact-cache memory/disk hits, misses, and evictions per stage")
-	noCache := fs.Bool("no-cache", false, "with -sweep: disable shared-prefix artifact reuse (every job compiles from scratch)")
 	cacheDir := fs.String("cache-dir", "", "persistent content-addressed artifact store backing the cache (shared across runs; maintain with `merced cas`)")
 	shardFlag := fs.String("shard", "", "with -sweep: run slice i/N of the job matrix and emit a shard document (reassemble with `merced merge`)")
 	sweepCoverage := fs.Bool("coverage", false, "with -sweep: fault-simulate each job's partition and report coverage")
@@ -232,15 +240,15 @@ func run(args []string, stdout, stderr io.Writer) int {
 			spec: *sweepSpec, circuits: *circuits, lks: *lks, betas: *betas, seeds: *seeds,
 			workers: *workers, timeout: *timeout, jobTimeout: *jobTimeout,
 			lint: *doLint, format: *format, noTiming: *noTiming,
-			cacheStats: *cacheStats, noCache: *noCache, shard: *shardFlag, cache: cache,
+			cacheStats: *cacheStats, shard: *shardFlag, cache: cache,
 			coverage: *sweepCoverage, coverageMaxPatterns: *maxPatterns,
 			metrics: *withMetrics, progress: *progress,
 		}, stdout, stderr)
 	case *doLint:
-		code = runLint(lintRun{
+		code = runLint(ctx, lintRun{
 			file: *file, circuit: *circuit,
 			lk: *lk, beta: *beta, seed: *seed,
-			jsonOut: *jsonOut, threshold: *lintSeverity,
+			jsonOut: *jsonOut, threshold: *lintSeverity, cache: cache,
 		}, stdout, stderr)
 	case *doCover:
 		code = runCover(ctx, coverRun{

@@ -277,7 +277,7 @@ func TestProfilesComposeWithLint(t *testing.T) {
 		t.Fatal(err)
 	}
 	var out, errBuf bytes.Buffer
-	code := runLint(lintRun{circuit: "s510", lk: 8, beta: 50, seed: 1, threshold: "error"}, &out, &errBuf)
+	code := runLint(context.Background(), lintRun{circuit: "s510", lk: 8, beta: 50, seed: 1, threshold: "error", cache: sweep.NewCache()}, &out, &errBuf)
 	stop()
 	if code != 0 {
 		t.Fatalf("runLint exit %d: %s", code, errBuf.String())

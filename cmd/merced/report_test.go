@@ -146,6 +146,10 @@ func TestUnexpectedArguments(t *testing.T) {
 		{[]string{"-lint", "-circuit", "s27", "-lk", "3", "-no-retime-solver"}, "-no-retime-solver"},
 		{[]string{"-cover", "-circuit", "s27", "-lk", "3", "-no-retime-solver"}, "-no-retime-solver"},
 		{[]string{"-sweep", "-circuits", "s27", "-lks", "3", "-no-retime-solver"}, "-no-retime-solver"},
+		{[]string{"-sweep", "-circuits", "s27", "-lks", "3", "-no-cache"}, "-no-cache"},
+		{[]string{"tables", "-table", "1", "bogus"}, `unexpected argument "bogus"`},
+		{[]string{"tables", "-table", "1", "-workers", "2"}, "-workers"},
+		{[]string{"tables", "-table", "13"}, `unknown -table "13"`},
 	} {
 		code, out, errs := runCLI(t, tc.args...)
 		if code != 2 || out != "" || !strings.Contains(errs, tc.want) {

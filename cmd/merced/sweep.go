@@ -27,7 +27,6 @@ type sweepRun struct {
 	format     string        // text, json, csv
 	noTiming   bool          // deterministic output: omit wall-clock fields
 	cacheStats bool          // report per-stage artifact-cache counters
-	noCache    bool          // disable shared-prefix artifact reuse
 	shard      string        // "i/N": run one slice of the matrix, emit a shard document
 
 	// cache is the process artifact cache (store-backed under -cache-dir;
@@ -157,9 +156,6 @@ func applySweepFlags(s *jobspec.Spec, cfg sweepRun) error {
 	}
 	if cfg.lint {
 		sw.Lint = true
-	}
-	if cfg.noCache {
-		sw.NoCache = true
 	}
 	if cfg.coverage {
 		sw.Coverage = true

@@ -10,9 +10,9 @@
 //
 //   - cmd/merced    — the BIST compiler (paper Table 2); -cover runs the
 //     stuck-at fault-coverage campaign, `merced simulate` drives a netlist
-//     (with a VCD dump) and `merced benchgen` writes the synthetic
-//     ISCAS89-statistics suite
-//   - cmd/tables    — regenerates every table and figure of the evaluation
+//     (with a VCD dump), `merced benchgen` writes the synthetic
+//     ISCAS89-statistics suite and `merced tables` regenerates every table
+//     and figure of the evaluation
 //   - examples/     — quickstart, s27 walkthrough, area sweep, fault coverage
 //
 // bench_test.go in this directory holds one benchmark per paper table and

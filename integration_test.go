@@ -71,18 +71,17 @@ func TestCLIsEndToEnd(t *testing.T) {
 		t.Fatalf("merced -cover output:\n%s", out)
 	}
 
-	tables := buildCmd(t, dir, "tables")
-	out = run(t, tables, "-table", "1")
+	out = run(t, merced, "tables", "-table", "1")
 	if !strings.Contains(out, "d6") || !strings.Contains(out, "63.12") {
-		t.Fatalf("tables output:\n%s", out)
+		t.Fatalf("merced tables output:\n%s", out)
 	}
-	out = run(t, tables, "-table", "10", "-circuits", "s641")
+	out = run(t, merced, "tables", "-table", "10", "-circuits", "s641")
 	if !strings.Contains(out, "s641") {
-		t.Fatalf("tables -table 10 output:\n%s", out)
+		t.Fatalf("merced tables -table 10 output:\n%s", out)
 	}
-	out = run(t, tables, "-table", "1", "-csv")
+	out = run(t, merced, "tables", "-table", "1", "-csv")
 	if !strings.Contains(out, "d1,4,") {
-		t.Fatalf("tables CSV output:\n%s", out)
+		t.Fatalf("merced tables CSV output:\n%s", out)
 	}
 }
 

@@ -381,7 +381,6 @@ func solveRetiming(ctx context.Context, g *graph.G, p *partition.Result, f *flow
 	for _, e := range p.CutNets {
 		cuts[e] = true
 	}
-	cg.SetRequirements(cuts)
 	priority := make(map[int]float64, len(p.CutNets))
 	for _, e := range p.CutNets {
 		priority[e] = f.D[e]

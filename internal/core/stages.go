@@ -2,8 +2,10 @@ package core
 
 // This file is the staged form of the Table 2 pipeline. Each stage produces
 // an immutable artifact — Parsed → Analyzed → Saturated → Partitioned →
-// Priced — and every artifact carries a deterministic content key derived
-// from its inputs, so two artifacts with equal keys are interchangeable.
+// Priced — and the three prefix artifacts carry a deterministic content key
+// derived from their inputs, so two artifacts with equal keys are
+// interchangeable (the artifact cache and its -cache-dir store are keyed
+// by them).
 // Compile chains the stages for the one-shot CLI path; batch drivers
 // (internal/sweep) memoize the shared prefix — parse, analyze, saturate are
 // functions of (circuit, seed, flow.Config) only — and branch per job at
@@ -22,8 +24,6 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
-	"sort"
-	"strings"
 	"sync"
 	"time"
 
@@ -241,40 +241,6 @@ func (s *Saturated) Config() flow.Config { return s.cfg }
 // Key returns the artifact's deterministic content key.
 func (s *Saturated) Key() string { return s.key }
 
-// PartitionKey returns the content key of the Partitioned artifact opt
-// would produce from this saturation — the point where l_k, β and the
-// clustering knobs enter the pipeline.
-func (s *Saturated) PartitionKey(opt Options) string {
-	beta := opt.Beta
-	if beta < 1 {
-		beta = 1
-	}
-	return fmt.Sprintf("partition(%s|lk=%d,beta=%d,skip=%t,refine=%d,locked=%s)",
-		s.key, opt.LK, beta, opt.SkipAssign, opt.RefinePasses, lockedKey(opt.Locked))
-}
-
-// lockedKey renders the locked-node set deterministically (sorted IDs).
-func lockedKey(locked map[int]bool) string {
-	if len(locked) == 0 {
-		return "-"
-	}
-	ids := make([]int, 0, len(locked))
-	for v, on := range locked {
-		if on {
-			ids = append(ids, v)
-		}
-	}
-	sort.Ints(ids)
-	var sb strings.Builder
-	for i, v := range ids {
-		if i > 0 {
-			sb.WriteByte(',')
-		}
-		fmt.Fprintf(&sb, "%d", v)
-	}
-	return sb.String()
-}
-
 // Partitioned is the fourth artifact: the Make_Group clustering and the
 // Assign_CBIT merge/refine passes (Table 2 STEPs 3b-3c) under one (l_k, β)
 // coordinate.
@@ -282,7 +248,6 @@ type Partitioned struct {
 	saturated *Saturated
 	part      *partition.Result
 	merges    []partition.MergeTrace
-	key       string
 
 	// GroupTime and AssignTime record the phase costs at build time
 	// (AssignTime is zero under SkipAssign).
@@ -333,7 +298,7 @@ func MakePartition(ctx context.Context, s *Saturated, opt Options) (*Partitioned
 		}
 	}
 	return &Partitioned{
-		saturated: s, part: pres, merges: merges, key: s.PartitionKey(opt),
+		saturated: s, part: pres, merges: merges,
 		GroupTime: groupTime, AssignTime: assignTime,
 	}, nil
 }
@@ -347,13 +312,6 @@ func (pt *Partitioned) Partition() *partition.Result { return pt.part }
 // Merges returns the Assign_CBIT merge trace.
 func (pt *Partitioned) Merges() []partition.MergeTrace { return pt.merges }
 
-// Key returns the artifact's deterministic content key.
-func (pt *Partitioned) Key() string { return pt.key }
-
-// PriceKey returns the content key of the Priced artifact built from this
-// partition: pricing takes no parameters of its own.
-func (pt *Partitioned) PriceKey() string { return "price(" + pt.key + ")" }
-
 // Priced is the final artifact: the Leiserson-Saxe retiming solution plus
 // the Table 10-12 area accounting it prices.
 type Priced struct {
@@ -361,7 +319,6 @@ type Priced struct {
 	retiming    *retime.Solution
 	combGraph   *retime.CombGraph
 	areas       AreaReport
-	key         string
 
 	// RetimeTime records the solver cost at build time.
 	RetimeTime time.Duration
@@ -385,7 +342,7 @@ func Price(ctx context.Context, pt *Partitioned, opt Options) (*Priced, error) {
 		return nil, fmt.Errorf("core: retiming solver: %w", err)
 	}
 	return &Priced{
-		partitioned: pt, retiming: sol, combGraph: cg, key: pt.PriceKey(),
+		partitioned: pt, retiming: sol, combGraph: cg,
 		areas:      priceAreas(s.Circuit(), s.analyzed.g, s.analyzed.scc, pt.part, sol),
 		RetimeTime: retimeTime,
 	}, nil
@@ -402,9 +359,6 @@ func (pr *Priced) CombGraph() *retime.CombGraph { return pr.combGraph }
 
 // Areas returns the Table 10-12 area accounting.
 func (pr *Priced) Areas() AreaReport { return pr.areas }
-
-// Key returns the artifact's deterministic content key.
-func (pr *Priced) Key() string { return pr.key }
 
 // CompileFrom finishes a compilation from a (possibly shared, possibly
 // cached) Saturated artifact: it is Compile with the parse/analyze/saturate

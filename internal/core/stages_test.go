@@ -153,18 +153,6 @@ func TestArtifactKeysDeterministic(t *testing.T) {
 	if k1 == k2 {
 		t.Errorf("saturate key ignores the seed: %q", k1)
 	}
-
-	s, err := SaturateNetwork(context.Background(), a, DefaultOptions(16, 1).FlowConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	opt16, opt24 := DefaultOptions(16, 1), DefaultOptions(24, 1)
-	if s.PartitionKey(opt16) == s.PartitionKey(opt24) {
-		t.Errorf("partition key ignores l_k: %q", s.PartitionKey(opt16))
-	}
-	if s.PartitionKey(opt16) != s.PartitionKey(opt16) {
-		t.Error("partition key is not deterministic")
-	}
 }
 
 // The immutability contract: MakeGroup consumes the distance vector

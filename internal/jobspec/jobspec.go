@@ -13,12 +13,11 @@
 // speaks Version. The versioning policy (DESIGN.md §13): adding an
 // optional field is a compatible change within a version, while renaming,
 // removing, or changing the meaning of a field bumps the version — except
-// for three removals within version 1: the "lanes" keys (they never
-// changed a report byte), "output.trace" (no CLI run read it), and the
-// "compile"/"cover" bodies with "output.undetected" (no entry point
-// accepted a document carrying them). The decoder rejects unknown fields,
-// so a typo'd key — a removed key, or a field from a future version —
-// fails loudly instead of silently shrinking an experiment.
+// for the removals within version 1 that DESIGN.md §13 lists: keys that
+// never changed a report byte, that no entry point read, or that selected
+// a duplicate code path. The decoder rejects unknown fields, so a typo'd
+// key — a removed key, or a field from a future version — fails loudly
+// instead of silently shrinking an experiment.
 //
 // Defaulting (Normalize) reproduces the CLI flag defaults exactly: an
 // absent sweep matrix is the paper's full Tables 10-12 crossing, an absent
@@ -110,8 +109,6 @@ type Sweep struct {
 	JobTimeout Duration `json:"job_timeout,omitempty"`
 	// Lint gates every job on the design rules (-lint -sweep).
 	Lint bool `json:"lint,omitempty"`
-	// NoCache disables shared-prefix artifact reuse (-no-cache).
-	NoCache bool `json:"no_cache,omitempty"`
 	// Coverage fault-simulates each job's partition (-coverage).
 	Coverage bool `json:"coverage,omitempty"`
 	// MaxPatterns caps each coverage campaign's per-fault pattern budget;

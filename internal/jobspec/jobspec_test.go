@@ -171,9 +171,9 @@ func TestValidateFieldPaths(t *testing.T) {
 
 	// Keys removed within version 1 (DESIGN.md §13) — the "lanes" keys,
 	// "output.trace", the "compile" and "cover" bodies,
-	// "output.undetected" and "sweep.no_retime_solver": a spec still
-	// carrying one must fail at decode as an unknown field, never be
-	// silently ignored.
+	// "output.undetected", "sweep.no_retime_solver" and "sweep.no_cache":
+	// a spec still carrying one must fail at decode as an unknown field,
+	// never be silently ignored.
 	removed := []struct{ src, key string }{
 		{`{"v":1,"kind":"sweep","sweep":{"lanes":[1,5]}}`, "lanes"},
 		{`{"v":1,"kind":"sweep","sweep":{"lanes":[0]}}`, "lanes"},
@@ -183,6 +183,7 @@ func TestValidateFieldPaths(t *testing.T) {
 		{`{"v":1,"kind":"cover","cover":{"circuit":"s27","lk":3}}`, "cover"},
 		{`{"v":1,"kind":"sweep","sweep":{},"output":{"undetected":true}}`, "undetected"},
 		{`{"v":1,"kind":"sweep","sweep":{"no_retime_solver":true}}`, "no_retime_solver"},
+		{`{"v":1,"kind":"sweep","sweep":{"no_cache":true}}`, "no_cache"},
 	}
 	for _, tc := range removed {
 		want := `unknown field "` + tc.key + `"`

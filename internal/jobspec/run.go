@@ -63,7 +63,6 @@ func Run(ctx context.Context, s *Spec, w io.Writer, rt Runtime) error {
 		Workers:             sw.Workers,
 		JobTimeout:          time.Duration(sw.JobTimeout),
 		Lint:                sw.Lint,
-		NoCache:             sw.NoCache,
 		Coverage:            sw.Coverage,
 		CoverageMaxPatterns: sw.MaxPatterns,
 		Cache:               rt.Cache,

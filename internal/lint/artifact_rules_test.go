@@ -2,6 +2,7 @@ package lint_test
 
 import (
 	"context"
+	"slices"
 	"testing"
 
 	"repro/internal/bench89"
@@ -66,6 +67,34 @@ func TestPT002PartitionCover(t *testing.T) {
 	diags := lint.RunLayer(partitionCtx(res, opt), lint.LayerPartition)
 	if !hasRule(diags, "PT002") {
 		t.Fatalf("want PT002, got %v", lint.RuleIDs(diags))
+	}
+}
+
+// A cluster whose recorded input nets miss one that its assignment implies
+// understates iota, so PT001 would bound the wrong count: the gate must
+// fire on s510 with one recorded input net dropped.
+func TestPT002StaleInputNets(t *testing.T) {
+	c, err := bench89.Load("s510")
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt := core.DefaultOptions(16, 1)
+	res, err := core.Compile(context.Background(), c, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if diags := lint.RunLayer(partitionCtx(res, opt), lint.LayerPartition); lint.HasAtLeast(diags, lint.Error) {
+		t.Fatalf("clean s510 compile produced %v", diags)
+	}
+	in := res.Partition.Clusters[0].InputNets
+	nets := make([]int, 0, len(in))
+	for e := range in {
+		nets = append(nets, e)
+	}
+	delete(in, slices.Min(nets))
+	diags := lint.RunLayer(partitionCtx(res, opt), lint.LayerPartition)
+	if !hasRule(diags, "PT002") {
+		t.Fatalf("want PT002 for a dropped input net, got %v", lint.RuleIDs(diags))
 	}
 }
 

@@ -20,7 +20,7 @@ func init() {
 	})
 	Register(Rule{
 		ID: "PT002", Title: "partition-cover", Severity: Error, Layer: LayerPartition,
-		Doc:   "The clusters are not a proper partition of the circuit's cells: a cell is unassigned, assigned twice, the assignment array disagrees with the membership lists, or a pseudo PI/PO node leaked into a cluster (Figure 7 partitions cells only).",
+		Doc:   "The clusters are not a proper partition of the circuit's cells: a cell is unassigned, assigned twice, the assignment array disagrees with the membership lists, a pseudo PI/PO node leaked into a cluster (Figure 7 partitions cells only), or a cluster's recorded input nets differ from the set its assignment implies (so its iota, which PT001 bounds, is wrong).",
 		Check: checkPartitionCover,
 	})
 	Register(Rule{
@@ -122,6 +122,17 @@ func checkPartitionCover(ctx *Context) []Diagnostic {
 			if len(out) >= maxPerRule {
 				break
 			}
+		}
+	}
+	// On a proper cover, the partition's own Validate can only fail on a
+	// recorded input-net set. It indexes the assignment by every cell, so
+	// a short array (PT003 reports it) skips the check.
+	if len(out) == 0 && p.G != nil && len(p.Assign) >= p.G.NumNodes() {
+		if err := p.Validate(); err != nil {
+			out = append(out, Diagnostic{
+				Message:    err.Error(),
+				Suggestion: "the recorded iota is stale: recompute the cluster's input nets from the assignment",
+			})
 		}
 	}
 	return truncate(out)

@@ -191,7 +191,7 @@ func (c *Circuit) NumGates() int {
 
 // Normalize (re)derives the fanout lists from the fanin declarations. It is
 // the only operation that writes the derived state, so a circuit that has
-// been normalized once — ParseBench and Clone both guarantee it — can be
+// been normalized once — ParseBench guarantees it — can be
 // shared read-only across goroutines. Fanin references to signals with no
 // driver are skipped here; Validate reports them.
 func (c *Circuit) Normalize() {
@@ -242,26 +242,6 @@ func (c *Circuit) Validate() error {
 func (c *Circuit) Finalize() error {
 	c.Normalize()
 	return c.Validate()
-}
-
-// Clone returns a deep copy of the circuit, including the derived fanout
-// lists.
-func (c *Circuit) Clone() *Circuit {
-	n := New(c.Name)
-	n.Inputs = append([]string(nil), c.Inputs...)
-	n.Outputs = append([]string(nil), c.Outputs...)
-	for _, in := range n.Inputs {
-		n.inputSet[in] = true
-	}
-	for _, g := range c.Gates {
-		ng := &Gate{Name: g.Name, Type: g.Type, Fanin: append([]string(nil), g.Fanin...)}
-		if len(g.fanout) > 0 {
-			ng.fanout = append([]string(nil), g.fanout...)
-		}
-		n.Gates = append(n.Gates, ng)
-		n.byName[ng.Name] = ng
-	}
-	return n
 }
 
 // Stats summarises a circuit in the shape of the paper's Table 9.

@@ -149,18 +149,6 @@ func TestStats(t *testing.T) {
 	}
 }
 
-func TestClone(t *testing.T) {
-	c := mustCircuit(t, tiny)
-	c2 := c.Clone()
-	c2.Gates[0].Fanin[0] = "mutated"
-	if c.Gates[0].Fanin[0] == "mutated" {
-		t.Fatal("clone shares fanin storage")
-	}
-	if err := c.Validate(); err != nil {
-		t.Fatalf("original broken after clone mutation: %v", err)
-	}
-}
-
 func TestAddGateValidation(t *testing.T) {
 	c := New("x")
 	if err := c.AddInput("a"); err != nil {

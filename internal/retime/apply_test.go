@@ -79,7 +79,6 @@ func TestApplySolvedRetiming(t *testing.T) {
 			cuts[e] = true
 		}
 	}
-	cg.SetRequirements(cuts)
 	sol, err := Solve(context.Background(), cg, cuts, nil)
 	if err != nil {
 		t.Fatal(err)

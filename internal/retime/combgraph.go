@@ -22,15 +22,13 @@ type Vertex struct {
 }
 
 // Edge is a register-weighted connection between two retiming vertices. It
-// remembers the chain of circuit nets its path traverses so that cut-net
-// register requirements can be attached (a register can sit on any net of
-// the path).
+// remembers the chain of circuit nets its path traverses, so Solve can
+// count the cut nets on it (a register can sit on any net of the path).
 type Edge struct {
 	ID       int
 	From, To int   // vertex IDs
 	W        int   // registers currently on the path (f in the paper)
 	PathNets []int // net IDs along the path, in signal-flow order
-	Req      int   // registers required on this edge (cut nets on the path)
 }
 
 // CombGraph is the retiming graph.
@@ -129,26 +127,6 @@ func (cg *CombGraph) walkFrom(fromVertex, startNode int) {
 func (cg *CombGraph) addEdge(from, to, w int, path []int) {
 	id := len(cg.Edges)
 	cg.Edges = append(cg.Edges, Edge{ID: id, From: from, To: to, W: w, PathNets: path})
-}
-
-// SetRequirements attaches register requirements: each edge requires as
-// many registers as cut nets appear on its path. Returns the number of
-// edges with a nonzero requirement.
-func (cg *CombGraph) SetRequirements(cutNets map[int]bool) int {
-	n := 0
-	for i := range cg.Edges {
-		req := 0
-		for _, net := range cg.Edges[i].PathNets {
-			if cutNets[net] {
-				req++
-			}
-		}
-		cg.Edges[i].Req = req
-		if req > 0 {
-			n++
-		}
-	}
-	return n
 }
 
 // TotalRegisters returns the sum of edge weights. Because register fanout

@@ -16,7 +16,6 @@ func TestSolveCountsRelaxations(t *testing.T) {
 			cuts[e.ID] = true
 		}
 	}
-	cg.SetRequirements(cuts)
 	sol, err := Solve(context.Background(), cg, cuts, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -30,7 +29,6 @@ func TestSolveCountsRelaxations(t *testing.T) {
 
 	cg2 := chainGraph([]int{1, 1, 1}, true)
 	cuts2 := map[int]bool{0: true, 1: true, 2: true}
-	cg2.SetRequirements(cuts2)
 	a, err := Solve(context.Background(), cg2, cuts2, nil)
 	if err != nil {
 		t.Fatal(err)

@@ -106,7 +106,6 @@ func TestCheckLegal(t *testing.T) {
 
 func TestSolveNoRequirements(t *testing.T) {
 	_, cg := s27CombGraph(t)
-	cg.SetRequirements(nil)
 	sol, err := Solve(context.Background(), cg, nil, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -146,7 +145,6 @@ func TestSolveFeasibleCycle(t *testing.T) {
 	// Cycle with 3 registers, 3 cut nets: one register per cut, feasible.
 	cg := chainGraph([]int{1, 1, 1}, true)
 	cuts := map[int]bool{0: true, 1: true, 2: true}
-	cg.SetRequirements(cuts)
 	sol, err := Solve(context.Background(), cg, cuts, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -154,9 +152,15 @@ func TestSolveFeasibleCycle(t *testing.T) {
 	if len(sol.Demoted) != 0 {
 		t.Fatalf("feasible cycle demoted cuts: %v", sol.Demoted)
 	}
-	for i := range cg.Edges {
-		if w := cg.RetimedWeight(sol.Rho, i); w < cg.Edges[i].Req {
-			t.Fatalf("edge %d retimed weight %d < req %d", i, w, cg.Edges[i].Req)
+	for i, e := range cg.Edges {
+		req := 0
+		for _, net := range e.PathNets {
+			if cuts[net] {
+				req++
+			}
+		}
+		if w := cg.RetimedWeight(sol.Rho, i); w < req {
+			t.Fatalf("edge %d retimed weight %d < req %d", i, w, req)
 		}
 	}
 }
@@ -166,7 +170,6 @@ func TestSolveInfeasibleCycleDemotes(t *testing.T) {
 	// register on the cycle, so exactly 2 cuts must be demoted.
 	cg := chainGraph([]int{1, 0, 0}, true)
 	cuts := map[int]bool{0: true, 1: true, 2: true}
-	cg.SetRequirements(cuts)
 	sol, err := Solve(context.Background(), cg, cuts, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -183,7 +186,6 @@ func TestSolvePriorityOrder(t *testing.T) {
 	// Same infeasible cycle; the lowest-priority cuts must be demoted.
 	cg := chainGraph([]int{1, 0, 0}, true)
 	cuts := map[int]bool{0: true, 1: true, 2: true}
-	cg.SetRequirements(cuts)
 	pri := map[int]float64{0: 10, 1: 1, 2: 2}
 	sol, err := Solve(context.Background(), cg, cuts, pri)
 	if err != nil {
@@ -204,7 +206,6 @@ func TestSolveAcyclicAlwaysCoverable(t *testing.T) {
 	// by peripheral retiming (Lemma 1 with a free boundary).
 	cg := chainGraph([]int{0, 0, 0}, false)
 	cuts := map[int]bool{0: true, 1: true, 2: true}
-	cg.SetRequirements(cuts)
 	sol, err := Solve(context.Background(), cg, cuts, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -244,7 +245,6 @@ func TestSolveCyclePreservationProperty(t *testing.T) {
 				cuts[i] = true
 			}
 		}
-		cg.SetRequirements(cuts)
 		sol, err := Solve(context.Background(), cg, cuts, nil)
 		if err != nil {
 			// Only acceptable failure: a register-free cycle with no
@@ -283,33 +283,6 @@ func TestSolveCyclePreservationProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestSetRequirements(t *testing.T) {
-	_, cg := s27CombGraph(t)
-	// Pick one net that appears on some edge path.
-	if len(cg.Edges) == 0 || len(cg.Edges[0].PathNets) == 0 {
-		t.Fatal("no edges")
-	}
-	net := cg.Edges[0].PathNets[0]
-	n := cg.SetRequirements(map[int]bool{net: true})
-	if n == 0 {
-		t.Fatal("requirement attached to no edge")
-	}
-	found := false
-	for _, e := range cg.Edges {
-		for _, p := range e.PathNets {
-			if p == net && e.Req == 0 {
-				t.Fatalf("edge %d holds cut net but req=0", e.ID)
-			}
-			if p == net {
-				found = true
-			}
-		}
-	}
-	if !found {
-		t.Fatal("net not on any path")
 	}
 }
 

@@ -39,14 +39,13 @@ type Solution struct {
 //
 //	w(e) + rho(v) - rho(u) >= req(e)
 //
-// i.e. the system of difference constraints rho(u) - rho(v) <= w(e)-req(e),
-// solved by a label-correcting (SPFA) shortest-path pass from a virtual
-// source. When the constraint graph has a negative cycle — a circuit cycle
+// where req(e) counts the cutNets on e's path: the system of difference
+// constraints rho(u) - rho(v) <= w(e)-req(e), solved by a label-correcting
+// (SPFA) shortest-path pass from a virtual source. When the constraint graph has a negative cycle — a circuit cycle
 // whose cut requirements exceed its register count, exactly the Eq. (2)/(6)
 // situation — Solve demotes enough cut requirements on that cycle to
 // restore feasibility, preferring the nets with the lowest congestion
-// priority, and re-solves. priority may be nil (arbitrary demotion order);
-// cutNets must match the requirements previously set via SetRequirements.
+// priority, and re-solves. priority may be nil (arbitrary demotion order).
 //
 // The context cancels the solver: it is checked on every demote-and-resolve
 // round and at the label-correcting pass's amortised cycle-detection

@@ -310,7 +310,7 @@ func (c *Cache) Stats() CacheStats {
 // parse/analyze/saturate stages hit (or fill) the cache exactly as sweep
 // jobs do, and core.CompileFrom finishes the per-job suffix. name resolves
 // through load (LoadCircuit when nil). It is the single-job funnel the
-// merced report and cover modes use, so under -cache-dir a one-off
+// merced report, cover and lint modes use, so under -cache-dir a one-off
 // compilation shares prefixes with earlier sweeps.
 //
 // Result.Elapsed covers the whole call — load included on a cold cache —

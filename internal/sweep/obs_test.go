@@ -53,7 +53,7 @@ func TestTracedSweepByteIdenticalReports(t *testing.T) {
 }
 
 // The metrics table aggregates in job order from per-job counters, so it is
-// identical for any worker count and with caching disabled (counters follow
+// identical for any worker count and any cache size (counters follow
 // consumption: a shared Saturated artifact reports its flow work to every
 // job that consumed it).
 func TestMetricsIdenticalAcrossWorkersAndCache(t *testing.T) {
@@ -76,8 +76,9 @@ func TestMetricsIdenticalAcrossWorkersAndCache(t *testing.T) {
 	if got := render(Config{Workers: 8}); got != base {
 		t.Errorf("metrics table differs between workers 1 and 8:\n--- workers=1\n%s\n--- workers=8\n%s", base, got)
 	}
-	// NoCache recomputes the shared prefixes, so only the cache.* counters
-	// may change; the kernel counters must not (consumption attribution).
+	// A one-entry cache recomputes evicted prefixes, so only the cache.*
+	// counters may change; the kernel counters must not (consumption
+	// attribution).
 	dropCache := func(table string) string {
 		var kept []string
 		for _, l := range strings.Split(table, "\n") {
@@ -87,8 +88,8 @@ func TestMetricsIdenticalAcrossWorkersAndCache(t *testing.T) {
 		}
 		return strings.Join(kept, "\n")
 	}
-	if got := render(Config{Workers: 4, NoCache: true}); dropCache(got) != dropCache(base) {
-		t.Errorf("kernel counters differ with NoCache:\n--- cached\n%s\n--- no-cache\n%s", base, got)
+	if got := render(Config{Workers: 4, Cache: newCache(1)}); dropCache(got) != dropCache(base) {
+		t.Errorf("kernel counters differ with a one-entry cache:\n--- default\n%s\n--- one entry\n%s", base, got)
 	}
 	// Sanity: the table carries the hot-kernel counters, not just totals.
 	for _, want := range []string{"flow.trees", "retime.spfa_relaxations", "partition.dfs_visits", "cache.saturated.hits", "sweep.jobs"} {

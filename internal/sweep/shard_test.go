@@ -16,13 +16,18 @@ import (
 )
 
 // failLKCompile is a CompileFunc that fails every job at the given lk and
-// delegates the rest to core.Compile.
+// delegates the rest to core.Compile on a freshly loaded circuit (Compile
+// normalizes its circuit in place, so it must not see the shared one).
 func failLKCompile(lk int) CompileFunc {
 	return func(ctx context.Context, c *netlist.Circuit, opt core.Options) (*core.Result, error) {
 		if opt.LK == lk {
 			return nil, errors.New("injected failure")
 		}
-		return core.Compile(ctx, c.Clone(), opt)
+		fresh, err := LoadCircuit(c.Name)
+		if err != nil {
+			return nil, err
+		}
+		return core.Compile(ctx, fresh, opt)
 	}
 }
 

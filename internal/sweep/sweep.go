@@ -84,11 +84,6 @@ type Config struct {
 	JobTimeout time.Duration
 	// Lint turns on the per-job design-rule gates.
 	Lint bool
-	// NoCache disables shared-prefix artifact reuse: every job runs the
-	// whole pipeline itself via core.Compile. The reports are byte-
-	// identical either way (a test and a CI step pin that); the switch
-	// exists for A/B benchmarking and as an escape hatch.
-	NoCache bool
 	// Cache, when non-nil, is the caller's artifact cache — the CLI
 	// passes its process cache, store-backed under -cache-dir. When nil,
 	// Run constructs a private cache bounded by DefaultCacheEntries.
@@ -111,9 +106,8 @@ type Config struct {
 	Progress func(done, total int)
 	// Load resolves Job.Circuit to a netlist; nil means LoadCircuit.
 	Load func(name string) (*netlist.Circuit, error)
-	// Compile runs one job; nil means the staged cached pipeline (or
-	// core.Compile under NoCache). The hook receives the shared normalized
-	// circuit — it must not mutate it.
+	// Compile runs one job; nil means the staged cached pipeline. The hook
+	// receives the shared normalized circuit — it must not mutate it.
 	Compile CompileFunc
 }
 
@@ -183,10 +177,7 @@ type Report struct {
 	// Cache is the artifact cache's Stats after the run: per-stage hits,
 	// misses, and evictions. A process runs at most one sweep per cache,
 	// so that is this run's traffic plus whatever the caller compiled
-	// through the cache beforehand. Under Config.NoCache
-	// the analyzed and saturated counters stay zero; the parsed counters
-	// always reflect the circuit preload, which deduplicates through the
-	// cache.
+	// through the cache beforehand.
 	Cache CacheStats
 }
 
@@ -368,15 +359,9 @@ func runJob(ctx context.Context, j Job, master *core.Parsed, parsedHere bool, ca
 	begin := time.Now()
 	var r *core.Result
 	var err error
-	switch {
-	case cfg.Compile != nil:
+	if cfg.Compile != nil {
 		r, err = cfg.Compile(ctx, master.Circuit(), opt)
-	case cfg.NoCache:
-		// Compile normalizes its circuit in place, so the from-scratch
-		// path clones the shared master (exactly what every job did
-		// before the staged pipeline existed).
-		r, err = core.Compile(ctx, master.Circuit().Clone(), opt)
-	default:
+	} else {
 		r, err = compileStaged(ctx, master, cache, opt)
 	}
 	res.Elapsed = time.Since(begin)

@@ -48,10 +48,12 @@ func TestDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
-// Every sweep job must price exactly like a serial single-run compilation
-// of the same (circuit, l_k, beta, seed) — the Table 10-12 equivalence.
+// Every sweep job must report exactly what a serial, uncached single-run
+// compilation of the same (circuit, l_k, beta, seed) gives — the Table
+// 10-12 equivalence — for every deterministic field a report renders, over
+// a matrix whose betas branch three ways off each shared prefix.
 func TestMatchesSerialCompile(t *testing.T) {
-	jobs := testJobs()
+	jobs := Matrix([]string{"s27", "s510", "s641"}, []int{16, 24}, []int{25, 50, 100}, []int64{1})
 	rep, err := Run(context.Background(), jobs, Config{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
@@ -73,6 +75,12 @@ func TestMatchesSerialCompile(t *testing.T) {
 		}
 		if len(serial.Partition.Clusters) != jr.Clusters {
 			t.Errorf("job %d (%s): clusters %d != serial %d", i, jr.Job, jr.Clusters, len(serial.Partition.Clusters))
+		}
+		if serial.Partition.MaxInputs() != jr.MaxInputs {
+			t.Errorf("job %d (%s): max inputs %d != serial %d", i, jr.Job, jr.MaxInputs, serial.Partition.MaxInputs())
+		}
+		if serial.Counters != jr.Kernels {
+			t.Errorf("job %d (%s): kernel counters %+v != serial %+v", i, jr.Job, jr.Kernels, serial.Counters)
 		}
 	}
 }

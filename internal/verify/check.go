@@ -126,7 +126,6 @@ func Check(c *netlist.Circuit, g *graph.G, cg *retime.CombGraph, rho []int, cycl
 // context cancels the retiming solve.
 func CheckCompile(ctx context.Context, c *netlist.Circuit, g *graph.G, cuts map[int]bool, cycles int, seed int64) (*Report, *retime.Solution, error) {
 	cg := retime.Build(g)
-	cg.SetRequirements(cuts)
 	sol, err := retime.Solve(ctx, cg, cuts, nil)
 	if err != nil {
 		return nil, nil, err

@@ -118,7 +118,6 @@ func TestSolvedRetimingEquivalentS27(t *testing.T) {
 			cuts[e] = true
 		}
 	}
-	cg.SetRequirements(cuts)
 	sol, err := retime.Solve(context.Background(), cg, cuts, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -143,7 +142,6 @@ func TestPipelineRetimingEquivalent(t *testing.T) {
 			cuts[e] = true
 		}
 	}
-	cg.SetRequirements(cuts)
 	sol, err := retime.Solve(context.Background(), cg, cuts, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -217,7 +215,6 @@ func TestRandomRetimingsEquivalent(t *testing.T) {
 				cuts[e] = true
 			}
 		}
-		cg.SetRequirements(cuts)
 		sol, err := retime.Solve(context.Background(), cg, cuts, nil)
 		if err != nil {
 			return false
