@@ -6,8 +6,8 @@ import "repro/internal/obs"
 // prefix. Every value is a pure function of the report, which is itself
 // deterministic for fixed options, so the resulting table is identical for
 // any Workers value. The batch counters do depend on the packing width
-// (wider batches → fewer of them), and so does campaign.unexcited (the
-// pre-pass gives up when pruning could not lower the packing); the
+// (wider batches → fewer of them), and so does campaign.unexcited
+// (pruning gives up when it could not lower the packing); the
 // fault/detection counters do not.
 func (r *CampaignReport) AddMetrics(m *obs.Metrics) {
 	m.Add("campaign.segments", int64(len(r.Segments)))

@@ -58,14 +58,19 @@ type Stmt struct {
 	Err string
 }
 
+// maxBenchLine caps the length of one .bench line. The scanner's buffer
+// starts small and grows only as far as the longest line needs.
+const maxBenchLine = 1 << 20
+
 // ScanBench reads .bench text into a statement list without building a
 // circuit. It never fails on malformed statements — those come back as
-// StmtBad entries — and returns an error only for I/O problems. ParseBench
-// is ScanBench plus circuit construction and validation.
+// StmtBad entries — and returns an error only for I/O problems, among
+// them a line longer than 1 MiB (bufio.ErrTooLong). ParseBench is
+// ScanBench plus circuit construction and validation.
 func ScanBench(r io.Reader) ([]Stmt, error) {
 	var stmts []Stmt
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1024*1024), 1024*1024)
+	sc.Buffer(nil, maxBenchLine)
 	lineNo := 0
 	for sc.Scan() {
 		lineNo++

@@ -1,6 +1,12 @@
 package netlist
 
-import "testing"
+import (
+	"bufio"
+	"errors"
+	"runtime"
+	"strings"
+	"testing"
+)
 
 func TestScanBenchTolerant(t *testing.T) {
 	stmts := ScanBenchString(`
@@ -68,5 +74,52 @@ q = DFF(y)
 	}
 	if counts[StmtInput] != 1 || counts[StmtOutput] != 1 || counts[StmtGate] != 2 {
 		t.Fatalf("kind counts = %v", counts)
+	}
+}
+
+// The scanner's buffer grows with the longest line, up to the 1 MiB cap:
+// a 100 KiB line still scans, a line over the cap fails with
+// bufio.ErrTooLong, and a small netlist does not pay for the cap.
+func TestScanBenchLineLengths(t *testing.T) {
+	long := strings.Repeat("n", 100<<10)
+	stmts, err := ScanBench(strings.NewReader("INPUT(a)\nINPUT(" + long + ")\n"))
+	if err != nil || len(stmts) != 2 || stmts[1].Kind != StmtInput || stmts[1].Name != long {
+		t.Fatalf("100 KiB line: %d stmts, err %v", len(stmts), err)
+	}
+	_, err = ScanBench(strings.NewReader("INPUT(a)\n# " + strings.Repeat("x", maxBenchLine) + "\n"))
+	if !errors.Is(err, bufio.ErrTooLong) {
+		t.Fatalf("line over 1 MiB: err %v, want bufio.ErrTooLong", err)
+	}
+
+	const s27 = `INPUT(G0)
+INPUT(G1)
+INPUT(G2)
+INPUT(G3)
+OUTPUT(G17)
+G5 = DFF(G10)
+G6 = DFF(G11)
+G7 = DFF(G13)
+G14 = NOT(G0)
+G17 = NOT(G11)
+G8 = AND(G14, G6)
+G15 = OR(G12, G8)
+G16 = OR(G3, G8)
+G9 = NAND(G16, G15)
+G10 = NOR(G14, G11)
+G11 = NOR(G5, G9)
+G12 = NOR(G1, G7)
+G13 = NOR(G2, G12)
+`
+	const runs, bound = 20, 64 << 10
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range runs {
+		if _, err := ParseBenchString("s27", s27); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / runs; per > bound {
+		t.Errorf("parsing s27 allocates %d bytes, want at most %d", per, bound)
 	}
 }
