@@ -148,6 +148,7 @@ var kernelPackages = map[string]bool{
 	"fault":     true,
 	"retime":    true,
 	"partition": true,
+	"verify":    true,
 }
 
 // entryPackages are the packages whose exported entry paths honor the

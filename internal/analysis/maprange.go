@@ -21,6 +21,7 @@ import (
 //	seen[k] = true                    // set build keyed by the loop: safe
 //	srcCluster[e] = oi                // loop-invariant RHS: converges to same map
 //	fmt.Fprintf(w, "%v\n", k)         // output written in iteration order: leaks
+//	in[k] = rng.Intn(2)               // each key gets whichever draw is next: leaks
 //	return k                          // "first" element of a map is arbitrary
 //
 // A "gray" finding marks calls into unknown code with loop-dependent
@@ -162,6 +163,10 @@ func (p *Pass) classifyMapRange(rng *ast.RangeStmt, fnBody *ast.BlockStmt) []map
 				add(n.Pos(), "%s", msg)
 				return true
 			}
+			if p.isSeededDraw(n) {
+				add(n.Pos(), "%s draws from a generator in map iteration order: which element gets which value depends on the order", calleeName(n))
+				return true
+			}
 			if p.isBuiltin(n, "copy") && len(n.Args) == 2 {
 				if root := rootIdent(n.Args[0]); root != nil && !local(p.TypesInfo.ObjectOf(root)) && loopDependent(n.Args[1]) {
 					add(n.Pos(), "copies loop-dependent data into %s in map iteration order", types.ExprString(n.Args[0]))
@@ -301,6 +306,30 @@ func (p *Pass) isUnvettedCall(call *ast.CallExpr, local func(types.Object) bool,
 		}
 	}
 	return false
+}
+
+// isSeededDraw reports whether the call is a method of a math/rand or
+// math/rand/v2 Rand: each call advances the generator's one stream, so
+// the values a loop body draws follow the order it runs in.
+func (p *Pass) isSeededDraw(call *ast.CallExpr) bool {
+	fn, ok := typeutilCallee(p.TypesInfo, call).(*types.Func)
+	if !ok {
+		return false
+	}
+	recv := fn.Signature().Recv()
+	if recv == nil {
+		return false
+	}
+	t := recv.Type()
+	if ptr, ok := t.(*types.Pointer); ok {
+		t = ptr.Elem()
+	}
+	named, ok := t.(*types.Named)
+	if !ok || named.Obj().Pkg() == nil || named.Obj().Name() != "Rand" {
+		return false
+	}
+	path := named.Obj().Pkg().Path()
+	return path == "math/rand" || path == "math/rand/v2"
 }
 
 // hasSortBarrier looks for a sort.*/slices.Sort* call, a target.Sort()

@@ -7,7 +7,7 @@ import (
 
 // SeedPurity enforces the deterministic-kernel contract on the packages
 // whose outputs must be byte-identical for any worker count and cache
-// state (flow, sim, fault, retime, partition):
+// state (flow, sim, fault, retime, partition, verify):
 //
 //   - the global math/rand source (rand.Intn, rand.Shuffle, rand.Seed, ...
 //     in v1 or v2) is forbidden: kernels thread keyed seeds from options
@@ -28,7 +28,7 @@ import (
 var SeedPurity = &Analyzer{
 	Name: "seedpurity",
 	Doc: "forbid the global math/rand source, wall-clock reads, and unvetted map-order calls " +
-		"in deterministic-kernel packages (flow, sim, fault, retime, partition)",
+		"in deterministic-kernel packages (flow, sim, fault, retime, partition, verify)",
 	Run: runSeedPurity,
 }
 

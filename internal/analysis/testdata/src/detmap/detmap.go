@@ -5,6 +5,7 @@ package detmap
 import (
 	"fmt"
 	"io"
+	"math/rand"
 	"sort"
 )
 
@@ -126,6 +127,16 @@ func firstMatch(m map[string]int) string {
 		}
 	}
 	return ""
+}
+
+// seededDraw hands each key whichever draw comes next: a seeded generator
+// still leaks the map order (the verify stimulus bug).
+func seededDraw(m map[int]bool, rng *rand.Rand) map[int]int {
+	in := make(map[int]int, len(m))
+	for k := range m {
+		in[k] = rng.Intn(2) // want `rng.Intn draws from a generator in map iteration order`
+	}
+	return in
 }
 
 // suppressedSite is allowlisted with a reason: no diagnostic.

@@ -157,11 +157,15 @@ func Saturate(ctx context.Context, g *graph.G, cfg Config) (*Result, error) {
 	if maxIter <= 0 {
 		maxIter = math.MaxInt
 	}
-	// The distance exponent's argument is alpha/b * flow; alpha and b are
-	// loop constants, so hoist the quotient out of the per-edge update
-	// (at the paper's b=1 this also keeps the float sequence — and hence
-	// the goldens — bit-identical, since x/1 == x).
+	// Every net starts at flow 0 and gains delta per tree it joins, so after
+	// k increments each net holds the same float, the k-fold sum flowTab[k],
+	// and the same distance dTab[k] = exp(alpha/b * flowTab[k]). uses[e]
+	// counts net e's increments; the tables grow by one entry the first
+	// time any net reaches a new count, so exp runs once per distinct count.
+	// (alpha/b is hoisted; at the paper's b=1 it is alpha exactly.)
 	invCap := cfg.Alpha / cfg.Capacity
+	uses := make([]int, g.NumNets())
+	flowTab, dTab := []float64{0}, []float64{1}
 	for len(under) > 0 && res.Trees < maxIter { // STEP 3
 		if err := ctx.Err(); err != nil {
 			return nil, fmt.Errorf("flow: saturate after %d trees: %w", res.Trees, err)
@@ -181,59 +185,80 @@ func Saturate(ctx context.Context, g *graph.G, cfg Config) (*Result, error) {
 			}
 		}
 		for _, e := range tree { // STEP 3.3
-			res.Flow[e] += cfg.Delta
-			res.D[e] = math.Exp(invCap * res.Flow[e])
+			uses[e]++
+			k := uses[e]
+			if k == len(dTab) {
+				f := flowTab[k-1] + cfg.Delta
+				flowTab = append(flowTab, f)
+				dTab = append(dTab, math.Exp(invCap*f))
+			}
+			res.D[e] = dTab[k]
 		}
 		res.Injected[v] += cfg.Delta * float64(len(tree))
 		// A source with no outgoing reachability still counts as sampled,
 		// which the bump above already handled.
 	}
+	for e, k := range uses {
+		res.Flow[e] = flowTab[k]
+	}
 	return res, nil
 }
 
 // dijkstra is reusable scratch state for shortest-path trees over nets.
-// The adjacency is flattened once into int32 CSR arrays (one flat array per
-// relation plus an offsets array), and all per-run bookkeeping uses
-// epoch-stamped arrays, so repeated trees incur no per-node allocation.
+// The adjacency is flattened once into one int32 arc list with an offsets
+// array, and all per-run bookkeeping is epoch-stamped, so repeated trees
+// incur no per-node allocation.
 type dijkstra struct {
-	// outNets[outOff[v]:outOff[v+1]] is g.Out[v]; sinks[sinkOff[e]:sinkOff[e+1]]
-	// is g.Nets[e].Sinks, in the same order and with any repeats.
-	outOff, outNets []int32
-	sinkOff, sinks  []int32
+	// arcs[arcOff[v]:arcOff[v+1]] lists, for each net e in g.Out[v] in
+	// order, one arc per entry of g.Nets[e].Sinks, in order and with any
+	// repeats. leaf[v] reports that v has no out-nets; a node whose out-nets
+	// all lack sinks has no arcs but is not a leaf, and is still pushed.
+	arcOff []int32
+	arcs   []arc
+	leaf   []bool
 
-	dist     []float64
-	via      []int32  // net used to reach node, -1 for source/unreached
-	stamp    []uint32 // node touched in current epoch
-	done     []uint32 // node settled in current epoch
+	node     []nodeRec
 	netStamp []uint32 // net already added to the tree in current epoch
-	cur      uint32
+	cur      uint32   // even; marks a node touched, cur+1 marks it settled
 	pq       distHeap
 	treeBuf  []int32
 	reachBuf []int32
 }
 
+// arc is one (sink, net) pin: relaxing it offers node w the distance of
+// its tail plus d(e).
+type arc struct{ w, e int32 }
+
+// nodeRec holds one node's state for the current tree. mark is cur when
+// the node is touched and cur+1 once it is settled (anything else is a
+// stale epoch), so one load answers both tests; via is the net used to
+// reach it, -1 for the source.
+type nodeRec struct {
+	dist float64
+	mark uint32
+	via  int32
+}
+
 func newDijkstra(g *graph.G) *dijkstra {
-	n, m := g.NumNodes(), g.NumNets()
+	n, pins := g.NumNodes(), 0
+	for e := range g.Nets {
+		pins += len(g.Nets[e].Sinks)
+	}
 	dj := &dijkstra{
-		outOff:   make([]int32, n+1),
-		sinkOff:  make([]int32, m+1),
-		dist:     make([]float64, n),
-		via:      make([]int32, n),
-		stamp:    make([]uint32, n),
-		done:     make([]uint32, n),
-		netStamp: make([]uint32, m),
+		arcOff:   make([]int32, n+1),
+		arcs:     make([]arc, 0, pins),
+		leaf:     make([]bool, n),
+		node:     make([]nodeRec, n),
+		netStamp: make([]uint32, g.NumNets()),
 	}
 	for v, out := range g.Out {
 		for _, e := range out {
-			dj.outNets = append(dj.outNets, int32(e))
+			for _, w := range g.Nets[e].Sinks {
+				dj.arcs = append(dj.arcs, arc{int32(w), int32(e)})
+			}
 		}
-		dj.outOff[v+1] = int32(len(dj.outNets))
-	}
-	for e := range g.Nets {
-		for _, w := range g.Nets[e].Sinks {
-			dj.sinks = append(dj.sinks, int32(w))
-		}
-		dj.sinkOff[e+1] = int32(len(dj.sinks))
+		dj.arcOff[v+1] = int32(len(dj.arcs))
+		dj.leaf[v] = len(out) == 0
 	}
 	return dj
 }
@@ -249,24 +274,20 @@ func newDijkstra(g *graph.G) *dijkstra {
 // that point could lower its distance, since the heap pops in
 // nondecreasing order and every d(e) is positive.
 func (dj *dijkstra) tree(src int32, d []float64) (treeNets []int32, reached []int32) {
-	dj.cur++
-	if dj.cur == 0 { // the epoch wrapped: forget every stale stamp
-		clear(dj.stamp)
-		clear(dj.done)
+	dj.cur += 2
+	if dj.cur == 0 { // the epoch wrapped: forget every stale mark
+		clear(dj.node)
 		clear(dj.netStamp)
-		dj.cur = 1
+		dj.cur = 2
 	}
-	cur := dj.cur
-	dist, via, stamp, done, netStamp := dj.dist, dj.via, dj.stamp, dj.done, dj.netStamp
-	outOff, outNets, sinkOff, sinks := dj.outOff, dj.outNets, dj.sinkOff, dj.sinks
-	dist[src] = 0
-	via[src] = -1
-	stamp[src] = cur
+	cur, settled := dj.cur, dj.cur+1
+	node, netStamp, arcOff, arcs, leaf := dj.node, dj.netStamp, dj.arcOff, dj.arcs, dj.leaf
+	node[src] = nodeRec{dist: 0, mark: cur, via: -1}
 	treeNets = dj.treeBuf[:0]
 	reached = dj.reachBuf[:0]
 	// A leaf source reaches only itself. About a quarter of all trees start
 	// at one, so skip the scan below for them.
-	if outOff[src] == outOff[src+1] {
+	if leaf[src] {
 		reached = append(reached, src)
 		dj.reachBuf = reached
 		return treeNets, reached
@@ -276,36 +297,35 @@ func (dj *dijkstra) tree(src int32, d []float64) (treeNets []int32, reached []in
 	pq.push(src, 0)
 	for pq.len() > 0 {
 		v := pq.pop()
-		if done[v] == cur {
+		rv := &node[v]
+		if rv.mark == settled {
 			continue
 		}
-		done[v] = cur
-		dv := dist[v]
-		for _, e := range outNets[outOff[v]:outOff[v+1]] {
-			ndist := dv + d[e]
-			for _, w := range sinks[sinkOff[e]:sinkOff[e+1]] {
-				if done[w] == cur {
-					continue
-				}
-				if stamp[w] != cur || ndist < dist[w] {
-					stamp[w] = cur
-					dist[w] = ndist
-					via[w] = e
-					if outOff[w] != outOff[w+1] {
-						pq.push(w, ndist)
-					}
+		rv.mark = settled
+		dv := rv.dist
+		for _, a := range arcs[arcOff[v]:arcOff[v+1]] {
+			rw := &node[a.w]
+			if rw.mark == settled {
+				continue
+			}
+			ndist := dv + d[a.e]
+			if rw.mark != cur || ndist < rw.dist {
+				*rw = nodeRec{dist: ndist, mark: cur, via: a.e}
+				if !leaf[a.w] {
+					pq.push(a.w, ndist)
 				}
 			}
 		}
 	}
-	// Every stamped node was reached; a scan in node order is cheaper than
+	// Every marked node was reached; a scan in node order is cheaper than
 	// sorting, since a tree typically reaches most of the graph.
-	for w, s := range stamp {
-		if s != cur {
+	for w := range node {
+		r := &node[w]
+		if r.mark&^1 != cur {
 			continue
 		}
 		reached = append(reached, int32(w))
-		if e := via[w]; e >= 0 && netStamp[e] != cur {
+		if e := r.via; e >= 0 && netStamp[e] != cur {
 			netStamp[e] = cur
 			treeNets = append(treeNets, e)
 		}

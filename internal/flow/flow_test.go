@@ -259,7 +259,7 @@ func TestSaturateFlowQuantised(t *testing.T) {
 }
 
 // BenchmarkSaturateS27 exercises the full Saturate loop — tree growth plus
-// the hoisted exp(alpha/b * flow) edge updates — on the s27 net graph.
+// the per-use-count distance updates — on the s27 net graph.
 func BenchmarkSaturateS27(b *testing.B) {
 	c, err := netlist.ParseBenchString("s27", s27)
 	if err != nil {

@@ -97,3 +97,18 @@ func BenchmarkSaturateS38584(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkSaturateS1423 runs Saturate under the paper's parameters on the
+// s1423 twin at flow seeds 1–8, the inputs of the benchmark's compile
+// workload, so the saturation layer can be timed alone.
+func BenchmarkSaturateS1423(b *testing.B) {
+	g := benchGraph(b, "s1423")
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for seed := int64(1); seed <= 8; seed++ {
+			if _, err := Saturate(context.Background(), g, DefaultConfig(seed)); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}

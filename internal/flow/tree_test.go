@@ -38,8 +38,8 @@ func TestTreeLeafTieKeepsFirstNet(t *testing.T) {
 	// One parent: nets 0 and 1 both run 0 -> 1 at distance 1.
 	dj := newDijkstra(handGraph(2, []int{0, 1}, []int{0, 1}))
 	tree, reached := dj.tree(0, ones(2))
-	if !slices.Equal(reached, []int32{0, 1}) || !slices.Equal(tree, []int32{0}) || dj.via[1] != 0 {
-		t.Fatalf("one parent: reached %v, tree %v, via[1] = %d; want [0 1], [0], 0", reached, tree, dj.via[1])
+	if !slices.Equal(reached, []int32{0, 1}) || !slices.Equal(tree, []int32{0}) || dj.node[1].via != 0 {
+		t.Fatalf("one parent: reached %v, tree %v, via[1] = %d; want [0 1], [0], 0", reached, tree, dj.node[1].via)
 	}
 
 	// Two parents: node 1 (dist 1) relaxes leaf 3 through net 2 at
@@ -52,6 +52,20 @@ func TestTreeLeafTieKeepsFirstNet(t *testing.T) {
 	}
 	if !slices.Equal(tree, []int32{0, 1, 2}) {
 		t.Fatalf("two parents: tree nets %v, want [0 1 2] (net 3 ties and loses)", tree)
+	}
+}
+
+// A node whose only out-net has no sinks is not a leaf: it has no arcs,
+// but it is still pushed, and the heap's shape with it decides a tie.
+func TestTreeSinklessNetNodeIsPushed(t *testing.T) {
+	// Net 0 runs 0 -> 1, 2, 3; net 1 leaves node 1 with no sinks; nets 2
+	// and 3 carry nodes 2 and 3 to leaf 4 at the same distance. With node
+	// 1 in the heap the pops after the source are 1, 3, 2, so net 3 reaches
+	// node 4 first; without it they would be 2, 3 and net 2 would.
+	g := handGraph(5, []int{0, 1, 2, 3}, []int{1}, []int{2, 4}, []int{3, 4})
+	tree, reached := newDijkstra(g).tree(0, ones(4))
+	if !slices.Equal(reached, []int32{0, 1, 2, 3, 4}) || !slices.Equal(tree, []int32{0, 3}) {
+		t.Fatalf("reached %v, tree %v; want [0 1 2 3 4], [0 3]", reached, tree)
 	}
 }
 
@@ -166,10 +180,10 @@ func TestTreeMatchesBellmanFord(t *testing.T) {
 			}
 			vias := map[int32]bool{}
 			for _, w := range reached {
-				if dj.dist[w] != ref[w] {
-					t.Fatalf("seed %d src %d: dist[%d] = %v, Bellman-Ford %v", seed, src, w, dj.dist[w], ref[w])
+				if dj.node[w].dist != ref[w] {
+					t.Fatalf("seed %d src %d: dist[%d] = %v, Bellman-Ford %v", seed, src, w, dj.node[w].dist, ref[w])
 				}
-				e := dj.via[w]
+				e := dj.node[w].via
 				if int(w) == src {
 					if e != -1 {
 						t.Fatalf("seed %d: source %d has via %d", seed, src, e)
@@ -197,6 +211,75 @@ func TestTreeMatchesBellmanFord(t *testing.T) {
 					t.Fatalf("seed %d src %d: via net %d missing from tree %v", seed, src, e, tree)
 				}
 			}
+		}
+	}
+}
+
+// A tree grown after the epoch counter wraps matches one grown by a fresh
+// dijkstra, even though the scratch state still holds the marks of the
+// first epochs, which the wrapped counter reuses.
+func TestTreeEpochWrap(t *testing.T) {
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		g, d := randomGraph(rng)
+		n := g.NumNodes()
+		dj := newDijkstra(g)
+		for src := 0; src < n; src++ { // leave marks at the first epochs
+			dj.tree(int32(src), d)
+		}
+		dj.cur = math.MaxUint32 - 3 // the next tree takes the last even epoch
+		for src := 0; src < n; src++ {
+			for pass := range 2 { // the second pass runs after the wrap
+				tree, reached := dj.tree(int32(src), d)
+				ref := newDijkstra(g)
+				wantTree, wantReached := ref.tree(int32(src), d)
+				if !slices.Equal(tree, wantTree) || !slices.Equal(reached, wantReached) {
+					t.Fatalf("seed %d src %d pass %d (cur %d): tree %v reached %v, fresh %v %v",
+						seed, src, pass, dj.cur, tree, reached, wantTree, wantReached)
+				}
+				for _, w := range reached {
+					if got, want := dj.node[w], ref.node[w]; got.dist != want.dist || got.via != want.via {
+						t.Fatalf("seed %d src %d pass %d: node %d %+v, fresh %+v", seed, src, pass, w, got, want)
+					}
+				}
+				if pass == 0 {
+					dj.cur = math.MaxUint32 - 1 // the next tree wraps
+				}
+			}
+			dj.cur = math.MaxUint32 - 3
+		}
+	}
+}
+
+// At a non-default Config every net's Flow is delta summed once per tree
+// it joined, and its D is exp(alpha/b * Flow), bit for bit: the per-count
+// tables give each net exactly what a per-net update would.
+func TestSaturateTablesMatchPerNetUpdate(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		g    *graph.G
+	}{{"s27", s27Graph(t)}, {"s510", benchGraph(t, "s510")}} {
+		cfg := Config{Capacity: 2, MinVisit: 20, Alpha: 3, Delta: 0.03, Seed: 1, MaxIterations: 200}
+		res, err := Saturate(context.Background(), tc.g, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		maxUses := 0
+		for e, f := range res.Flow {
+			sum, uses := 0.0, 0
+			for ; sum < f; uses++ {
+				sum += cfg.Delta
+			}
+			if sum != f {
+				t.Fatalf("%s: Flow[%d] = %v is no sum of delta = %v", tc.name, e, f, cfg.Delta)
+			}
+			if want := math.Exp(cfg.Alpha / cfg.Capacity * f); res.D[e] != want {
+				t.Fatalf("%s: D[%d] = %v, exp(alpha/b * %v) = %v", tc.name, e, res.D[e], f, want)
+			}
+			maxUses = max(maxUses, uses)
+		}
+		if maxUses < 2 {
+			t.Fatalf("%s: no net joined two trees in %d trees", tc.name, res.Trees)
 		}
 	}
 }

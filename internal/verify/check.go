@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"repro/internal/graph"
 	"repro/internal/netlist"
@@ -44,6 +45,16 @@ func Check(c *netlist.Circuit, g *graph.G, cg *retime.CombGraph, rho []int, cycl
 		retWeights[e] = cg.RetimedWeight(rho, e)
 	}
 
+	// Adding a constant to every label gives the same retiming, so pin the
+	// host source at 0. Otherwise InitialState turns the source's moves into
+	// unknown registers on the PI edges and leaves the internal registers
+	// at reset, while the comparison below needs the reset state at retimed
+	// cycle LatencyShift.
+	rho = slices.Clone(rho)
+	r0 := rho[cg.SourceV]
+	for v := range rho {
+		rho[v] -= r0
+	}
 	init, exact, err := InitialState(c, g, cg, rho, nil)
 	if err != nil {
 		return nil, err
@@ -65,17 +76,20 @@ func Check(c *netlist.Circuit, g *graph.G, cg *retime.CombGraph, rho []int, cycl
 	shift := rho[cg.SinkV] - rho[cg.SourceV]
 	rep := &Report{Cycles: cycles, LatencyShift: shift, ExactInit: exact}
 
-	// Gather the PI nets so stimulus covers each one.
-	piNets := map[int]bool{}
+	// Gather the PI nets so stimulus covers each one, drawn in ascending
+	// net order so that one seed gives one report.
+	var piNets []int
 	for e := range cg.Edges {
 		if cg.Edges[e].From == cg.SourceV {
-			piNets[cg.Edges[e].PathNets[0]] = true
+			piNets = append(piNets, cg.Edges[e].PathNets[0])
 		}
 	}
+	slices.Sort(piNets)
+	piNets = slices.Compact(piNets)
 	rng := rand.New(rand.NewSource(seed))
 	mkInputs := func() map[int]Tri {
 		in := make(map[int]Tri, len(piNets))
-		for net := range piNets {
+		for _, net := range piNets {
 			if rng.Intn(2) == 0 {
 				in[net] = F
 			} else {

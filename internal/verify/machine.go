@@ -24,8 +24,9 @@ type Machine struct {
 
 	// inputEdge[e] = PI net id for edges sourced at the host input vertex.
 	inputNetOf map[int]int
-	// outputNetOf[e] = last path net for edges into the host sink.
-	outputNetOf map[int]int
+	// outputEdges lists the edges into the host sink in ascending order;
+	// each samples its last path net.
+	outputEdges []int
 
 	topo []int // comb vertices in zero-register-edge topological order
 
@@ -40,13 +41,12 @@ func NewMachine(c *netlist.Circuit, g *graph.G, cg *retime.CombGraph, weights []
 		return nil, fmt.Errorf("verify: %d weights for %d edges", len(weights), len(cg.Edges))
 	}
 	m := &Machine{
-		cg:          cg,
-		gateOf:      make([]netlist.GateType, len(cg.Vertices)),
-		pinEdge:     make([][]int, len(cg.Vertices)),
-		regs:        make([][]Tri, len(cg.Edges)),
-		inputNetOf:  make(map[int]int),
-		outputNetOf: make(map[int]int),
-		vals:        make([]Tri, len(cg.Vertices)),
+		cg:         cg,
+		gateOf:     make([]netlist.GateType, len(cg.Vertices)),
+		pinEdge:    make([][]int, len(cg.Vertices)),
+		regs:       make([][]Tri, len(cg.Edges)),
+		inputNetOf: make(map[int]int),
+		vals:       make([]Tri, len(cg.Vertices)),
 	}
 	for e := range cg.Edges {
 		if weights[e] < 0 {
@@ -68,7 +68,7 @@ func NewMachine(c *netlist.Circuit, g *graph.G, cg *retime.CombGraph, weights []
 			m.inputNetOf[e] = ed.PathNets[0]
 		}
 		if ed.To == cg.SinkV {
-			m.outputNetOf[e] = ed.PathNets[len(ed.PathNets)-1]
+			m.outputEdges = append(m.outputEdges, e)
 		}
 	}
 
@@ -193,9 +193,10 @@ func (m *Machine) Cycle(inputs map[int]Tri) map[int]Tri {
 		}
 		m.vals[v] = EvalGate(m.gateOf[v], ins)
 	}
-	outs := make(map[int]Tri, len(m.outputNetOf))
-	for e, net := range m.outputNetOf {
-		outs[net] = m.edgeValue(e, inputs)
+	outs := make(map[int]Tri, len(m.outputEdges))
+	for _, e := range m.outputEdges {
+		pn := m.cg.Edges[e].PathNets
+		outs[pn[len(pn)-1]] = m.edgeValue(e, inputs)
 	}
 	// Shift registers toward the head; the tail loads the driver value.
 	for e := range m.regs {

@@ -5,6 +5,8 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/bench89"
+	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/netlist"
 	"repro/internal/retime"
@@ -259,5 +261,56 @@ func TestMachineRejectsBadWeights(t *testing.T) {
 	w[0] = -1
 	if _, err := NewMachine(c, g, cg, w, nil); err == nil {
 		t.Fatal("negative weight accepted")
+	}
+}
+
+// The retiming the compiler ships for s1423 at l_k = 16 moves the host
+// source (rho(source) != 0), so Check must start the retimed machine in the
+// state the original reaches LatencyShift cycles after reset: no defined
+// output bit may differ.
+func TestCheckCompiledS1423(t *testing.T) {
+	c, err := bench89.Load("s1423")
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := core.Compile(context.Background(), c, core.DefaultOptions(16, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := Check(c, r.Graph, r.CombGraph, r.Retiming.Rho, 256, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Mismatches != 0 || rep.Compared == 0 {
+		t.Fatalf("compiled s1423 @ 16: %+v", rep)
+	}
+}
+
+// One seed gives one report: the stimulus does not depend on map order.
+func TestCheckReproducible(t *testing.T) {
+	c, g, cg := fixture(t, s27)
+	cuts := map[int]bool{}
+	for e := range g.Nets {
+		switch g.Nets[e].Name {
+		case "G8", "G15":
+			cuts[e] = true
+		}
+	}
+	sol, err := retime.Solve(context.Background(), cg, cuts, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, err := Check(c, g, cg, sol.Rho, 64, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for range 10 {
+		rep, err := Check(c, g, cg, sol.Rho, 64, 7)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if *rep != *first {
+			t.Fatalf("seed 7: report %+v, first run %+v", rep, first)
+		}
 	}
 }
