@@ -1,85 +1,19 @@
 package main
 
-// End-to-end CLI tests for the distributed-sweep tooling: -shard slices a
-// sweep into shard documents, `merced merge` reassembles them into output
-// byte-identical to the unsharded run, -cache-dir makes a rerun serve
-// every artifact from disk, and `merced cas` maintains the store.
+// End-to-end CLI tests for the persistent artifact store: -cache-dir makes
+// a rerun serve every artifact from disk, and `merced cas` maintains the
+// store.
 
 import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 
 	"repro/internal/cas"
 	"repro/internal/sweep"
 )
-
-// shardedSweep runs `-sweep -shard i/N` for every i and returns the shard
-// document paths.
-func shardedSweep(t *testing.T, n int, cfg sweepRun) []string {
-	t.Helper()
-	dir := t.TempDir()
-	var paths []string
-	for i := 1; i <= n; i++ {
-		cfg.shard = sweep.Shard{Index: i, Count: n}.String()
-		var out, errb bytes.Buffer
-		if code := runSweep(context.Background(), cfg, &out, &errb); code != 0 {
-			t.Fatalf("runSweep -shard %s exit %d: %s", cfg.shard, code, errb.String())
-		}
-		path := filepath.Join(dir, cfg.shard[:1]+".json")
-		if err := os.WriteFile(path, out.Bytes(), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		paths = append(paths, path)
-	}
-	return paths
-}
-
-func TestShardMergeMatchesUnshardedCLI(t *testing.T) {
-	base := sweepRun{circuits: "s27", lks: "3,4,5", betas: "25,50", seeds: "1", format: "csv", noTiming: true}
-	var want, errb bytes.Buffer
-	if code := runSweep(context.Background(), base, &want, &errb); code != 0 {
-		t.Fatalf("unsharded runSweep exit %d: %s", code, errb.String())
-	}
-	paths := shardedSweep(t, 3, base)
-	var got, merr bytes.Buffer
-	if code := runMerge(paths, &got, &merr); code != 0 {
-		t.Fatalf("runMerge exit %d: %s", code, merr.String())
-	}
-	if got.String() != want.String() {
-		t.Errorf("merged CLI output differs from unsharded run:\n--- unsharded ---\n%s--- merged ---\n%s", want.String(), got.String())
-	}
-}
-
-func TestShardFlagRejectsInvalidSpec(t *testing.T) {
-	for _, bad := range []string{"0/4", "5/4", "nope"} {
-		var out, errb bytes.Buffer
-		cfg := sweepRun{circuits: "s27", lks: "3", betas: "50", seeds: "1", shard: bad}
-		if code := runSweep(context.Background(), cfg, &out, &errb); code != 1 {
-			t.Errorf("-shard %s: exit %d, want 1", bad, code)
-		}
-		if !strings.Contains(errb.String(), "shard") {
-			t.Errorf("-shard %s: stderr does not mention the shard spec: %q", bad, errb.String())
-		}
-	}
-}
-
-func TestMergeRejectsIncompleteShardSet(t *testing.T) {
-	paths := shardedSweep(t, 3, sweepRun{
-		circuits: "s27", lks: "3,4", betas: "50", seeds: "1", format: "json", noTiming: true,
-	})
-	var out, errb bytes.Buffer
-	if code := runMerge(paths[:2], &out, &errb); code != 1 {
-		t.Fatalf("runMerge with 2 of 3 shards exit %d, want 1", code)
-	}
-	if !strings.Contains(errb.String(), "missing indices") {
-		t.Errorf("stderr does not name the missing shard: %q", errb.String())
-	}
-}
 
 // TestCacheDirWarmRunHasZeroMisses is the acceptance check behind
 // -cache-dir: a second process over the same store recomputes nothing —

@@ -110,13 +110,11 @@ func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 // name), returning the process exit code: 2 for a usage error, otherwise
 // the selected mode's code.
 func run(args []string, stdout, stderr io.Writer) int {
-	// `merced merge`, `cas`, `simulate`, `benchgen` and `tables` are
-	// subcommands with their own flag sets, dispatched before the classic
-	// flag modes parse.
+	// `merced cas`, `simulate`, `benchgen` and `tables` are subcommands
+	// with their own flag sets, dispatched before the classic flag modes
+	// parse.
 	if len(args) > 0 {
 		switch args[0] {
-		case "merge":
-			return runMerge(args[1:], stdout, stderr)
 		case "cas":
 			return runCAS(args[1:], stdout, stderr)
 		case "simulate":
@@ -155,7 +153,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	noTiming := fs.Bool("no-timing", false, "with -sweep/-cover: omit wall-clock fields for byte-reproducible output")
 	cacheStats := fs.Bool("cache-stats", false, "with -sweep: report artifact-cache memory/disk hits, misses, and evictions per stage")
 	cacheDir := fs.String("cache-dir", "", "persistent content-addressed artifact store backing the cache (shared across runs; maintain with `merced cas`)")
-	shardFlag := fs.String("shard", "", "with -sweep: run slice i/N of the job matrix and emit a shard document (reassemble with `merced merge`)")
 	sweepCoverage := fs.Bool("coverage", false, "with -sweep: fault-simulate each job's partition and report coverage")
 	doCover := fs.Bool("cover", false, "run the parallel fault-coverage campaign instead of a single report")
 	maxPatterns := fs.Uint64("max-patterns", 0, "with -cover/-sweep -coverage: per-fault pattern cap (0: full pseudo-exhaustive budget)")
@@ -195,8 +192,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	// -cache-dir backs the artifact cache with a persistent content-
-	// addressed store: hits survive process restarts, and concurrent
-	// sharded runs can share one directory (writes are atomic renames).
+	// addressed store: hits survive process restarts, and concurrent runs
+	// can share one directory (writes are atomic renames).
 	// store stays an untyped nil without it: a nil *cas.Store inside the
 	// interface would read as a present store.
 	var store sweep.ArtifactStore
@@ -240,7 +237,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			spec: *sweepSpec, circuits: *circuits, lks: *lks, betas: *betas, seeds: *seeds,
 			workers: *workers, timeout: *timeout, jobTimeout: *jobTimeout,
 			lint: *doLint, format: *format, noTiming: *noTiming,
-			cacheStats: *cacheStats, shard: *shardFlag, cache: cache,
+			cacheStats: *cacheStats, cache: cache,
 			coverage: *sweepCoverage, coverageMaxPatterns: *maxPatterns,
 			metrics: *withMetrics, progress: *progress,
 		}, stdout, stderr)

@@ -147,6 +147,8 @@ func TestUnexpectedArguments(t *testing.T) {
 		{[]string{"-cover", "-circuit", "s27", "-lk", "3", "-no-retime-solver"}, "-no-retime-solver"},
 		{[]string{"-sweep", "-circuits", "s27", "-lks", "3", "-no-retime-solver"}, "-no-retime-solver"},
 		{[]string{"-sweep", "-circuits", "s27", "-lks", "3", "-no-cache"}, "-no-cache"},
+		{[]string{"-sweep", "-circuits", "s27", "-lks", "3", "-shard", "1/2"}, "-shard"},
+		{[]string{"merge", "a.json"}, `unexpected argument "merge"`},
 		{[]string{"tables", "-table", "1", "bogus"}, `unexpected argument "bogus"`},
 		{[]string{"tables", "-table", "1", "-workers", "2"}, "-workers"},
 		{[]string{"tables", "-table", "13"}, `unknown -table "13"`},

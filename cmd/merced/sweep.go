@@ -27,7 +27,6 @@ type sweepRun struct {
 	format     string        // text, json, csv
 	noTiming   bool          // deterministic output: omit wall-clock fields
 	cacheStats bool          // report per-stage artifact-cache counters
-	shard      string        // "i/N": run one slice of the matrix, emit a shard document
 
 	// cache is the process artifact cache (store-backed under -cache-dir;
 	// nil means a run-private one); main owns it and flushes pending disk
@@ -102,9 +101,7 @@ func sweepSpec(cfg sweepRun) (*jobspec.Spec, error) {
 		Timeout: jobspec.Duration(cfg.timeout),
 		Sweep:   &jobspec.Sweep{Circuits: circuits, LKs: lks, Betas: betas, Seeds: seeds},
 	}
-	if err := applySweepFlags(s, cfg); err != nil {
-		return nil, err
-	}
+	applySweepFlags(s, cfg)
 	return s, nil
 }
 
@@ -125,9 +122,7 @@ func sweepSpecFile(cfg sweepRun) (*jobspec.Spec, error) {
 	if s.Sweep == nil {
 		s.Sweep = &jobspec.Sweep{}
 	}
-	if err := applySweepFlags(s, cfg); err != nil {
-		return nil, err
-	}
+	applySweepFlags(s, cfg)
 	return s, nil
 }
 
@@ -136,17 +131,10 @@ func sweepSpecFile(cfg sweepRun) (*jobspec.Spec, error) {
 // survive unless the command line explicitly overrides them. (A Boolean
 // flag can therefore turn a spec setting on but not off, and `-format
 // text` cannot override a file's "json" — the limits of flag defaulting.)
-func applySweepFlags(s *jobspec.Spec, cfg sweepRun) error {
+func applySweepFlags(s *jobspec.Spec, cfg sweepRun) {
 	sw := s.Sweep
 	if cfg.workers != 0 {
 		sw.Workers = cfg.workers
-	}
-	if cfg.shard != "" {
-		sh, err := sweep.ParseShard(cfg.shard)
-		if err != nil {
-			return fmt.Errorf("-shard: %w", err)
-		}
-		sw.Shard = &jobspec.ShardSpec{Index: sh.Index, Count: sh.Count}
 	}
 	if cfg.timeout != 0 {
 		s.Timeout = jobspec.Duration(cfg.timeout)
@@ -178,7 +166,6 @@ func applySweepFlags(s *jobspec.Spec, cfg sweepRun) error {
 	if cfg.metrics {
 		s.Output.Metrics = true
 	}
-	return nil
 }
 
 func splitList(s string) []string {

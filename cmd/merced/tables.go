@@ -202,7 +202,7 @@ func (tb *tables) render(ctx context.Context, name string, w io.Writer) (*report
 	case "f1b":
 		figure1b(w)
 	case "9":
-		return table9(tb.sel)
+		return tb.table9(ctx)
 	case "10":
 		return tb.table1011(tb.sel, 16), nil
 	case "11":
@@ -275,17 +275,18 @@ func figure1b(w io.Writer) {
 	fmt.Fprintln(w)
 }
 
-// table9 needs no compile: it loads each circuit through the resolver the
-// sweep uses and reports its statistics.
-func table9(sel []string) (*report.Table, error) {
+// table9 needs no compile: it reports the statistics of each circuit's
+// parse, read through the cache so a circuit the sweep parsed is not
+// loaded again.
+func (tb *tables) table9(ctx context.Context) (*report.Table, error) {
 	t := report.NewTable("Table 9: Circuit Information of Selected ISCAS89 Benchmark Circuits (synthetic suite)",
 		"Circuit", "PIs", "DFFs", "Gates", "INVs", "Area", "PaperArea")
-	for _, name := range sel {
-		c, err := sweep.LoadCircuit(name)
+	for _, name := range tb.sel {
+		p, _, err := tb.cache.Parse(ctx, name, nil)
 		if err != nil {
 			return nil, err
 		}
-		st := c.Stats()
+		st := p.Circuit().Stats()
 		paper := 0.0
 		if sp, ok := bench89.SpecByName(name); ok {
 			paper = sp.Area

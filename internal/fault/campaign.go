@@ -159,8 +159,7 @@ type CampaignReport struct {
 	// the excitation pre-pass (latency.campaign.excite, filled only for
 	// escalated sets that do not pack in the session layout). Like Elapsed
 	// it is observability metadata: timing-gated at render time and
-	// excluded from every serialized encoding (shard documents keep their
-	// byte determinism and DisallowUnknownFields round-trip).
+	// excluded from every serialized encoding.
 	Latency *obs.HistogramSet `json:"-"`
 }
 

@@ -9,8 +9,8 @@ import (
 // FuzzParseSpec drives arbitrary bytes down the path -spec files take:
 // Decode, then Normalize, then Validate. None may panic, and an accepted
 // spec must re-encode to a document that parses back to a spec with the
-// same encoding. The compile and cover seeds carry bodies removed within
-// version 1, so they must be rejected.
+// same encoding. The compile and cover seeds carry bodies, and the shard
+// seed a key, removed within version 1, so they must be rejected.
 func FuzzParseSpec(f *testing.F) {
 	seeds := []string{
 		``,

@@ -114,21 +114,6 @@ type Sweep struct {
 	// MaxPatterns caps each coverage campaign's per-fault pattern budget;
 	// 0 means the full pseudo-exhaustive budget.
 	MaxPatterns uint64 `json:"max_patterns,omitempty"`
-
-	// Shard, when set, runs only the 1-based shard Index of Count of the
-	// expanded job list (partitioned by stable job index) and emits a
-	// self-describing shard report instead of a sweep report; `merced
-	// merge` reassembles the full set into the unsharded report. Adding
-	// this optional field is a compatible change within version 1 (see the
-	// package versioning policy).
-	Shard *ShardSpec `json:"shard,omitempty"`
-}
-
-// ShardSpec selects one shard of a distributed sweep: shard Index of
-// Count, 1-based (the CLI form is "-shard index/count").
-type ShardSpec struct {
-	Index int `json:"index"`
-	Count int `json:"count"`
 }
 
 // Job is one explicit sweep coordinate.
@@ -272,14 +257,6 @@ func (sw *Sweep) validate() error {
 	}
 	if sw.JobTimeout < 0 {
 		return fieldErrf("sweep.job_timeout", "must be >= 0 (got %v)", time.Duration(sw.JobTimeout))
-	}
-	if sh := sw.Shard; sh != nil {
-		if sh.Count < 1 {
-			return fieldErrf("sweep.shard.count", "must be >= 1 (got %d)", sh.Count)
-		}
-		if sh.Index < 1 || sh.Index > sh.Count {
-			return fieldErrf("sweep.shard.index", "must be in 1..%d (got %d)", sh.Count, sh.Index)
-		}
 	}
 	return nil
 }

@@ -171,7 +171,8 @@ func TestValidateFieldPaths(t *testing.T) {
 
 	// Keys removed within version 1 (DESIGN.md §13) — the "lanes" keys,
 	// "output.trace", the "compile" and "cover" bodies,
-	// "output.undetected", "sweep.no_retime_solver" and "sweep.no_cache":
+	// "output.undetected", "sweep.no_retime_solver", "sweep.no_cache" and
+	// "sweep.shard":
 	// a spec still carrying one must fail at decode as an unknown field,
 	// never be silently ignored.
 	removed := []struct{ src, key string }{
@@ -184,6 +185,7 @@ func TestValidateFieldPaths(t *testing.T) {
 		{`{"v":1,"kind":"sweep","sweep":{},"output":{"undetected":true}}`, "undetected"},
 		{`{"v":1,"kind":"sweep","sweep":{"no_retime_solver":true}}`, "no_retime_solver"},
 		{`{"v":1,"kind":"sweep","sweep":{"no_cache":true}}`, "no_cache"},
+		{`{"v":1,"kind":"sweep","sweep":{"shard":{"index":1,"count":2}}}`, "shard"},
 	}
 	for _, tc := range removed {
 		want := `unknown field "` + tc.key + `"`

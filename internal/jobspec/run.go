@@ -52,13 +52,6 @@ func Run(ctx context.Context, s *Spec, w io.Writer, rt Runtime) error {
 	if err != nil {
 		return err
 	}
-	universe := jobs
-	var shard sweep.Shard
-	var globals []int
-	if sw.Shard != nil {
-		shard = sweep.Shard{Index: sw.Shard.Index, Count: sw.Shard.Count}
-		jobs, globals = shard.Select(universe)
-	}
 	cfg := sweep.Config{
 		Workers:             sw.Workers,
 		JobTimeout:          time.Duration(sw.JobTimeout),
@@ -72,33 +65,14 @@ func Run(ctx context.Context, s *Spec, w io.Writer, rt Runtime) error {
 	if err != nil {
 		return err
 	}
-	if sw.Shard != nil {
-		// A shard's output is always its self-describing JSON document —
-		// the requested format travels inside it and `merced merge`
-		// renders the reassembled report with it.
-		sr := sweep.BuildShardReport(shard, universe, globals, rep,
-			sweep.ShardConfig{
-				Lint:        sw.Lint,
-				Coverage:    sw.Coverage,
-				MaxPatterns: sw.MaxPatterns,
-			},
-			sweep.ShardOutput{
-				Format:     s.Output.Format,
-				NoTiming:   s.Output.NoTiming,
-				CacheStats: s.Output.CacheStats,
-				Metrics:    s.Output.Metrics,
-			})
-		err = sr.WriteJSON(w)
-	} else {
-		opts := sweep.RenderOptions{Timing: !s.Output.NoTiming, CacheStats: s.Output.CacheStats, Metrics: s.Output.Metrics}
-		switch s.Output.Format {
-		case "json":
-			err = rep.WriteJSON(w, opts)
-		case "csv":
-			err = rep.WriteCSV(w, opts)
-		default:
-			err = rep.WriteText(w, opts)
-		}
+	opts := sweep.RenderOptions{Timing: !s.Output.NoTiming, CacheStats: s.Output.CacheStats, Metrics: s.Output.Metrics}
+	switch s.Output.Format {
+	case "json":
+		err = rep.WriteJSON(w, opts)
+	case "csv":
+		err = rep.WriteCSV(w, opts)
+	default:
+		err = rep.WriteText(w, opts)
 	}
 	if err != nil {
 		return err

@@ -24,9 +24,9 @@ package sweep
 // With NewCacheWithStore the cache becomes two-tier: the memory LRU reads
 // through to a persistent ArtifactStore (internal/cas) and writes behind to
 // it, so artifacts survive process restarts and are shared between
-// concurrent processes (shards of one sweep, CLI runs sharing one
-// -cache-dir). The singleflight guarantee spans both tiers — concurrent
-// requesters of one key share a single disk read or compute. Errors are
+// concurrent processes (CLI runs sharing one -cache-dir). The singleflight
+// guarantee spans both tiers — concurrent requesters of one key share a
+// single disk read or compute. Errors are
 // never persisted, exactly as they are never memory-cached; a corrupt or
 // unreadable disk entry counts as a disk error and falls through to
 // compute, so the disk tier can degrade but never poison a result.
@@ -117,10 +117,8 @@ type stageCodec struct {
 	decode func([]byte) (any, error)
 }
 
-// parsedCodec persists core.Parsed artifacts. Note the parsed stage is
-// keyed by circuit reference ("parsed:<name>"), not content — editing a
-// .bench file under a warm cache directory serves the old parse until the
-// entry is evicted or the directory cleared (documented in DESIGN.md §14).
+// parsedCodec persists core.Parsed artifacts of built-in circuits (see
+// Cache.Parse).
 var parsedCodec = &stageCodec{
 	schema: core.ParsedSchemaVersion,
 	encode: func(v any) ([]byte, error) { return v.(*core.Parsed).Encode() },
@@ -319,20 +317,14 @@ func (c *Cache) Compile(ctx context.Context, name string, load func(string) (*ne
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	if load == nil {
-		load = LoadCircuit
-	}
 	if err := opt.Validate(); err != nil {
 		return nil, err
 	}
 	start := time.Now()
-	pv, computed, err := cacheStagedArtifact(ctx, c, stageParsed, "parsed:"+name, parsedCodec, func() (any, error) {
-		return core.Parse(ctx, name, load)
-	})
+	p, computed, err := c.Parse(ctx, name, load)
 	if err != nil {
 		return nil, err
 	}
-	p := pv.(*core.Parsed)
 	r, err := compileStaged(ctx, p, c, opt)
 	if r != nil && err == nil {
 		if computed {
@@ -341,4 +333,29 @@ func (c *Cache) Compile(ctx context.Context, name string, load func(string) (*ne
 		r.Elapsed = time.Since(start)
 	}
 	return r, err
+}
+
+// Parse returns the parsed artifact of the named circuit, loading it
+// through load (LoadCircuit when nil) on a miss; computed reports whether
+// this call did the parse. The stage is keyed by name, which pins the
+// content only for a built-in benchmark resolved by LoadCircuit: this
+// build generates it, so only that parse is persisted. A netlist file, or
+// whatever a caller's load returns, can change between processes, so its
+// parse stays in the memory tier; the analyze and saturate stages below it
+// are keyed by content and persist either way.
+func (c *Cache) Parse(ctx context.Context, name string, load func(string) (*netlist.Circuit, error)) (p *core.Parsed, computed bool, err error) {
+	var codec *stageCodec
+	if load == nil {
+		load = LoadCircuit
+		if !isNetlistFile(name) {
+			codec = parsedCodec
+		}
+	}
+	v, computed, err := cacheStagedArtifact(ctx, c, stageParsed, "parsed:"+name, codec, func() (any, error) {
+		return core.Parse(ctx, name, load)
+	})
+	if err != nil {
+		return nil, false, err
+	}
+	return v.(*core.Parsed), computed, nil
 }

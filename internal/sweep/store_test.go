@@ -16,6 +16,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"repro/internal/bench89"
 	"repro/internal/cas"
 	"repro/internal/core"
 )
@@ -250,5 +251,51 @@ func TestSaturatedEntryFromOlderSchemaMisses(t *testing.T) {
 	}
 	if warmJSON, warmCSV := renderAll(t, warm); warmJSON != coldJSON || warmCSV != coldCSV {
 		t.Fatal("recomputed report differs from cold run")
+	}
+}
+
+// TestEditedNetlistNotServedStale: the parsed stage is keyed by
+// circuit name, so a netlist file edited between two processes on one
+// store must be parsed afresh — through both Run and Cache.Compile — and
+// compile exactly as a storeless run of the edited file does.
+func TestEditedNetlistNotServedStale(t *testing.T) {
+	st, _ := storeDir(t)
+	path := filepath.Join(t.TempDir(), "d.bench")
+	if err := os.WriteFile(path, []byte(bench89.S27Bench), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	job := Job{Circuit: path, LK: 3, Seed: 1}
+	run := func(cache *Cache) JobResult {
+		t.Helper()
+		rep, err := Run(context.Background(), []Job{job}, Config{Workers: 1, Cache: cache})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := rep.FirstErr(); err != nil {
+			t.Fatal(err)
+		}
+		cache.Flush()
+		return rep.Jobs[0]
+	}
+	before := run(NewCacheWithStore(st))
+
+	// Give one gate another input.
+	edited := strings.Replace(bench89.S27Bench, "G16 = OR(G3, G8)", "G16 = OR(G3, G8, G2)", 1)
+	if err := os.WriteFile(path, []byte(edited), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	want := run(NewCache())
+	if want.Areas == before.Areas {
+		t.Fatal("the edit left the compile unchanged; it cannot tell a stale parse from a fresh one")
+	}
+	if got := run(NewCacheWithStore(st)); got.Areas != want.Areas {
+		t.Errorf("warm Run served the old parse: areas %+v, want %+v", got.Areas, want.Areas)
+	}
+	r, err := NewCacheWithStore(st).Compile(context.Background(), path, nil, job.Options())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.Areas != want.Areas {
+		t.Errorf("warm Compile served the old parse: areas %+v, want %+v", r.Areas, want.Areas)
 	}
 }

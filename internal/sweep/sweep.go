@@ -104,7 +104,9 @@ type Config struct {
 	// order); the callback must be safe for concurrent use and must not
 	// write to the report stream.
 	Progress func(done, total int)
-	// Load resolves Job.Circuit to a netlist; nil means LoadCircuit.
+	// Load resolves Job.Circuit to a netlist; nil means LoadCircuit. The
+	// parses of a custom loader stay out of the persistent store (see
+	// Cache.Parse).
 	Load func(name string) (*netlist.Circuit, error)
 	// Compile runs one job; nil means the staged cached pipeline. The hook
 	// receives the shared normalized circuit — it must not mutate it.
@@ -234,10 +236,6 @@ func Run(ctx context.Context, jobs []Job, cfg Config) (*Report, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	load := cfg.Load
-	if load == nil {
-		load = LoadCircuit
-	}
 	workers := cfg.Workers
 	if workers <= 0 {
 		workers = runtime.NumCPU()
@@ -262,11 +260,12 @@ func Run(ctx context.Context, jobs []Job, cfg Config) (*Report, error) {
 	// deterministic and the expensive benchmark generators run once per
 	// name. The core.Parsed artifact is normalized at construction and
 	// immutable afterwards, so workers share it directly — no per-job
-	// clone. Loading goes through the cache purely so the parsed-stage
-	// hit/miss counters reflect the matrix shape. A computed parse is
-	// attributed to the first job of its circuit in input order, as a
-	// computed analyze or saturate stage is attributed to the job that
-	// computed it; Wall starts here to cover those parses.
+	// clone. Loading goes through Cache.Parse, so the parsed-stage
+	// counters reflect the matrix shape and a later lookup of the same
+	// name shares the artifact. A computed parse is attributed to the first
+	// job of its circuit in input order, as a computed analyze or saturate
+	// stage is attributed to the job that computed it; Wall starts here to
+	// cover those parses.
 	start := time.Now()
 	cache := cfg.Cache
 	if cache == nil {
@@ -275,13 +274,11 @@ func Run(ctx context.Context, jobs []Job, cfg Config) (*Report, error) {
 	masters := make(map[string]*core.Parsed, len(jobs))
 	parsedBy := make([]bool, len(jobs))
 	for i, j := range jobs {
-		v, computed, err := cache.getOrCompute(stageParsed, "parsed:"+j.Circuit, parsedCodec, func() (any, error) {
-			return core.Parse(ctx, j.Circuit, load)
-		})
+		p, computed, err := cache.Parse(ctx, j.Circuit, cfg.Load)
 		if err != nil {
 			return nil, fmt.Errorf("sweep: job %d: loading circuit %q: %w", i, j.Circuit, err)
 		}
-		masters[j.Circuit] = v.(*core.Parsed)
+		masters[j.Circuit] = p
 		parsedBy[i] = computed
 	}
 
@@ -468,7 +465,7 @@ func aggregate(results []JobResult, workers int, wall time.Duration) Stats {
 // separator or ending in ".bench" is parsed as a netlist file; anything
 // else must be a built-in benchmark (s27 or a Table 9 circuit).
 func LoadCircuit(name string) (*netlist.Circuit, error) {
-	if strings.HasSuffix(name, ".bench") || strings.ContainsRune(name, '/') || strings.ContainsRune(name, os.PathSeparator) {
+	if isNetlistFile(name) {
 		f, err := os.Open(name)
 		if err != nil {
 			return nil, err
@@ -477,4 +474,10 @@ func LoadCircuit(name string) (*netlist.Circuit, error) {
 		return netlist.ParseBench(name, f)
 	}
 	return bench89.Load(name)
+}
+
+// isNetlistFile reports whether LoadCircuit reads name from a file rather
+// than generating a built-in benchmark.
+func isNetlistFile(name string) bool {
+	return strings.HasSuffix(name, ".bench") || strings.ContainsRune(name, '/') || strings.ContainsRune(name, os.PathSeparator)
 }
