@@ -112,3 +112,29 @@ func TestCASSubcommandStatsAndGC(t *testing.T) {
 		t.Errorf("cas stats without -cache-dir: exit %d, want 2", code)
 	}
 }
+
+// A warm report-mode compile of a built-in -circuit reads its parse from
+// the store like a sweep job does, while -circuit with a netlist path
+// still fails as an unknown circuit rather than opening a file.
+func TestCacheDirWarmReportReadsParse(t *testing.T) {
+	store, err := cas.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	compile := func() sweep.StageStats {
+		cache := sweep.NewCacheWithStore(store)
+		if _, err := compileOne(context.Background(), cache, "", "s27", 3, 50, 1); err != nil {
+			t.Fatal(err)
+		}
+		cache.Flush()
+		return cache.Stats().Parsed
+	}
+	compile()
+	if warm := compile(); warm.Misses != 0 || warm.DiskHits != 1 {
+		t.Errorf("warm -circuit s27 parse: %+v, want one disk hit and no miss", warm)
+	}
+	_, err = compileOne(context.Background(), sweep.NewCacheWithStore(store), "", "x.bench", 3, 50, 1)
+	if err == nil || !strings.Contains(err.Error(), "unknown circuit") {
+		t.Errorf("-circuit x.bench: error %v, want an unknown circuit", err)
+	}
+}

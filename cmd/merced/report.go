@@ -46,7 +46,14 @@ func compileOne(ctx context.Context, cache *sweep.Cache, file, circuit string, l
 		name = circuit
 	}
 	opt := sweep.Job{Circuit: name, LK: lk, Beta: beta, Seed: seed}.Options()
-	load := func(string) (*netlist.Circuit, error) { return loadCircuit(file, circuit) }
+	// A built-in -circuit goes through the cache's own loader, the one
+	// whose parse the store persists. A -circuit that names a netlist path
+	// keeps this loader, so it fails as an unknown circuit instead of
+	// opening the file.
+	var load func(string) (*netlist.Circuit, error)
+	if file != "" || sweep.IsNetlistFile(circuit) {
+		load = func(string) (*netlist.Circuit, error) { return loadCircuit(file, circuit) }
+	}
 	return cache.Compile(ctx, name, load, opt)
 }
 

@@ -105,7 +105,7 @@ func DecodeAnalyzed(p *Parsed, data []byte) (*Analyzed, error) {
 	if w.SCC == nil {
 		return nil, fmt.Errorf("core: decoding analyzed artifact: missing scc")
 	}
-	return &Analyzed{parsed: p, g: graph.Assemble(w.Nodes, w.Nets), scc: w.SCC, key: p.AnalyzeKey()}, nil
+	return &Analyzed{parsed: p, g: graph.Assemble(w.Nodes, w.Nets), scc: w.SCC}, nil
 }
 
 // saturatedWire is the Saturated payload: the resolved flow configuration
@@ -136,5 +136,5 @@ func DecodeSaturated(a *Analyzed, data []byte) (*Saturated, error) {
 	if w.Result == nil {
 		return nil, fmt.Errorf("core: decoding saturated artifact: missing result")
 	}
-	return &Saturated{analyzed: a, cfg: w.Config, res: w.Result, key: a.SaturateKey(w.Config)}, nil
+	return &Saturated{analyzed: a, cfg: w.Config, res: w.Result}, nil
 }

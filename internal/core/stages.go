@@ -123,10 +123,11 @@ func (p *Parsed) NetlistLint() []lint.Diagnostic {
 // immutable after construction; the reachability queries downstream phases
 // run against the graph are read-only.
 type Analyzed struct {
-	parsed *Parsed
-	g      *graph.G
-	scc    *graph.SCCInfo
-	key    string
+	parsed  *Parsed
+	g       *graph.G
+	scc     *graph.SCCInfo
+	keyOnce sync.Once
+	key     string
 
 	// GraphTime and SCCTime record what the two analysis phases cost when
 	// this artifact was built (informational; a cache hit costs nothing).
@@ -158,7 +159,7 @@ func Analyze(ctx context.Context, p *Parsed) (*Analyzed, error) {
 	scc := g.SCC()
 	sccTime := stop()
 	return &Analyzed{
-		parsed: p, g: g, scc: scc, key: p.AnalyzeKey(),
+		parsed: p, g: g, scc: scc,
 		GraphTime: graphTime, SCCTime: sccTime,
 	}, nil
 }
@@ -172,15 +173,19 @@ func (a *Analyzed) Graph() *graph.G { return a.g }
 // SCC returns the strongly-connected-component analysis.
 func (a *Analyzed) SCC() *graph.SCCInfo { return a.scc }
 
-// Key returns the artifact's deterministic content key.
-func (a *Analyzed) Key() string { return a.key }
+// Key returns the artifact's deterministic content key, computed on first
+// call like Parsed.Key, so the one-shot Compile path never pays for it.
+func (a *Analyzed) Key() string {
+	a.keyOnce.Do(func() { a.key = a.parsed.AnalyzeKey() })
+	return a.key
+}
 
 // SaturateKey returns the content key of the Saturated artifact this
 // analysis would produce under cfg — the first key with stochastic inputs
 // (the seed and flow parameters).
 func (a *Analyzed) SaturateKey(cfg flow.Config) string {
 	return fmt.Sprintf("saturate(%s|b=%g,mv=%d,alpha=%g,delta=%g,seed=%d,policy=%d,maxiter=%d)",
-		a.key, cfg.Capacity, cfg.MinVisit, cfg.Alpha, cfg.Delta, cfg.Seed, cfg.Policy, cfg.MaxIterations)
+		a.Key(), cfg.Capacity, cfg.MinVisit, cfg.Alpha, cfg.Delta, cfg.Seed, cfg.Policy, cfg.MaxIterations)
 }
 
 // Saturated is the third artifact: the probabilistic multicommodity-flow
@@ -191,6 +196,7 @@ type Saturated struct {
 	analyzed *Analyzed
 	cfg      flow.Config
 	res      *flow.Result
+	keyOnce  sync.Once
 	key      string
 
 	// SaturateTime records the Dijkstra saturation cost at build time.
@@ -210,7 +216,7 @@ func SaturateNetwork(ctx context.Context, a *Analyzed, cfg flow.Config) (*Satura
 		return nil, fmt.Errorf("core: saturate network: %w", err)
 	}
 	return &Saturated{
-		analyzed: a, cfg: cfg, res: fres, key: a.SaturateKey(cfg),
+		analyzed: a, cfg: cfg, res: fres,
 		SaturateTime: saturateTime,
 	}, nil
 }
@@ -238,8 +244,12 @@ func (s *Saturated) Flow() *flow.Result { return s.res }
 // with.
 func (s *Saturated) Config() flow.Config { return s.cfg }
 
-// Key returns the artifact's deterministic content key.
-func (s *Saturated) Key() string { return s.key }
+// Key returns the artifact's deterministic content key, computed on first
+// call like Parsed.Key.
+func (s *Saturated) Key() string {
+	s.keyOnce.Do(func() { s.key = s.analyzed.SaturateKey(s.cfg) })
+	return s.key
+}
 
 // Partitioned is the fourth artifact: the Make_Group clustering and the
 // Assign_CBIT merge/refine passes (Table 2 STEPs 3b-3c) under one (l_k, β)

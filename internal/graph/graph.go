@@ -71,6 +71,7 @@ type G struct {
 	In  [][]int
 
 	byName map[string]int // node name -> id
+	cell   []bool         // node id -> IsCell, filled with the incidence lists
 }
 
 // NumNodes returns the vertex count including pseudo-nodes.
@@ -88,10 +89,7 @@ func (g *G) NodeByName(name string) (int, bool) {
 
 // IsCell reports whether node v is a real cell (comb or reg), i.e. belongs
 // to a partition per the paper's Figure 7.
-func (g *G) IsCell(v int) bool {
-	k := g.Nodes[v].Kind
-	return k == KindComb || k == KindReg
-}
+func (g *G) IsCell(v int) bool { return g.cell[v] }
 
 // CellIDs returns the IDs of all real cells in ascending order.
 func (g *G) CellIDs() []int {
@@ -183,12 +181,18 @@ func Assemble(nodes []Node, nets []Net) *G {
 func (g *G) buildIncidence() {
 	g.Out = make([][]int, len(g.Nodes))
 	g.In = make([][]int, len(g.Nodes))
+	g.cell = make([]bool, len(g.Nodes))
+	for v, n := range g.Nodes {
+		g.cell[v] = n.Kind == KindComb || n.Kind == KindReg
+	}
+	// seen[s] holds net ID + 1 once s has the net in In[s], so one stamp
+	// slice dedupes every net's sinks.
+	seen := make([]int, len(g.Nodes))
 	for _, net := range g.Nets {
 		g.Out[net.Source] = append(g.Out[net.Source], net.ID)
-		seen := make(map[int]bool, len(net.Sinks))
 		for _, s := range net.Sinks {
-			if !seen[s] {
-				seen[s] = true
+			if seen[s] != net.ID+1 {
+				seen[s] = net.ID + 1
 				g.In[s] = append(g.In[s], net.ID)
 			}
 		}

@@ -298,46 +298,64 @@ func settleN[W lanevec](p *program, run []op, v []W) {
 }
 
 // The clock specializations below are one clock each, in the order
-// laneEngine.cycle documents, split where cycle checks pending faults:
-// settleClockN drives the inputs and settles, latchClockN samples,
-// detects and latches. They get the same constant-index treatment as
-// the eval kernels: the drive/detect/latch loops run once per clock and,
-// written generically, cost more than the settle they wrap. Word j's
-// inputs take their bits from e.pat[j]. The detection compare takes its
-// fault-free reference from lane 0 of word 0 in the fault-parallel layout
-// and from lane 0 of each word in the session layout, where every word is
-// a session of its own (one word is both). The latch is two-phase: every
-// D is copied into e.next before any Q is written, so a flip-flop fed by
-// another flip-flop's Q takes its pre-clock value.
+// engine.cycle documents, split where cycle checks pending faults:
+// settleClockN drives the inputs and settles, latchClockN detects and
+// latches. They get the same constant-index treatment as the eval
+// kernels: the drive/detect/latch loops run once per clock and, written
+// generically, cost more than the settle they wrap.
+//
+// The drive gives each session group its own session's pattern bit: a
+// word holds 64/g groups, and (b0 | b1<<g | ...) * fill spreads session
+// bit bt over group t (Go shifts of 64 or more give 0, so the terms past
+// a word's groups vanish). At g = 64 that is -(b0), one session a word;
+// the fault-parallel layout drives every word from the same pattern.
+// The detection compare takes its fault-free reference from bit 0 of
+// word 0 in the fault-parallel layout and from bit 0 of each group in
+// the session layout, spread over the group by (o&low)*fill; -(o&1) is
+// the g = 64 case. The latch is two-phase: every D is copied into b.next
+// before any Q is written, so a flip-flop fed by another flip-flop's Q
+// takes its pre-clock value.
 
-func settleClock1(e *laneEngine[[1]uint64]) {
-	sg := e.sgmt
-	v, f0, f1 := e.v, e.force0, e.force1
-	p0 := e.pat[0]
-	for i, sig := range sg.inputs {
-		w := -(p0 >> uint(i) & 1)
-		d, g0, g1 := &v[sig], &f0[sig], &f1[sig]
-		d[0] = w&^g0[0] | g1[0]
+func settleClock1(b *bank[[1]uint64]) {
+	sg := b.sgmt
+	v, f0, f1 := b.v, b.force0, b.force1
+	p0, p1, p2, p3 := b.pat[0], b.pat[1], b.pat[2], b.pat[3]
+	if g, fill := b.group, b.fill; g < 64 {
+		for i, sig := range sg.inputs {
+			s := uint(i)
+			w := (p0>>s&1 | p1>>s&1<<g | p2>>s&1<<(2*g) | p3>>s&1<<(3*g)) * fill
+			d, g0, g1 := &v[sig], &f0[sig], &f1[sig]
+			d[0] = w&^g0[0] | g1[0]
+		}
+	} else {
+		for i, sig := range sg.inputs {
+			w := -(p0 >> uint(i) & 1)
+			d, g0, g1 := &v[sig], &f0[sig], &f1[sig]
+			d[0] = w&^g0[0] | g1[0]
+		}
 	}
-	settle1(sg.prog, v, f0, f1, e.forced)
+	settle1(sg.prog, v, f0, f1, b.forced)
 }
 
-func latchClock1(e *laneEngine[[1]uint64], detect bool) {
-	sg := e.sgmt
-	v, f0, f1 := e.v, e.force0, e.force1
-	if e.tap != nil {
-		e.sample()
-	}
+func latchClock1(b *bank[[1]uint64], detect bool) {
+	sg := b.sgmt
+	v, f0, f1 := b.v, b.force0, b.force1
 	if detect {
-		d0 := e.det[0]
-		for _, sig := range sg.outputs {
-			o := &v[sig]
-			ref := -(o[0] & 1) // fault-free lane broadcast
-			d0 |= o[0] ^ ref
+		d0 := b.det[0]
+		if low, fill := b.low, b.fill; low != 1 {
+			for _, sig := range sg.outputs {
+				o := &v[sig]
+				d0 |= o[0] ^ (o[0]&low)*fill
+			}
+		} else {
+			for _, sig := range sg.outputs {
+				o := &v[sig]
+				d0 |= o[0] ^ -(o[0] & 1)
+			}
 		}
-		e.det = [1]uint64{d0 & e.want[0]}
+		b.det = [1]uint64{d0 & b.want[0]}
 	}
-	next := e.next
+	next := b.next
 	for i := range sg.dffs {
 		next[i] = v[sg.dffs[i].in]
 	}
@@ -348,44 +366,58 @@ func latchClock1(e *laneEngine[[1]uint64], detect bool) {
 	}
 }
 
-func settleClock2(e *laneEngine[[2]uint64]) {
-	sg := e.sgmt
-	v, f0, f1 := e.v, e.force0, e.force1
-	p0, p1 := e.pat[0], e.pat[1]
-	for i, sig := range sg.inputs {
-		w0, w1 := -(p0 >> uint(i) & 1), -(p1 >> uint(i) & 1)
-		d, g0, g1 := &v[sig], &f0[sig], &f1[sig]
-		d[0] = w0&^g0[0] | g1[0]
-		d[1] = w1&^g0[1] | g1[1]
+func settleClock2(b *bank[[2]uint64]) {
+	sg := b.sgmt
+	v, f0, f1 := b.v, b.force0, b.force1
+	p0, p1, p2, p3 := b.pat[0], b.pat[1], b.pat[2], b.pat[3]
+	if fill := b.fill; b.group == 32 {
+		for i, sig := range sg.inputs {
+			s := uint(i)
+			w0, w1 := (p0>>s&1|p1>>s&1<<32)*fill, (p2>>s&1|p3>>s&1<<32)*fill
+			d, g0, g1 := &v[sig], &f0[sig], &f1[sig]
+			d[0] = w0&^g0[0] | g1[0]
+			d[1] = w1&^g0[1] | g1[1]
+		}
+	} else {
+		for i, sig := range sg.inputs {
+			w0, w1 := -(p0 >> uint(i) & 1), -(p1 >> uint(i) & 1)
+			d, g0, g1 := &v[sig], &f0[sig], &f1[sig]
+			d[0] = w0&^g0[0] | g1[0]
+			d[1] = w1&^g0[1] | g1[1]
+		}
 	}
-	settle2(sg.prog, v, f0, f1, e.forced)
+	settle2(sg.prog, v, f0, f1, b.forced)
 }
 
-func latchClock2(e *laneEngine[[2]uint64], detect bool) {
-	sg := e.sgmt
-	v, f0, f1 := e.v, e.force0, e.force1
-	if e.tap != nil {
-		e.sample()
-	}
+func latchClock2(b *bank[[2]uint64], detect bool) {
+	sg := b.sgmt
+	v, f0, f1 := b.v, b.force0, b.force1
 	if detect {
-		d0, d1 := e.det[0], e.det[1]
-		if e.sessions {
-			for _, sig := range sg.outputs {
-				o := &v[sig]
-				d0 |= o[0] ^ -(o[0] & 1)
-				d1 |= o[1] ^ -(o[1] & 1)
-			}
-		} else {
+		d0, d1 := b.det[0], b.det[1]
+		switch low, fill := b.low, b.fill; {
+		case b.fp:
 			for _, sig := range sg.outputs {
 				o := &v[sig]
 				ref := -(o[0] & 1)
 				d0 |= o[0] ^ ref
 				d1 |= o[1] ^ ref
 			}
+		case low != 1:
+			for _, sig := range sg.outputs {
+				o := &v[sig]
+				d0 |= o[0] ^ (o[0]&low)*fill
+				d1 |= o[1] ^ (o[1]&low)*fill
+			}
+		default:
+			for _, sig := range sg.outputs {
+				o := &v[sig]
+				d0 |= o[0] ^ -(o[0] & 1)
+				d1 |= o[1] ^ -(o[1] & 1)
+			}
 		}
-		e.det = [2]uint64{d0 & e.want[0], d1 & e.want[1]}
+		b.det = [2]uint64{d0 & b.want[0], d1 & b.want[1]}
 	}
-	next := e.next
+	next := b.next
 	for i := range sg.dffs {
 		next[i] = v[sg.dffs[i].in]
 	}
@@ -397,10 +429,10 @@ func latchClock2(e *laneEngine[[2]uint64], detect bool) {
 	}
 }
 
-func settleClock4(e *laneEngine[[4]uint64]) {
-	sg := e.sgmt
-	v, f0, f1 := e.v, e.force0, e.force1
-	p0, p1, p2, p3 := e.pat[0], e.pat[1], e.pat[2], e.pat[3]
+func settleClock4(b *bank[[4]uint64]) {
+	sg := b.sgmt
+	v, f0, f1 := b.v, b.force0, b.force1
+	p0, p1, p2, p3 := b.pat[0], b.pat[1], b.pat[2], b.pat[3]
 	for i, sig := range sg.inputs {
 		s := uint(i)
 		w0, w1, w2, w3 := -(p0 >> s & 1), -(p1 >> s & 1), -(p2 >> s & 1), -(p3 >> s & 1)
@@ -410,26 +442,15 @@ func settleClock4(e *laneEngine[[4]uint64]) {
 		d[2] = w2&^g0[2] | g1[2]
 		d[3] = w3&^g0[3] | g1[3]
 	}
-	settle4(sg.prog, v, f0, f1, e.forced)
+	settle4(sg.prog, v, f0, f1, b.forced)
 }
 
-func latchClock4(e *laneEngine[[4]uint64], detect bool) {
-	sg := e.sgmt
-	v, f0, f1 := e.v, e.force0, e.force1
-	if e.tap != nil {
-		e.sample()
-	}
+func latchClock4(b *bank[[4]uint64], detect bool) {
+	sg := b.sgmt
+	v, f0, f1 := b.v, b.force0, b.force1
 	if detect {
-		d0, d1, d2, d3 := e.det[0], e.det[1], e.det[2], e.det[3]
-		if e.sessions {
-			for _, sig := range sg.outputs {
-				o := &v[sig]
-				d0 |= o[0] ^ -(o[0] & 1)
-				d1 |= o[1] ^ -(o[1] & 1)
-				d2 |= o[2] ^ -(o[2] & 1)
-				d3 |= o[3] ^ -(o[3] & 1)
-			}
-		} else {
+		d0, d1, d2, d3 := b.det[0], b.det[1], b.det[2], b.det[3]
+		if b.fp {
 			for _, sig := range sg.outputs {
 				o := &v[sig]
 				ref := -(o[0] & 1)
@@ -438,10 +459,18 @@ func latchClock4(e *laneEngine[[4]uint64], detect bool) {
 				d2 |= o[2] ^ ref
 				d3 |= o[3] ^ ref
 			}
+		} else {
+			for _, sig := range sg.outputs {
+				o := &v[sig]
+				d0 |= o[0] ^ -(o[0] & 1)
+				d1 |= o[1] ^ -(o[1] & 1)
+				d2 |= o[2] ^ -(o[2] & 1)
+				d3 |= o[3] ^ -(o[3] & 1)
+			}
 		}
-		e.det = [4]uint64{d0 & e.want[0], d1 & e.want[1], d2 & e.want[2], d3 & e.want[3]}
+		b.det = [4]uint64{d0 & b.want[0], d1 & b.want[1], d2 & b.want[2], d3 & b.want[3]}
 	}
-	next := e.next
+	next := b.next
 	for i := range sg.dffs {
 		next[i] = v[sg.dffs[i].in]
 	}
@@ -455,11 +484,31 @@ func latchClock4(e *laneEngine[[4]uint64], detect bool) {
 	}
 }
 
-// excited4 is the excitation scan of a four-word batch with faults
-// pending, the width the campaign runs them at: it runs after every
-// settle, over every pending fault, so it gets the same constant-index
-// treatment, and reports whether some site reads its awaited value on
-// lane 0 of some word (laneEngine.admit then hands out the lanes).
+// excitedN is the excitation scan of a session-layout batch with faults
+// pending: it runs after every settle, over every pending fault, so it
+// gets the same constant-index treatment, and reports whether some site
+// reads its awaited value on the reference bit of some group (low has
+// those bits of a word set; at four words the groups are 64 bits wide).
+// engine.admit then hands out the lanes.
+func excited1(v [][1]uint64, sites []pendSite, low uint64) bool {
+	for _, s := range sites {
+		if (v[s.sig][0]^s.inv)&low != 0 {
+			return true
+		}
+	}
+	return false
+}
+
+func excited2(v [][2]uint64, sites []pendSite, low uint64) bool {
+	for _, s := range sites {
+		x := &v[s.sig]
+		if ((x[0]^s.inv)|(x[1]^s.inv))&low != 0 {
+			return true
+		}
+	}
+	return false
+}
+
 func excited4(v [][4]uint64, sites []pendSite) bool {
 	for _, s := range sites {
 		x := &v[s.sig]

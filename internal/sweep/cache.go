@@ -347,7 +347,7 @@ func (c *Cache) Parse(ctx context.Context, name string, load func(string) (*netl
 	var codec *stageCodec
 	if load == nil {
 		load = LoadCircuit
-		if !isNetlistFile(name) {
+		if !IsNetlistFile(name) {
 			codec = parsedCodec
 		}
 	}

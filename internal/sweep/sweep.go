@@ -465,7 +465,7 @@ func aggregate(results []JobResult, workers int, wall time.Duration) Stats {
 // separator or ending in ".bench" is parsed as a netlist file; anything
 // else must be a built-in benchmark (s27 or a Table 9 circuit).
 func LoadCircuit(name string) (*netlist.Circuit, error) {
-	if isNetlistFile(name) {
+	if IsNetlistFile(name) {
 		f, err := os.Open(name)
 		if err != nil {
 			return nil, err
@@ -476,8 +476,8 @@ func LoadCircuit(name string) (*netlist.Circuit, error) {
 	return bench89.Load(name)
 }
 
-// isNetlistFile reports whether LoadCircuit reads name from a file rather
+// IsNetlistFile reports whether LoadCircuit reads name from a file rather
 // than generating a built-in benchmark.
-func isNetlistFile(name string) bool {
+func IsNetlistFile(name string) bool {
 	return strings.HasSuffix(name, ".bench") || strings.ContainsRune(name, '/') || strings.ContainsRune(name, os.PathSeparator)
 }
