@@ -7,7 +7,8 @@ package sim
 // lanes. In the fault-parallel layout lane 0 is the fault-free machine
 // and lanes 1..BatchLanes(W) each carry one injected stuck-at fault, so a
 // W=4 batch simulates 255 faults per pattern; in the session layout each
-// word is one test session with its own fault-free lane 0 (see Layout).
+// test session has a group of bits with its own fault-free reference (see
+// Layout).
 // The interpreter overhead per gate (opcode dispatch, operand index
 // loads, bounds checks) is paid once per W words instead of once per
 // word, which is where the per-lane throughput scales.
@@ -71,11 +72,12 @@ const (
 	// word 0 is the fault-free machine and lanes 1..BatchLanes(W) each
 	// carry one fault, so a batch holds up to 64*W-1 faults.
 	FaultParallel Layout = iota
-	// Sessions gives every word its own pattern stream (a test session):
-	// lane 0 of word s is session s's fault-free machine, and lane k of
-	// every word carries the same fault, so a batch holds up to
-	// LanesPerWord faults, each run under W sessions at once. A lane is
-	// detected when it diverges from its own word's lane 0 in some word.
+	// Sessions gives each of W sessions its own pattern stream (a test
+	// session) and a group of 64, 32 or 16 bits whose bit 0 is the
+	// session's fault-free machine; lane k holds the same slot of every
+	// group, so a batch holds up to LanesPerWord faults, each run under W
+	// sessions at once. A lane is detected when it diverges from its own
+	// group's reference in some session (see LaneEngine).
 	Sessions
 )
 
